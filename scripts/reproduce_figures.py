@@ -25,13 +25,12 @@ from pgg_bribery import (
     CoreParams,
     basin_of_cooperation,
     classify_regime,
-    gradient_of_selection,
-    q_function,
     regime_grid,
     sweep_root,
     thresholds,
     with_parameter,
 )
+from pgg_bribery.cli import gradient_rows, grid_rows, sweep_rows
 from pgg_bribery.output import render_csv_plot, write_csv
 
 IPGG_REGIMES = {
@@ -75,28 +74,6 @@ def emit(path, header, rows, note, plot=True):
         print(f"wrote {svg_path}")
 
 
-def gradient_rows(model, points=1001):
-    return [
-        (x, q_function(model, x), gradient_of_selection(model, x))
-        for x in (i / (points - 1) for i in range(points))
-    ]
-
-
-def sweep_rows(result):
-    return [
-        (pt.value, pt.regime.token if pt.regime else "knife_edge", pt.x_star, pt.basin)
-        for pt in result.points
-    ]
-
-
-def grid_rows(grid):
-    return [
-        (cell.f, cell.r_p, cell.regime.token if cell.regime else "knife_edge", cell.basin)
-        for row in grid.cells
-        for cell in row
-    ]
-
-
 def describe(name, model, lines):
     th = thresholds(model)
     regime = classify_regime(model)
@@ -118,7 +95,7 @@ def main(argv=None):
         emit(
             os.path.join(args.out, f"gradient_{name}.csv"),
             ["x", "q", "g"],
-            gradient_rows(model),
+            gradient_rows(model, 1001),
             f"selection gradient, {name}",
         )
         describe(name, model, lines)

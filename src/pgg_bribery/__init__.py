@@ -10,13 +10,17 @@ oracles, and parameter sweeps with deterministic CSV output.
 
 from .analysis import (
     KnifeEdgeError,
+    Coefficients,
     Regime,
     RegimeKind,
+    Regimes,
     Thresholds,
     avg_payoff,
     binomial_avg_payoff,
     bribery_offset,
     classify_regime,
+    classify_regimes,
+    coefficients,
     gradient_of_selection,
     interior_root,
     q_function,
@@ -55,6 +59,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BriberyParams",
+    "Coefficients",
     "ConfigError",
     "CoreParams",
     "Estimate",
@@ -66,6 +71,7 @@ __all__ = [
     "Regime",
     "RegimeGrid",
     "RegimeKind",
+    "Regimes",
     "RngSeed",
     "RunConfig",
     "SweepResult",
@@ -76,6 +82,8 @@ __all__ = [
     "binomial_avg_payoff",
     "bribery_offset",
     "classify_regime",
+    "classify_regimes",
+    "coefficients",
     "core_of",
     "estimate_avg_payoff",
     "estimate_expected_payoff",

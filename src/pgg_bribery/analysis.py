@@ -22,14 +22,22 @@ terms ``A*(1-x)^(n-1) - B*x^(n-1)``: Q keeps the count-cancelled fine
 shares even on the compositions where the focal player has no same-type
 co-player, which is what makes it a polynomial with fixed sign structure.
 All threshold, root and stability computations use Q.
+
+:func:`coefficients` is the one definition of Q's coefficients and of the
+thresholds, for one model or for numpy arrays of ``f`` and ``r_p``.
+:func:`classify_regime` classifies one model; :func:`classify_regimes`
+classifies arrays of cells with a vectorised bisection whose results
+equal the scalar ones bit for bit.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from math import comb
-from typing import Callable
+from math import comb, isfinite
+from typing import Callable, NamedTuple
+
+import numpy as np
 
 from .games import BriberyParams, Model, core_of, group_payoff, GroupComposition
 
@@ -38,20 +46,26 @@ __all__ = [
     "RegimeKind",
     "Regime",
     "Thresholds",
+    "Coefficients",
+    "Regimes",
+    "KNIFE_EDGE",
     "KNIFE_EDGE_TOL",
     "EQUILIBRIUM_TOL",
     "ROOT_TOL",
     "bribery_offset",
     "avg_payoff",
     "binomial_avg_payoff",
+    "coefficients",
     "q_function",
     "gradient_of_selection",
     "thresholds",
     "classify_regime",
+    "classify_regimes",
     "interior_root",
     "stability_at",
 ]
 
+KNIFE_EDGE = "knife_edge"  # token of a cell that classify_regime refuses
 KNIFE_EDGE_TOL = 1e-9
 EQUILIBRIUM_TOL = 1e-12
 ROOT_TOL = 1e-12
@@ -61,8 +75,8 @@ class KnifeEdgeError(ValueError):
     """The pool multiplier sits on a classification boundary.
 
     Raised instead of silently binning a model whose ``f`` is within
-    ``KNIFE_EDGE_TOL`` of ``f_min`` or ``f_max``; sweeps catch this and
-    carry it as a per-point report.
+    ``KNIFE_EDGE_TOL`` of ``f_min`` or ``f_max``; sweeps and grids mark
+    such a point ``knife_edge`` and carry this message as its note.
     """
 
     def __init__(self, f: float, threshold: float, name: str):
@@ -125,12 +139,13 @@ class Thresholds:
     f_max: float
 
 
-def _check_x(x: float) -> None:
-    if not 0 <= x <= 1:
+def _check_x(x) -> None:
+    lo, hi = (x.min(), x.max()) if isinstance(x, np.ndarray) else (x, x)
+    if not (0 <= lo and hi <= 1):
         raise ValueError(f"cooperator fraction x must be in [0, 1], got {x}")
 
 
-def _geom_sum(y: float, terms: int) -> float:
+def _geom_sum(y, terms: int):
     # sum_{k=1..terms} y**k in Horner form; exact at y = 0 and y = 1
     s = 0.0
     for _ in range(terms):
@@ -154,48 +169,70 @@ def bribery_offset(model: Model) -> float:
     return 0.0
 
 
-def _fine_scales(model: Model) -> tuple[float, float]:
+class Coefficients(NamedTuple):
+    """Q(x) = constant - fine_c*S(1 - x) + fine_d*S(x) and its thresholds.
+
+    Every field but ``n`` is a float, or an array when ``f`` or ``r_p``
+    was given as one; ``pressure`` is ``beta*tau*r_p``.
+    """
+
+    n: int
+    f: float | np.ndarray
+    pressure: float | np.ndarray
+    constant: float | np.ndarray
+    fine_c: float | np.ndarray
+    fine_d: float | np.ndarray
+    f_min: float | np.ndarray
+    f_max: float | np.ndarray
+
+
+def coefficients(model: Model, f=None, r_p=None) -> Coefficients:
+    """The one definition of the Q coefficients and the thresholds.
+
+    ``f`` and ``r_p`` replace the model's values when given; they may be
+    numpy arrays, and the fields then broadcast elementwise with the same
+    floating-point operations, in the same order, as for scalars.
+    """
     core = core_of(model)
-    pressure = core.beta * core.tau * core.r_p
-    return core.alpha * pressure, (1.0 - core.alpha) * pressure
+    n = core.n
+    f = core.f if f is None else f
+    r_p = core.r_p if r_p is None else r_p
+    offset = bribery_offset(model)
+    pressure = core.beta * core.tau * r_p
+    fine_c = core.alpha * pressure
+    fine_d = (1.0 - core.alpha) * pressure
+    constant = f * core.c / n - core.c + offset + pressure - 2.0 * fine_c
+    base = core.c - offset - pressure
+    f_min = n * (base + 2.0 * fine_c - fine_d * (n - 1)) / core.c
+    f_max = n * (base + fine_c * (n + 1)) / core.c
+    return Coefficients(n, f, pressure, constant, fine_c, fine_d, f_min, f_max)
 
 
-def _q_coefficients(model: Model) -> tuple[int, float, float, float]:
-    core = core_of(model)
-    fine_c, fine_d = _fine_scales(model)
-    constant = (
-        core.f * core.c / core.n
-        - core.c
-        + bribery_offset(model)
-        + core.beta * core.tau * core.r_p
-        - 2.0 * fine_c
-    )
-    return core.n, constant, fine_c, fine_d
+def _q_of(co: Coefficients) -> Callable:
+    constant, fine_c, fine_d, terms = co.constant, co.fine_c, co.fine_d, co.n - 1
 
-
-def q_callable(model: Model) -> Callable[[float], float]:
-    """Fast closure evaluating Q; used by root finding and integration."""
-    n, constant, fine_c, fine_d = _q_coefficients(model)
-    terms = n - 1
-
-    def q(x: float) -> float:
-        return (
-            constant
-            - fine_c * _geom_sum(1.0 - x, terms)
-            + fine_d * _geom_sum(x, terms)
-        )
+    def q(x):
+        return constant - fine_c * _geom_sum(1.0 - x, terms) + fine_d * _geom_sum(x, terms)
 
     return q
 
 
-def q_function(model: Model, x: float) -> float:
-    """Selection polynomial Q(x), the payoff advantage of cooperation."""
+def q_callable(model: Model) -> Callable[[float], float]:
+    """Fast closure evaluating Q; used by integration."""
+    return _q_of(coefficients(model))
+
+
+def q_function(model: Model, x):
+    """Selection polynomial Q(x), the payoff advantage of cooperation.
+
+    ``x`` may be a numpy array; Q is then evaluated elementwise.
+    """
     _check_x(x)
     return q_callable(model)(x)
 
 
-def gradient_of_selection(model: Model, x: float) -> float:
-    """G(x) = x (1 - x) Q(x), the replicator right-hand side."""
+def gradient_of_selection(model: Model, x):
+    """G(x) = x (1 - x) Q(x), the replicator right-hand side (``x`` may be an array)."""
     _check_x(x)
     return x * (1.0 - x) * q_function(model, x)
 
@@ -211,11 +248,11 @@ def avg_payoff(model: Model, x: float, strategy: str) -> float:
         raise ValueError(f"strategy must be 'C' or 'D', got {strategy!r}")
     core = core_of(model)
     n = core.n
-    fine_c, fine_d = _fine_scales(model)
+    co = coefficients(model)
     if strategy == "C":
         # own-type leader share requires a cooperator co-player to exist,
         # hence the missing (1-x)^(n-1) mass
-        fines = fine_c * (1.0 - (1.0 - x) ** (n - 1) + _geom_sum(1.0 - x, n - 1))
+        fines = co.fine_c * (1.0 - (1.0 - x) ** (n - 1) + _geom_sum(1.0 - x, n - 1))
         value = (
             core.b
             + core.f * core.c * ((n - 1) * x + 1.0) / n
@@ -224,7 +261,7 @@ def avg_payoff(model: Model, x: float, strategy: str) -> float:
             - fines
         )
     else:
-        fines = fine_d * (1.0 - x ** (n - 1) + _geom_sum(x, n - 1))
+        fines = co.fine_d * (1.0 - x ** (n - 1) + _geom_sum(x, n - 1))
         value = core.b + core.f * core.c * (n - 1) * x / n - core.tau - fines
     if isinstance(model, BriberyParams):
         accepted = model.gamma * model.h
@@ -251,18 +288,19 @@ def binomial_avg_payoff(model: Model, x: float, strategy: str) -> float:
 
 def thresholds(model: Model) -> Thresholds:
     """Pool-multiplier values where Q(1) and Q(0) change sign."""
-    core = core_of(model)
-    n = core.n
-    fine_c, fine_d = _fine_scales(model)
-    base = core.c - bribery_offset(model) - core.beta * core.tau * core.r_p
-    f_min = n * (base + 2.0 * fine_c - fine_d * (n - 1)) / core.c
-    f_max = n * (base + fine_c * (n + 1)) / core.c
-    return Thresholds(f_min, f_max)
+    co = coefficients(model)
+    return Thresholds(co.f_min, co.f_max)
 
 
-def _bisect_root(model: Model) -> float:
+def _non_finite(f_min, f_max) -> ValueError:
+    return ValueError(
+        f"thresholds f_min={f_min}, f_max={f_max} are not finite: "
+        "the parameters overflow double precision"
+    )
+
+
+def _bisect_root(q: Callable[[float], float]) -> float:
     """Unique zero of the strictly increasing Q on (0, 1) by bisection."""
-    q = q_callable(model)
     lo, hi = 1e-15, 1.0 - 1e-15
     while hi - lo > ROOT_TOL:
         mid = 0.5 * (lo + hi)
@@ -273,26 +311,90 @@ def _bisect_root(model: Model) -> float:
     return 0.5 * (lo + hi)
 
 
+def _bisect_roots(q: Callable[[np.ndarray], np.ndarray], shape) -> np.ndarray:
+    """:func:`_bisect_root` for an array of cells as one masked vector loop.
+
+    Every cell takes the same midpoints and the same test as the scalar
+    loop and stops on its own bracket width, so each root is bit-identical.
+    """
+    lo = np.full(shape, 1e-15)
+    hi = np.full(shape, 1.0 - 1e-15)
+    active = hi - lo > ROOT_TOL
+    while active.any():
+        mid = 0.5 * (lo + hi)
+        below = q(mid) < 0.0
+        lo = np.where(active & below, mid, lo)
+        hi = np.where(active & ~below, mid, hi)
+        active = hi - lo > ROOT_TOL
+    return 0.5 * (lo + hi)
+
+
 def classify_regime(model: Model) -> Regime:
     """Three-way phase-line classification of the model.
 
     Raises :class:`KnifeEdgeError` when ``f`` is within ``KNIFE_EDGE_TOL``
-    of either threshold.  When ``beta*tau*r_p = 0`` the thresholds
-    coincide, Q is constant, and the result carries ``degenerate=True``.
+    of either threshold, and ``ValueError`` when a threshold is not
+    finite.  When ``beta*tau*r_p = 0`` the thresholds coincide, Q is
+    constant, and the result carries ``degenerate=True``.
     """
-    th = thresholds(model)
-    f = core_of(model).f
-    if abs(f - th.f_min) <= KNIFE_EDGE_TOL:
-        raise KnifeEdgeError(f, th.f_min, "f_min")
-    if abs(f - th.f_max) <= KNIFE_EDGE_TOL:
-        raise KnifeEdgeError(f, th.f_max, "f_max")
-    core = core_of(model)
-    degenerate = core.beta * core.tau * core.r_p == 0.0
-    if f < th.f_min:
+    co = coefficients(model)
+    f, f_min, f_max = co.f, co.f_min, co.f_max
+    if not (isfinite(f_min) and isfinite(f_max)):
+        raise _non_finite(f_min, f_max)
+    if abs(f - f_min) <= KNIFE_EDGE_TOL:
+        raise KnifeEdgeError(f, f_min, "f_min")
+    if abs(f - f_max) <= KNIFE_EDGE_TOL:
+        raise KnifeEdgeError(f, f_max, "f_max")
+    degenerate = co.pressure == 0.0
+    if f < f_min:
         return Regime(RegimeKind.DEFECTION_DOMINANT, degenerate=degenerate)
-    if f > th.f_max:
+    if f > f_max:
         return Regime(RegimeKind.COOPERATION_DOMINANT, degenerate=degenerate)
-    return Regime(RegimeKind.BISTABLE, x_star=_bisect_root(model))
+    return Regime(RegimeKind.BISTABLE, x_star=_bisect_root(_q_of(co)))
+
+
+class Regimes(NamedTuple):
+    """Classification of many (f, r_p) cells, as arrays of one shape.
+
+    ``token`` holds the regime token, or ``KNIFE_EDGE`` where
+    :func:`classify_regime` raises :class:`KnifeEdgeError`; ``x_star`` is
+    NaN unless bistable and ``basin`` is NaN on a knife edge.
+    """
+
+    token: np.ndarray
+    x_star: np.ndarray
+    basin: np.ndarray
+
+
+def classify_regimes(model: Model, f=None, r_p=None) -> Regimes:
+    """:func:`classify_regime` and the basin over arrays of ``f`` and ``r_p``.
+
+    ``f`` and ``r_p`` replace the model's values and broadcast against
+    each other (pass ``f[:, None]`` and ``r_p[None, :]`` for a grid).
+    Every cell equals the scalar result bit for bit.  Raises ``ValueError``
+    when any threshold is not finite.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        co = coefficients(model, f, r_p)
+    f, f_min, f_max = np.broadcast_arrays(co.f, co.f_min, co.f_max)
+    finite = np.isfinite(f_min) & np.isfinite(f_max)
+    if not finite.all():
+        index = np.argmin(finite)
+        raise _non_finite(f_min.flat[index], f_max.flat[index])
+    token = np.where(
+        f < f_min,
+        RegimeKind.DEFECTION_DOMINANT.value,
+        np.where(f > f_max, RegimeKind.COOPERATION_DOMINANT.value, RegimeKind.BISTABLE.value),
+    )
+    token[(np.abs(f - f_min) <= KNIFE_EDGE_TOL) | (np.abs(f - f_max) <= KNIFE_EDGE_TOL)] = KNIFE_EDGE
+    bistable = token == RegimeKind.BISTABLE.value
+    x_star = np.where(bistable, _bisect_roots(_q_of(co), f.shape), np.nan)
+    basin = np.where(
+        token == RegimeKind.DEFECTION_DOMINANT.value,
+        0.0,
+        np.where(token == RegimeKind.COOPERATION_DOMINANT.value, 1.0, 1.0 - x_star),
+    )
+    return Regimes(token, x_star, basin)
 
 
 def interior_root(model: Model) -> float:
@@ -314,9 +416,9 @@ def stability_at(model: Model, point: float) -> bool:
     """
     if abs(gradient_of_selection(model, point)) > EQUILIBRIUM_TOL:
         raise ValueError(f"x={point} is not an equilibrium of the selection gradient")
-    n, _, fine_c, fine_d = _q_coefficients(model)
+    co = coefficients(model)
     q = q_function(model, point)
-    q_prime = fine_c * _geom_sum_derivative(1.0 - point, n - 1) + fine_d * _geom_sum_derivative(point, n - 1)
+    q_prime = co.fine_c * _geom_sum_derivative(1.0 - point, co.n - 1) + co.fine_d * _geom_sum_derivative(point, co.n - 1)
     slope = (1.0 - 2.0 * point) * q + point * (1.0 - point) * q_prime
     if slope == 0.0:
         raise ValueError(f"marginal equilibrium at x={point}: dG/dx vanishes")

@@ -6,8 +6,12 @@ CSV files into ``--out``.  Exit codes: 0 success, 1 configuration or
 validation failure, 2 verification failure, 3 I/O failure.
 
 The optional environment variable ``PGG_BRIBERY_WORKERS`` sets the
-worker-pool size for Monte Carlo subcommands; leaving it unset selects
-automatically and no setting changes any emitted value.
+worker-pool size for Monte Carlo subcommands; leaving it unset runs them
+serially in this process, and no setting changes any emitted value.
+
+:func:`gradient_rows`, :func:`sweep_rows` and :func:`grid_rows` build the
+CSV rows of the ``gradient``, ``sweep`` and ``grid`` subcommands; the
+figure script writes its artifacts with the same builders.
 """
 
 from __future__ import annotations
@@ -15,6 +19,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+
+import numpy as np
 
 from .analysis import (
     KnifeEdgeError,
@@ -30,8 +36,8 @@ from .dynamics import basin_of_cooperation, integrate
 from .games import ParameterError, payoff_c_bg, payoff_c_ipgg, payoff_d_bg, payoff_d_ipgg
 from .games import BriberyParams, GroupComposition
 from .montecarlo import RngSeed, estimate_avg_payoff
-from .output import fmt_float, fmt_quantity, render_csv_plot, write_csv
-from .sweeps import SWEEP_DEFAULTS, regime_grid, sweep_root
+from .output import ColumnRows, fmt_float, fmt_quantity, render_csv_plot, write_csv
+from .sweeps import SWEEP_DEFAULTS, RegimeGrid, SweepResult, regime_grid, sweep_root
 from .verify import run_battery
 
 EXIT_OK = 0
@@ -180,14 +186,38 @@ def _regime_token(model) -> str:
         return "knife_edge"
 
 
+def _cells(values: np.ndarray) -> list:
+    # NaN marks an undefined value, written as an empty cell
+    return [None if value != value else value for value in values.tolist()]
+
+
+def gradient_rows(model, points: int) -> ColumnRows:
+    """Rows (x, Q(x), G(x)) at ``points`` evenly spaced x in [0, 1]."""
+    xs = np.arange(points) / (points - 1)
+    q = q_function(model, xs)
+    g = gradient_of_selection(model, xs)
+    return ColumnRows(xs.tolist(), q.tolist(), g.tolist())
+
+
+def sweep_rows(result: SweepResult) -> ColumnRows:
+    """Rows (value, regime, x_star, basin) of a sweep."""
+    return ColumnRows(result.points.tolist(), result.token.tolist(), _cells(result.x_star), _cells(result.basin))
+
+
+def grid_rows(grid: RegimeGrid) -> ColumnRows:
+    """Rows (f, r_p, regime, basin) of a grid, f-major."""
+    return ColumnRows(
+        np.repeat(grid.f_values, len(grid.rp_values)).tolist(),
+        np.tile(grid.rp_values, len(grid.f_values)).tolist(),
+        grid.token.ravel().tolist(),
+        _cells(grid.basin.ravel()),
+    )
+
+
 def _cmd_gradient(config: RunConfig, args) -> int:
     if args.points < 2:
         raise ConfigError(f"--points must be >= 2, got {args.points}")
-    model = config.build_model()
-    rows = []
-    for i in range(args.points):
-        x = i / (args.points - 1)
-        rows.append((x, q_function(model, x), gradient_of_selection(model, x)))
+    rows = gradient_rows(config.build_model(), args.points)
     path = _out_path(args, "gradient.csv")
     write_csv(path, ["x", "q", "g"], rows, _meta(config, "gradient", [("points", str(args.points))]))
     print(f"wrote {path}")
@@ -253,11 +283,7 @@ def _cmd_sweep(config: RunConfig, args) -> int:
     lo, hi = SWEEP_DEFAULTS[args.param]
     lo = args.lo if args.lo is not None else lo
     hi = args.hi if args.hi is not None else hi
-    result = sweep_root(config.build_model(), args.param, lo, hi, args.steps)
-    rows = []
-    for pt in result.points:
-        token = pt.regime.token if pt.regime is not None else "knife_edge"
-        rows.append((pt.value, token, pt.x_star, pt.basin))
+    rows = sweep_rows(sweep_root(config.build_model(), args.param, lo, hi, args.steps))
     path = _out_path(args, "sweep.csv")
     extras = [("param", args.param), ("lo", fmt_float(lo)), ("hi", fmt_float(hi)), ("steps", str(args.steps))]
     write_csv(path, ["param", "regime", "x_star", "basin"], rows, _meta(config, "sweep", extras))
@@ -270,11 +296,7 @@ def _cmd_grid(config: RunConfig, args) -> int:
         config.build_model(), args.f_lo, args.f_hi, args.rp_lo, args.rp_hi,
         args.f_steps, args.rp_steps,
     )
-    rows = []
-    for row in grid.cells:
-        for cell in row:
-            token = cell.regime.token if cell.regime is not None else "knife_edge"
-            rows.append((cell.f, cell.r_p, token, cell.basin))
+    rows = grid_rows(grid)
     path = _out_path(args, "grid.csv")
     extras = [
         ("f_lo", fmt_float(args.f_lo)), ("f_hi", fmt_float(args.f_hi)),
@@ -382,7 +404,7 @@ def main(argv=None) -> int:
             return _cmd_plot(args)
         config = _load_config(args)
         return _HANDLERS[args.command](config, args)
-    except (ConfigError, ParameterError, ValueError) as err:
+    except (ConfigError, ParameterError, ValueError, ArithmeticError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INVALID
     except _IOFailure as err:

@@ -11,6 +11,7 @@ error.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .games import BriberyParams, CoreParams, Model, ParameterError
@@ -153,12 +154,10 @@ def config_from_pairs(pairs: dict[str, tuple[str, int | None]]) -> RunConfig:
             )
 
     config = RunConfig(model=model, **values, **bg_values, **controls)
-    if not config.step > 0:
-        raise ConfigError(f"step must be > 0, got {config.step}")
-    if not config.t_max > 0:
-        raise ConfigError(f"t_max must be > 0, got {config.t_max}")
-    if not config.conv_tol > 0:
-        raise ConfigError(f"conv_tol must be > 0, got {config.conv_tol}")
+    for key in ("step", "t_max", "conv_tol"):
+        value = getattr(config, key)
+        if not 0 < value < math.inf:
+            raise ConfigError(f"{key} must be finite and > 0, got {value}")
     if config.samples < 2:
         raise ConfigError(f"samples must be >= 2, got {config.samples}")
     if config.seed < 0:

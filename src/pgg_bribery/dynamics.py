@@ -8,6 +8,7 @@ boundaries and a step can overshoot by a rounding error.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,8 +71,8 @@ def integrate(
         raise ValueError(f"x0 must be in [0, 1], got {x0}")
     if not step > 0:
         raise ValueError(f"step must be > 0, got {step}")
-    if not t_max > 0:
-        raise ValueError(f"t_max must be > 0, got {t_max}")
+    if not 0 < t_max < math.inf:
+        raise ValueError(f"t_max must be finite and > 0, got {t_max}")
     if not conv_tol > 0:
         raise ValueError(f"conv_tol must be > 0, got {conv_tol}")
     if record_every < 1:

@@ -28,6 +28,7 @@ never be drawn).  Averaging over compositions lives in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import isfinite
 from typing import Union
 
 __all__ = [
@@ -50,9 +51,20 @@ class ParameterError(ValueError):
 
 
 def _as_int(value, name: str) -> int:
-    if isinstance(value, bool) or value != int(value):
+    try:
+        whole = int(value)
+    except (OverflowError, ValueError):  # inf, nan, non-numeric text
+        whole = None
+    if isinstance(value, bool) or value != whole:
         raise ParameterError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+    return whole
+
+
+def _check_finite(record, names: tuple[str, ...]) -> None:
+    for name in names:
+        value = getattr(record, name)
+        if not isfinite(value):
+            raise ParameterError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -68,8 +80,9 @@ class CoreParams:
     beta   probability that the leader punishes
     r_p    punishment multiplier scaling the leader's budget
 
-    Any ``f > 0`` is accepted; values outside the classical dilemma range
-    ``(1, n)`` are legal but recorded in ``validation_warnings``.
+    Every value must be finite.  Any ``f > 0`` is accepted; values outside
+    the classical dilemma range ``(1, n)`` are legal but recorded in
+    ``validation_warnings``.
     """
 
     n: int
@@ -88,6 +101,7 @@ class CoreParams:
         object.__setattr__(self, "n", _as_int(self.n, "n"))
         if self.n < 2:
             raise ParameterError(f"group size n must be >= 2, got {self.n}")
+        _check_finite(self, ("b", "c", "tau", "f", "r_p"))
         if not self.c > 0:
             raise ParameterError(f"contribution cost c must be > 0, got {self.c}")
         if not self.b >= 0:
@@ -127,6 +141,7 @@ class BriberyParams:
     q: float
 
     def __post_init__(self):
+        _check_finite(self, ("h",))
         if not self.h >= 0:
             raise ParameterError(f"bribe h must be >= 0, got {self.h}")
         for name in ("gamma", "p", "q"):

@@ -18,6 +18,7 @@ __all__ = [
     "fmt_float",
     "fmt_cell",
     "fmt_quantity",
+    "ColumnRows",
     "write_csv",
     "read_csv",
     "render_csv_plot",
@@ -46,6 +47,22 @@ def fmt_quantity(value: float) -> str:
     return repr(round(float(value), 12))
 
 
+class ColumnRows:
+    """Rows read across equal-length columns, one tuple at a time.
+
+    Lets a long output be written without holding a tuple per row.
+    """
+
+    def __init__(self, *columns):
+        self.columns = columns
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def __iter__(self):
+        return zip(*self.columns)
+
+
 def write_csv(path, header: list[str], rows, meta: list[str]) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         for line in meta:
@@ -61,17 +78,22 @@ def read_csv(path) -> tuple[list[str], list[str], list[list[str]]]:
     header: list[str] | None = None
     rows: list[list[str]] = []
     with open(path, "r", encoding="utf-8") as handle:
-        for raw in handle:
+        for lineno, raw in enumerate(handle, start=1):
             line = raw.rstrip("\n")
             if line.startswith("#"):
                 meta.append(line[1:].strip())
                 continue
             if not line:
                 continue
+            fields = line.split(",")
             if header is None:
-                header = line.split(",")
+                header = fields
+            elif len(fields) != len(header):
+                raise ValueError(
+                    f"{path}: line {lineno}: {len(fields)} fields, the header has {len(header)}"
+                )
             else:
-                rows.append(line.split(","))
+                rows.append(fields)
     if header is None:
         raise ValueError(f"{path} contains no header row")
     return meta, header, rows

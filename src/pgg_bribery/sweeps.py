@@ -1,8 +1,10 @@
 """Parameter sweeps and regime grids over the pool and punishment multipliers.
 
-Grid points are independent, so evaluation order never matters and the
-results are deterministic.  A point that lands on a classification knife
-edge is carried in the output as a report instead of aborting the sweep.
+Both are thin wrappers over :func:`~pgg_bribery.analysis.classify_regimes`:
+every point is classified in one array evaluation, so the results are
+deterministic and equal, bit for bit, to classifying each point on its
+own.  A point that lands on a classification knife edge gets the token
+``knife_edge`` and a report in ``notes`` instead of aborting the sweep.
 """
 
 from __future__ import annotations
@@ -11,14 +13,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analysis import KnifeEdgeError, Regime, RegimeKind, classify_regime
-from .dynamics import basin_of_cooperation
+from .analysis import KNIFE_EDGE, KnifeEdgeError, classify_regime, classify_regimes
 from .games import BriberyParams, Model
 
 __all__ = [
-    "SweepPoint",
     "SweepResult",
-    "GridCell",
     "RegimeGrid",
     "SWEEP_DEFAULTS",
     "with_parameter",
@@ -31,42 +30,35 @@ SWEEP_DEFAULTS = {"f": (1.05, 8.0), "r_p": (0.1, 6.0)}
 DEFAULT_STEPS = 200
 
 
-@dataclass(frozen=True)
-class SweepPoint:
-    value: float
-    regime: Regime | None
-    x_star: float | None
-    basin: float | None
-    note: str = ""
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepResult:
+    """Regime along a 1-D grid; arrays indexed by point, NaN where undefined.
+
+    ``points`` holds the swept parameter values, ``token`` the regime
+    tokens and ``notes`` the knife-edge reports keyed by point index.
+    """
+
     parameter: str
-    points: tuple[SweepPoint, ...]
-
-    def bistable_points(self) -> list[SweepPoint]:
-        return [
-            pt
-            for pt in self.points
-            if pt.regime is not None and pt.regime.kind is RegimeKind.BISTABLE
-        ]
+    points: np.ndarray
+    token: np.ndarray
+    x_star: np.ndarray
+    basin: np.ndarray
+    notes: dict[int, str]
 
 
-@dataclass(frozen=True)
-class GridCell:
-    f: float
-    r_p: float
-    regime: Regime | None
-    basin: float | None
-    note: str = ""
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RegimeGrid:
-    f_values: tuple[float, ...]
-    rp_values: tuple[float, ...]
-    cells: tuple[tuple[GridCell, ...], ...]  # indexed [f][r_p]
+    """Regime over an (f, r_p) grid; arrays indexed ``[f][r_p]``.
+
+    ``notes`` holds the knife-edge reports keyed by ``(i, j)``.
+    """
+
+    f_values: np.ndarray
+    rp_values: np.ndarray
+    token: np.ndarray
+    x_star: np.ndarray
+    basin: np.ndarray
+    notes: dict[tuple[int, int], str]
 
 
 def with_parameter(model: Model, name: str, value: float) -> Model:
@@ -78,35 +70,37 @@ def with_parameter(model: Model, name: str, value: float) -> Model:
     return replace(model, **{name: value})
 
 
-def _evaluate(model: Model) -> tuple[Regime | None, float | None, float | None, str]:
-    try:
-        regime = classify_regime(model)
-    except KnifeEdgeError as err:
-        return None, None, None, str(err)
-    if regime.kind is RegimeKind.BISTABLE:
-        return regime, regime.x_star, 1.0 - regime.x_star, ""
-    return regime, None, basin_of_cooperation(model), ""
-
-
-def _axis(lo: float, hi: float, steps: int, name: str) -> np.ndarray:
+def _axis(model: Model, name: str, lo: float, hi: float, steps: int) -> np.ndarray:
     if not lo < hi:
         raise ValueError(f"{name} bounds must satisfy lo < hi, got [{lo}, {hi}]")
     if steps < 2:
         raise ValueError(f"{name} needs at least 2 steps, got {steps}")
+    # every parameter constraint is an interval, so valid ends make a valid axis
+    with_parameter(model, name, lo)
+    with_parameter(model, name, hi)
     return np.linspace(lo, hi, steps)
+
+
+def _knife_edge_note(model: Model) -> str:
+    """The report for a point on a threshold, worded by the scalar classifier."""
+    try:
+        classify_regime(model)
+    except KnifeEdgeError as err:
+        return str(err)
+    raise RuntimeError(f"array and scalar classification disagree at {model}")
 
 
 def sweep_root(
     model: Model, parameter: str, lo: float, hi: float, steps: int = DEFAULT_STEPS
 ) -> SweepResult:
     """Classify the model and locate x* along a 1-D parameter grid."""
-    values = _axis(lo, hi, steps, parameter)
-    with_parameter(model, parameter, float(values[0]))  # validates the range start
-    points = []
-    for value in values:
-        regime, x_star, basin, note = _evaluate(with_parameter(model, parameter, float(value)))
-        points.append(SweepPoint(float(value), regime, x_star, basin, note))
-    return SweepResult(parameter, tuple(points))
+    values = _axis(model, parameter, lo, hi, steps)
+    regimes = classify_regimes(model, **{parameter: values})
+    notes = {
+        int(i): _knife_edge_note(with_parameter(model, parameter, float(values[i])))
+        for i in np.flatnonzero(regimes.token == KNIFE_EDGE)
+    }
+    return SweepResult(parameter, values, *regimes, notes)
 
 
 def regime_grid(
@@ -119,14 +113,13 @@ def regime_grid(
     rp_steps: int = DEFAULT_STEPS,
 ) -> RegimeGrid:
     """Basin of full cooperation over an (f, r_p) grid."""
-    f_values = _axis(f_lo, f_hi, f_steps, "f")
-    rp_values = _axis(rp_lo, rp_hi, rp_steps, "r_p")
-    rows = []
-    for f in f_values:
-        swept_f = with_parameter(model, "f", float(f))
-        row = []
-        for rp in rp_values:
-            regime, _, basin, note = _evaluate(with_parameter(swept_f, "r_p", float(rp)))
-            row.append(GridCell(float(f), float(rp), regime, basin, note))
-        rows.append(tuple(row))
-    return RegimeGrid(tuple(map(float, f_values)), tuple(map(float, rp_values)), tuple(rows))
+    f_values = _axis(model, "f", f_lo, f_hi, f_steps)
+    rp_values = _axis(model, "r_p", rp_lo, rp_hi, rp_steps)
+    regimes = classify_regimes(model, f=f_values[:, None], r_p=rp_values[None, :])
+    notes = {
+        (int(i), int(j)): _knife_edge_note(
+            with_parameter(with_parameter(model, "f", float(f_values[i])), "r_p", float(rp_values[j]))
+        )
+        for i, j in zip(*np.nonzero(regimes.token == KNIFE_EDGE))
+    }
+    return RegimeGrid(f_values, rp_values, *regimes, notes)

@@ -139,9 +139,8 @@ def test_criterion_3_root_monotonicity_sweeps(capsys):
         started = time.perf_counter()
         result = sweep_root(model, parameter, lo, hi, 200)
         elapsed = time.perf_counter() - started
-        points = result.bistable_points()
-        roots = [pt.x_star for pt in points]
-        sweep_ok = len(points) == 200 and strictly_decreasing(roots) and elapsed < 5.0
+        roots = result.x_star[result.token == "bistable"].tolist()
+        sweep_ok = len(roots) == 200 and strictly_decreasing(roots) and elapsed < 5.0
         ok = ok and sweep_ok
         details.append(f"{name}: {'decreasing' if sweep_ok else 'NOT MONOTONE'} ({elapsed:.2f}s)")
     with capsys.disabled():

@@ -287,3 +287,33 @@ class TestFormatting:
     def test_fmt_float_round_trips(self):
         for value in (0.1, 1 / 3, 2.2, 1e-300, 123456.789, np.nextafter(1.0, 2.0)):
             assert float(fmt_float(value)) == value
+
+
+class TestInputContract:
+    @pytest.mark.parametrize("override, message", [
+        ("c=inf", "c must be finite"),
+        ("r_p=inf", "r_p must be finite"),
+        ("tau=1e308", "not finite"),
+    ])
+    def test_roots_rejects_non_finite_values(self, bistable_cfg, capsys, override, message):
+        assert main(["roots", "--config", bistable_cfg, "--set", override]) == 1
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "x_star" not in captured.out
+
+    def test_integrate_rejects_infinite_horizon(self, bistable_cfg, tmp_path, capsys):
+        argv = ["integrate", "--config", bistable_cfg, "--x0", "0.9", "--out", str(tmp_path)]
+        assert main(argv + ["--set", "t_max=inf"]) == 1
+        assert "t_max must be finite" in capsys.readouterr().err
+
+    def test_integrate_step_count_overflow_is_an_input_error(self, bistable_cfg, tmp_path, capsys):
+        argv = ["integrate", "--config", bistable_cfg, "--x0", "0.9", "--out", str(tmp_path)]
+        assert main(argv + ["--set", "t_max=1e300", "--set", "step=1e-300"]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_plot_names_the_ragged_line(self, tmp_path, capsys):
+        path = tmp_path / "ragged.csv"
+        path.write_text("# note\nx,q,g\n0,1,2\n0.5,1\n")
+        assert main(["plot", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert str(path) in err and "line 4" in err

@@ -18,8 +18,8 @@ from pgg_bribery import (
 
 
 def bistable_roots(result):
-    points = result.bistable_points()
-    return [pt.value for pt in points], [pt.x_star for pt in points]
+    bistable = result.token == "bistable"
+    return result.points[bistable].tolist(), result.x_star[bistable].tolist()
 
 
 class TestRootSweeps:
@@ -66,40 +66,36 @@ class TestRootSweeps:
         th = thresholds(IPGG_WEAK)
         lo, hi, steps = 1.0, 9.0, 161
         result = sweep_root(IPGG_WEAK, "f", lo, hi, steps)
-        kinds = [pt.regime.kind for pt in result.points if pt.regime is not None]
+        kinds = [token for token in result.token if token != "knife_edge"]
         tokens = "".join(
-            {"defection_dominant": "D", "bistable": "B", "cooperation_dominant": "C"}[k.value]
+            {"defection_dominant": "D", "bistable": "B", "cooperation_dominant": "C"}[k]
             for k in kinds
         )
         assert tokens == "D" * tokens.count("D") + "B" * tokens.count("B") + "C" * tokens.count("C")
         cell = (hi - lo) / (steps - 1)
-        first_b = next(pt.value for pt in result.points if pt.regime and pt.regime.kind is RegimeKind.BISTABLE)
-        first_c = next(
-            pt.value
-            for pt in result.points
-            if pt.regime and pt.regime.kind is RegimeKind.COOPERATION_DOMINANT
-        )
+        first_b = result.points[np.argmax(result.token == RegimeKind.BISTABLE.value)]
+        first_c = result.points[np.argmax(result.token == RegimeKind.COOPERATION_DOMINANT.value)]
         assert abs(first_b - th.f_min) <= cell + 1e-9
         assert abs(first_c - th.f_max) <= cell + 1e-9
 
     def test_root_present_exactly_when_bistable(self):
         result = sweep_root(IPGG_WEAK, "f", 1.0, 9.0, 33)
-        for pt in result.points:
-            if pt.regime is None:
-                assert pt.note
+        for i, (token, x_star) in enumerate(zip(result.token, result.x_star)):
+            if token == "knife_edge":
+                assert result.notes[i]
                 continue
-            assert (pt.x_star is not None) == (pt.regime.kind is RegimeKind.BISTABLE)
+            assert (not np.isnan(x_star)) == (token == RegimeKind.BISTABLE.value)
 
     def test_knife_edge_points_are_carried_not_fatal(self):
         th = thresholds(IPGG_WEAK)
         result = sweep_root(IPGG_WEAK, "f", th.f_min, th.f_max, 3)
-        assert result.points[0].regime is None and "f_min" in result.points[0].note
-        assert result.points[-1].regime is None and "f_max" in result.points[-1].note
-        assert result.points[1].regime.kind is RegimeKind.BISTABLE
+        assert result.token[0] == "knife_edge" and "f_min" in result.notes[0]
+        assert result.token[-1] == "knife_edge" and "f_max" in result.notes[2]
+        assert result.token[1] == RegimeKind.BISTABLE.value
 
     def test_grid_is_strictly_increasing(self):
         result = sweep_root(IPGG_WEAK, "f", 2.5, 7.0, 10)
-        values = [pt.value for pt in result.points]
+        values = result.points.tolist()
         assert all(b > a for a, b in zip(values, values[1:]))
 
     def test_bounds_are_validated(self):
@@ -115,12 +111,14 @@ class TestRegimeGrid:
     def test_cell_count_and_axes(self):
         grid = regime_grid(BG_GRID_BASE, 2.0, 4.0, 2.5, 4.0, 3, 4)
         assert len(grid.f_values) == 3 and len(grid.rp_values) == 4
-        assert sum(len(row) for row in grid.cells) == 12
+        assert grid.token.shape == grid.basin.shape == grid.x_star.shape == (3, 4)
 
     def test_basin_sign_flip_between_poor_and_rich_pools(self):
         grid = regime_grid(BG_GRID_BASE, 2.0, 4.0, 2.5, 4.0, 2, 2)
         basin = {
-            (cell.f, cell.r_p): cell.basin for row in grid.cells for cell in row
+            (f, r_p): grid.basin[i, j]
+            for i, f in enumerate(grid.f_values)
+            for j, r_p in enumerate(grid.rp_values)
         }
         assert basin[(2.0, 4.0)] > basin[(2.0, 2.5)] + 1e-6
         assert basin[(4.0, 4.0)] < basin[(4.0, 2.5)] - 1e-6
@@ -128,7 +126,5 @@ class TestRegimeGrid:
     def test_rich_pool_rows_are_fully_cooperative(self):
         # above f_max for every r_p in the window: basin saturates at 1
         grid = regime_grid(IPGG_BISTABLE, 20.0, 30.0, 1.0, 2.0, 3, 3)
-        for row in grid.cells:
-            for cell in row:
-                assert cell.regime.kind is RegimeKind.COOPERATION_DOMINANT
-                assert cell.basin == 1.0
+        assert (grid.token == RegimeKind.COOPERATION_DOMINANT.value).all()
+        assert (grid.basin == 1.0).all()

@@ -18,13 +18,11 @@ Every artifact is deterministic; rerunning overwrites byte-identical files.
 import argparse
 import os
 import sys
-from dataclasses import replace
 
 from pgg_bribery import (
-    BriberyParams,
-    CoreParams,
     basin_of_cooperation,
     classify_regime,
+    core_of,
     regime_grid,
     sweep_root,
     thresholds,
@@ -32,35 +30,7 @@ from pgg_bribery import (
 )
 from pgg_bribery.cli import gradient_rows, grid_rows, sweep_rows
 from pgg_bribery.output import render_csv_plot, write_csv
-
-IPGG_REGIMES = {
-    "ipgg_weak_pool": CoreParams(n=5, b=12, c=1, tau=1, f=2, alpha=0.5, beta=0.2, r_p=1.4),
-    "ipgg_bistable": CoreParams(n=5, b=12, c=1, tau=1, f=3, alpha=0.5, beta=0.2, r_p=2),
-    "ipgg_rich_pool": CoreParams(n=5, b=12, c=1, tau=1, f=4.7, alpha=0.15, beta=0.2, r_p=4),
-}
-
-BG_REGIMES = {
-    "bg_weak_pool": BriberyParams(
-        CoreParams(n=5, b=12, c=1, tau=1, f=1.5, alpha=0.6, beta=0.2, r_p=1.4),
-        h=1, gamma=0.6, p=0.3, q=0.8,
-    ),
-    "bg_bistable": BriberyParams(
-        CoreParams(n=5, b=12, c=1, tau=1, f=2, alpha=0.6, beta=0.2, r_p=4),
-        h=1, gamma=0.6, p=0.6, q=0.5,
-    ),
-    "bg_rich_pool": BriberyParams(
-        CoreParams(n=5, b=12, c=1, tau=1, f=4, alpha=0.15, beta=0.2, r_p=4),
-        h=1, gamma=0.6, p=0.3, q=0.8,
-    ),
-}
-
-# bases for the root sweeps and basin grids
-IPGG_BASE = CoreParams(n=5, b=12, c=1, tau=1, f=3, alpha=0.5, beta=0.2, r_p=1.4)
-BG_COOP_BRIBES = BriberyParams(  # p > q: cooperators offer more bribes
-    CoreParams(n=5, b=12, c=1, tau=1, f=2, alpha=0.6, beta=0.2, r_p=2.5),
-    h=1, gamma=0.6, p=0.6, q=0.5,
-)
-BG_DEFECTOR_BRIBES = replace(BG_COOP_BRIBES, p=0.3, q=0.8)  # q > p
+from pgg_bribery.presets import BG_COOP_BRIBES_BASE, BG_DEFECTOR_BRIBES_BASE, IPGG_BASE, REGIMES
 
 
 def emit(path, header, rows, note, plot=True):
@@ -79,7 +49,7 @@ def describe(name, model, lines):
     regime = classify_regime(model)
     root = f" x*={regime.x_star:.6f}" if regime.x_star is not None else ""
     lines.append(
-        f"{name}: f={model.core.f if isinstance(model, BriberyParams) else model.f} "
+        f"{name}: f={core_of(model).f} "
         f"f_min={th.f_min:.6f} f_max={th.f_max:.6f} regime={regime.token}{root}"
     )
 
@@ -91,7 +61,7 @@ def main(argv=None):
     os.makedirs(args.out, exist_ok=True)
     lines = []
 
-    for name, model in {**IPGG_REGIMES, **BG_REGIMES}.items():
+    for name, model in REGIMES.items():
         emit(
             os.path.join(args.out, f"gradient_{name}.csv"),
             ["x", "q", "g"],
@@ -101,12 +71,12 @@ def main(argv=None):
         describe(name, model, lines)
 
     root_sweeps = [
-        ("roots_ipgg_f", with_parameter(IPGG_BASE, "r_p", 1.4), "f", 2.25, 7.75),
-        ("roots_ipgg_rp", with_parameter(IPGG_BASE, "f", 3.0), "r_p", 1.1, 5.0),
-        ("roots_bg_coop_bribes_f", with_parameter(BG_COOP_BRIBES, "r_p", 2.5), "f", 2.0, 11.0),
-        ("roots_bg_coop_bribes_rp", with_parameter(BG_COOP_BRIBES, "f", 2.0), "r_p", 2.4, 5.0),
-        ("roots_bg_defector_bribes_f", with_parameter(BG_DEFECTOR_BRIBES, "r_p", 2.5), "f", 1.0, 10.0),
-        ("roots_bg_defector_bribes_rp", with_parameter(BG_DEFECTOR_BRIBES, "f", 4.5), "r_p", 0.5, 4.0),
+        ("roots_ipgg_f", IPGG_BASE, "f", 2.25, 7.75),
+        ("roots_ipgg_rp", IPGG_BASE, "r_p", 1.1, 5.0),
+        ("roots_bg_coop_bribes_f", BG_COOP_BRIBES_BASE, "f", 2.0, 11.0),
+        ("roots_bg_coop_bribes_rp", BG_COOP_BRIBES_BASE, "r_p", 2.4, 5.0),
+        ("roots_bg_defector_bribes_f", BG_DEFECTOR_BRIBES_BASE, "f", 1.0, 10.0),
+        ("roots_bg_defector_bribes_rp", with_parameter(BG_DEFECTOR_BRIBES_BASE, "f", 4.5), "r_p", 0.5, 4.0),
     ]
     for name, model, parameter, lo, hi in root_sweeps:
         result = sweep_root(model, parameter, lo, hi, 200)
@@ -118,8 +88,8 @@ def main(argv=None):
         )
 
     for name, model in (
-        ("basin_grid_coop_bribes", BG_COOP_BRIBES),
-        ("basin_grid_defector_bribes", BG_DEFECTOR_BRIBES),
+        ("basin_grid_coop_bribes", BG_COOP_BRIBES_BASE),
+        ("basin_grid_defector_bribes", BG_DEFECTOR_BRIBES_BASE),
     ):
         grid = regime_grid(model, 1.2, 6.0, 0.5, 5.0, 49, 45)
         emit(
@@ -134,7 +104,7 @@ def main(argv=None):
     for f in (2.0, 4.0):
         values = []
         for r_p in (2.5, 4.0):
-            model = with_parameter(with_parameter(BG_DEFECTOR_BRIBES, "f", f), "r_p", r_p)
+            model = with_parameter(with_parameter(BG_DEFECTOR_BRIBES_BASE, "f", f), "r_p", r_p)
             values.append(basin_of_cooperation(model))
         trend = "stronger leader helps" if values[1] > values[0] else "stronger leader hurts"
         lines.append(f"  f={f}: basin(r_p=2.5)={values[0]:.4f} basin(r_p=4)={values[1]:.4f} -> {trend}")

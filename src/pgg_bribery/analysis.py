@@ -217,9 +217,16 @@ def _q_of(co: Coefficients) -> Callable:
     return q
 
 
+def _finite_coefficients(model: Model) -> Coefficients:
+    co = coefficients(model)
+    if not (isfinite(co.f_min) and isfinite(co.f_max)):
+        raise _non_finite(co.f_min, co.f_max)
+    return co
+
+
 def q_callable(model: Model) -> Callable[[float], float]:
-    """Fast closure evaluating Q; used by integration."""
-    return _q_of(coefficients(model))
+    """Fast closure evaluating Q; ``ValueError`` when a threshold is not finite."""
+    return _q_of(_finite_coefficients(model))
 
 
 def q_function(model: Model, x):
@@ -337,10 +344,8 @@ def classify_regime(model: Model) -> Regime:
     finite.  When ``beta*tau*r_p = 0`` the thresholds coincide, Q is
     constant, and the result carries ``degenerate=True``.
     """
-    co = coefficients(model)
+    co = _finite_coefficients(model)
     f, f_min, f_max = co.f, co.f_min, co.f_max
-    if not (isfinite(f_min) and isfinite(f_max)):
-        raise _non_finite(f_min, f_max)
     if abs(f - f_min) <= KNIFE_EDGE_TOL:
         raise KnifeEdgeError(f, f_min, "f_min")
     if abs(f - f_max) <= KNIFE_EDGE_TOL:

@@ -33,8 +33,7 @@ from .analysis import (
 )
 from .config import ConfigError, RunConfig, config_from_pairs, parse_pairs
 from .dynamics import basin_of_cooperation, integrate
-from .games import ParameterError, payoff_c_bg, payoff_c_ipgg, payoff_d_bg, payoff_d_ipgg
-from .games import BriberyParams, GroupComposition
+from .games import GroupComposition, ParameterError, group_payoff
 from .montecarlo import RngSeed, estimate_avg_payoff
 from .output import ColumnRows, fmt_float, fmt_quantity, render_csv_plot, write_csv
 from .sweeps import SWEEP_DEFAULTS, RegimeGrid, SweepResult, regime_grid, sweep_root
@@ -136,7 +135,7 @@ def _load_config(args) -> RunConfig:
             with open(args.config, "r", encoding="utf-8") as handle:
                 text = handle.read()
         except OSError as err:
-            raise _IOFailure(f"cannot read config {args.config}: {err}") from err
+            raise OSError(f"cannot read config {args.config}: {err}") from err
         pairs = parse_pairs(text)
     for override in args.overrides:
         if "=" not in override:
@@ -147,10 +146,6 @@ def _load_config(args) -> RunConfig:
     for warning in config.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     return config
-
-
-class _IOFailure(Exception):
-    pass
 
 
 def _workers() -> int | None:
@@ -229,11 +224,7 @@ def _cmd_payoffs(config: RunConfig, args) -> int:
     rows = []
     for n_c in range(config.n):
         comp = GroupComposition(n_c, config.n - 1 - n_c)
-        if isinstance(model, BriberyParams):
-            pi_c, pi_d = payoff_c_bg(model, comp), payoff_d_bg(model, comp)
-        else:
-            pi_c, pi_d = payoff_c_ipgg(model, comp), payoff_d_ipgg(model, comp)
-        rows.append((n_c, comp.n_d, pi_c, pi_d))
+        rows.append((n_c, comp.n_d, group_payoff(model, "C", comp), group_payoff(model, "D", comp)))
     path = _out_path(args, "payoffs.csv")
     write_csv(path, ["n_c", "n_d", "pi_c", "pi_d"], rows, _meta(config, "payoffs"))
     print(f"wrote {path}")
@@ -372,13 +363,13 @@ def _cmd_plot(args) -> int:
     try:
         svg = render_csv_plot(args.csv_path)
     except OSError as err:
-        raise _IOFailure(f"cannot read {args.csv_path}: {err}") from err
+        raise OSError(f"cannot read {args.csv_path}: {err}") from err
     out_path = args.out_svg or os.path.splitext(args.csv_path)[0] + ".svg"
     try:
         with open(out_path, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(svg)
     except OSError as err:
-        raise _IOFailure(f"cannot write {out_path}: {err}") from err
+        raise OSError(f"cannot write {out_path}: {err}") from err
     print(f"wrote {out_path}")
     return EXIT_OK
 
@@ -407,9 +398,6 @@ def main(argv=None) -> int:
     except (ConfigError, ParameterError, ValueError, ArithmeticError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INVALID
-    except _IOFailure as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_IO
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_IO

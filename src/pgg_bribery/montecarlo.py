@@ -221,10 +221,15 @@ def _merge(parts) -> Estimate:
     return Estimate(mean, std_error, n_tot)
 
 
-def _event_payoffs_fixed(model, focal_c, comp, rng, size) -> np.ndarray:
-    """Vectorized focal payoffs for a fixed co-player composition."""
+def _event_payoffs(model, focal_c, n_c, rng, size) -> np.ndarray:
+    """Vectorized focal payoffs against ``n_c`` cooperator co-players.
+
+    ``n_c`` is an int for a fixed composition, or an array of ``size``
+    sampled co-player counts; a scalar keeps the composition terms scalar.
+    """
     core = core_of(model)
-    n, n_c, n_d = core.n, comp.n_c, comp.n_d
+    n = core.n
+    n_d = n - 1 - n_c
     is_bg = isinstance(model, BriberyParams)
 
     lead = rng.integers(0, n, size)
@@ -235,71 +240,19 @@ def _event_payoffs_fixed(model, focal_c, comp, rng, size) -> np.ndarray:
         recv_d = rng.binomial(n_d, model.q, size)
 
     total_c = n_c + (1 if focal_c else 0)
-    base = core.b + core.f * core.c * total_c / n - core.tau - (core.c if focal_c else 0.0)
-    payoff = np.full(size, base)
+    payoff = core.b + core.f * core.c * total_c / n - core.tau - (core.c if focal_c else 0.0)
 
     punished = (u_action < core.beta) & (lead != 0)
     if focal_c:
         budget = core.alpha * n * core.tau * core.r_p
-        own_share = budget / n_c if n_c else 0.0
-        other_share = budget / (n_c + 1)
+        n_own = n_c
         own_leads = lead <= n_c  # a cooperator co-player leads (lead >= 1 here)
     else:
         budget = (1.0 - core.alpha) * n * core.tau * core.r_p
-        own_share = budget / n_d if n_d else 0.0
-        other_share = budget / (n_d + 1)
+        n_own = n_d
         own_leads = lead > n_c
-    payoff -= np.where(punished & own_leads, own_share, 0.0)
-    payoff -= np.where(punished & ~own_leads, other_share, 0.0)
-
-    if is_bg:
-        accepts = (u_action >= core.beta) & (u_action < core.beta + model.gamma)
-        offer_prob = model.p if focal_c else model.q
-        payoff -= model.h * ((lead != 0) & accepts & (u_offer < offer_prob))
-        payoff += model.h * np.where((lead == 0) & accepts, recv_c + recv_d, 0)
-    return payoff
-
-
-def _fixed_chunk_task(args) -> tuple[int, float, float]:
-    model, focal_c, comp, seed, index, size = args
-    rng = generator(seed, index)
-    return _summarize(_event_payoffs_fixed(model, focal_c, comp, rng, size))
-
-
-def _event_payoffs_mixed(model, focal_c, x, rng, size) -> np.ndarray:
-    """Vectorized focal payoffs with Binomial(n-1, x) co-player compositions."""
-    core = core_of(model)
-    n = core.n
-    is_bg = isinstance(model, BriberyParams)
-
-    n_c = rng.binomial(n - 1, x, size)
-    n_d = n - 1 - n_c
-    lead = rng.integers(0, n, size)
-    u_action = rng.random(size)
-    if is_bg:
-        u_offer = rng.random(size)
-        recv_c = rng.binomial(n_c, model.p)
-        recv_d = rng.binomial(n_d, model.q)
-
-    total_c = n_c + (1 if focal_c else 0)
-    payoff = (
-        core.b
-        + core.f * core.c * total_c / n
-        - core.tau
-        - (core.c if focal_c else 0.0)
-    )
-
-    punished = (u_action < core.beta) & (lead != 0)
-    if focal_c:
-        budget = core.alpha * n * core.tau * core.r_p
-        own_share = np.where(n_c > 0, budget / np.maximum(n_c, 1), 0.0)
-        other_share = budget / (n_c + 1)
-        own_leads = lead <= n_c
-    else:
-        budget = (1.0 - core.alpha) * n * core.tau * core.r_p
-        own_share = np.where(n_d > 0, budget / np.maximum(n_d, 1), 0.0)
-        other_share = budget / (n_d + 1)
-        own_leads = lead > n_c
+    own_share = np.where(n_own > 0, budget / np.maximum(n_own, 1), 0.0)
+    other_share = budget / (n_own + 1)
     payoff = payoff - np.where(punished & own_leads, own_share, 0.0)
     payoff -= np.where(punished & ~own_leads, other_share, 0.0)
 
@@ -311,10 +264,13 @@ def _event_payoffs_mixed(model, focal_c, x, rng, size) -> np.ndarray:
     return payoff
 
 
-def _mixed_chunk_task(args) -> tuple[int, float, float]:
-    model, focal_c, x, seed, index, size = args
+def _chunk_task(args) -> tuple[int, float, float]:
+    # n_c is None for Binomial(n-1, x) compositions, drawn first from the chunk's stream
+    model, focal_c, n_c, x, seed, index, size = args
     rng = generator(seed, index)
-    return _summarize(_event_payoffs_mixed(model, focal_c, x, rng, size))
+    if n_c is None:
+        n_c = rng.binomial(core_of(model).n - 1, x, size)
+    return _summarize(_event_payoffs(model, focal_c, n_c, rng, size))
 
 
 def _map_chunks(task, arglist, workers):
@@ -324,6 +280,16 @@ def _map_chunks(task, arglist, workers):
         return [task(args) for args in arglist]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(task, arglist))
+
+
+def _estimate(model, focal_c, n_c, x, n, seed, workers) -> Estimate:
+    if n < 2:
+        raise ValueError(f"need n >= 2 samples, got {n}")
+    args = [
+        (model, focal_c, n_c, x, seed, i, size)
+        for i, size in enumerate(_chunk_sizes(n))
+    ]
+    return _merge(_map_chunks(_chunk_task, args, workers))
 
 
 def estimate_expected_payoff(
@@ -337,13 +303,7 @@ def estimate_expected_payoff(
     """Mean and standard error of ``n`` event payoffs at a fixed composition."""
     focal_c = _validate_strategy(focal)
     _check_group(core_of(model), comp)
-    if n < 2:
-        raise ValueError(f"need n >= 2 samples, got {n}")
-    args = [
-        (model, focal_c, comp, seed, i, size)
-        for i, size in enumerate(_chunk_sizes(n))
-    ]
-    return _merge(_map_chunks(_fixed_chunk_task, args, workers))
+    return _estimate(model, focal_c, comp.n_c, None, n, seed, workers)
 
 
 def estimate_avg_payoff(
@@ -358,13 +318,7 @@ def estimate_avg_payoff(
     focal_c = _validate_strategy(strategy)
     if not 0 <= x <= 1:
         raise ValueError(f"x must be in [0, 1], got {x}")
-    if n < 2:
-        raise ValueError(f"need n >= 2 samples, got {n}")
-    args = [
-        (model, focal_c, x, seed, i, size)
-        for i, size in enumerate(_chunk_sizes(n))
-    ]
-    return _merge(_map_chunks(_mixed_chunk_task, args, workers))
+    return _estimate(model, focal_c, None, x, n, seed, workers)
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,7 @@ from .montecarlo import (
     generator,
     realize_event,
 )
+from .presets import BG_COOP_BRIBES, BG_DEFECTOR_BRIBES, IPGG_BISTABLE, IPGG_RICH_POOL, IPGG_WEAK_POOL
 from .sweeps import with_parameter
 
 __all__ = ["CheckRow", "SuiteResult", "run_battery", "draw_core_params", "draw_bribery_params"]
@@ -249,18 +250,8 @@ def _check_root_bracketing(seed: int, cases: int = 200) -> SuiteResult:
 
 def mc_battery_cases() -> list[tuple[str, object, str, GroupComposition]]:
     """Fixed 24-case battery: 4 parameter sets x 2 strategies x 3 compositions."""
-    ipgg_low = CoreParams(n=5, b=12, c=1, tau=1, f=2, alpha=0.5, beta=0.2, r_p=1.4)
-    ipgg_high = CoreParams(n=5, b=12, c=1, tau=1, f=4.7, alpha=0.15, beta=0.2, r_p=4)
-    bg_skewed = BriberyParams(
-        CoreParams(n=5, b=12, c=1, tau=1, f=1.5, alpha=0.6, beta=0.2, r_p=1.4),
-        h=1, gamma=0.6, p=0.3, q=0.8,
-    )
-    bg_balanced = BriberyParams(
-        CoreParams(n=5, b=12, c=1, tau=1, f=2, alpha=0.6, beta=0.2, r_p=4),
-        h=1, gamma=0.6, p=0.6, q=0.5,
-    )
-    sets = [("ipgg_low", ipgg_low), ("ipgg_high", ipgg_high),
-            ("bg_skewed", bg_skewed), ("bg_balanced", bg_balanced)]
+    sets = [("ipgg_low", IPGG_WEAK_POOL), ("ipgg_high", IPGG_RICH_POOL),
+            ("bg_skewed", BG_DEFECTOR_BRIBES), ("bg_balanced", BG_COOP_BRIBES)]
     comps = [GroupComposition(0, 4), GroupComposition(2, 2), GroupComposition(4, 0)]
     return [
         (f"{name}/{strategy}/nc{comp.n_c}", model, strategy, comp)
@@ -286,14 +277,10 @@ def _check_mc_events(seed: int, samples: int, workers) -> SuiteResult:
 
 
 def _check_mc_averages(seed: int, samples: int, workers) -> SuiteResult:
-    ipgg = CoreParams(n=5, b=12, c=1, tau=1, f=3, alpha=0.5, beta=0.2, r_p=2)
-    bg = BriberyParams(
-        CoreParams(n=5, b=12, c=1, tau=1, f=1.5, alpha=0.6, beta=0.2, r_p=1.4),
-        h=1, gamma=0.6, p=0.3, q=0.8,
-    )
     rows = []
     worst = 0.0
-    cases = [("ipgg", ipgg, 0.5), ("ipgg", ipgg, 0.9), ("bg", bg, 0.3), ("bg", bg, 0.5)]
+    cases = [("ipgg", IPGG_BISTABLE, 0.5), ("ipgg", IPGG_BISTABLE, 0.9),
+             ("bg", BG_DEFECTOR_BRIBES, 0.3), ("bg", BG_DEFECTOR_BRIBES, 0.5)]
     for index, (name, model, x) in enumerate(cases):
         for strategy in ("C", "D"):
             estimate = estimate_avg_payoff(
@@ -342,10 +329,9 @@ def _check_conservation(seed: int, events: int = 4000) -> SuiteResult:
 
 
 def _check_streams(seed: int) -> SuiteResult:
-    model = CoreParams(n=5, b=12, c=1, tau=1, f=3, alpha=0.5, beta=0.2, r_p=2)
     comp = GroupComposition(2, 2)
-    first = estimate_expected_payoff(model, "C", comp, 10_000, RngSeed(seed, 400))
-    second = estimate_expected_payoff(model, "C", comp, 10_000, RngSeed(seed, 400))
+    first = estimate_expected_payoff(IPGG_BISTABLE, "C", comp, 10_000, RngSeed(seed, 400))
+    second = estimate_expected_payoff(IPGG_BISTABLE, "C", comp, 10_000, RngSeed(seed, 400))
     reproducible = first == second
     a = generator(RngSeed(seed, 401)).random(100_000)
     b = generator(RngSeed(seed, 402)).random(100_000)

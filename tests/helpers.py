@@ -1,4 +1,4 @@
-"""Shared parameter sets and random-instance helpers for the test suite."""
+"""Random-instance helpers for the test suite."""
 
 from __future__ import annotations
 
@@ -12,31 +12,6 @@ from pgg_bribery import (
     classify_regime,
     thresholds,
     with_parameter,
-)
-
-# Reference parameter sets: the three IPGG regimes ...
-IPGG_WEAK = CoreParams(n=5, b=12, c=1, tau=1, f=2, alpha=0.5, beta=0.2, r_p=1.4)
-IPGG_BISTABLE = CoreParams(n=5, b=12, c=1, tau=1, f=3, alpha=0.5, beta=0.2, r_p=2)
-IPGG_STRONG = CoreParams(n=5, b=12, c=1, tau=1, f=4.7, alpha=0.15, beta=0.2, r_p=4)
-
-# ... and the three bribery-game regimes.  "defector bribes" means q > p.
-BG_DEFECTOR_BRIBES = BriberyParams(
-    CoreParams(n=5, b=12, c=1, tau=1, f=1.5, alpha=0.6, beta=0.2, r_p=1.4),
-    h=1, gamma=0.6, p=0.3, q=0.8,
-)
-BG_COOP_BRIBES = BriberyParams(
-    CoreParams(n=5, b=12, c=1, tau=1, f=2, alpha=0.6, beta=0.2, r_p=4),
-    h=1, gamma=0.6, p=0.6, q=0.5,
-)
-BG_STRONG = BriberyParams(
-    CoreParams(n=5, b=12, c=1, tau=1, f=4, alpha=0.15, beta=0.2, r_p=4),
-    h=1, gamma=0.6, p=0.3, q=0.8,
-)
-
-# Base set for the basin sign-flip grids (q > p); f and r_p get swept.
-BG_GRID_BASE = BriberyParams(
-    CoreParams(n=5, b=12, c=1, tau=1, f=2, alpha=0.6, beta=0.2, r_p=2.5),
-    h=1, gamma=0.6, p=0.3, q=0.8,
 )
 
 

@@ -11,14 +11,7 @@ import time
 
 import numpy as np
 
-from helpers import (
-    BG_DEFECTOR_BRIBES,
-    BG_GRID_BASE,
-    IPGG_BISTABLE,
-    IPGG_STRONG,
-    IPGG_WEAK,
-    draw_bistable_instance,
-)
+from helpers import draw_bistable_instance
 
 from pgg_bribery import (
     RegimeKind,
@@ -40,9 +33,17 @@ from pgg_bribery import (
 )
 from pgg_bribery.cli import main
 from pgg_bribery.montecarlo import generator
+from pgg_bribery.presets import (
+    BG_COOP_BRIBES_BASE,
+    BG_DEFECTOR_BRIBES,
+    BG_DEFECTOR_BRIBES_BASE,
+    IPGG_BISTABLE,
+    IPGG_RICH_POOL,
+    IPGG_WEAK_POOL,
+)
 from pgg_bribery.verify import draw_bribery_params, draw_core_params, mc_battery_cases
 
-BG_RICH_POOL = with_parameter(BG_GRID_BASE, "f", 4.0)
+BG_RICH_POOL = with_parameter(BG_DEFECTOR_BRIBES_BASE, "f", 4.0)
 
 
 def report(criterion, ok, detail):
@@ -56,22 +57,22 @@ def strictly_decreasing(values):
 
 def test_criterion_1_threshold_regime_reproduction(capsys):
     started = time.perf_counter()
-    th_weak = thresholds(IPGG_WEAK)
+    th_weak = thresholds(IPGG_WEAK_POOL)
     th_mid = thresholds(IPGG_BISTABLE)
-    th_strong = thresholds(IPGG_STRONG)
+    th_strong = thresholds(IPGG_RICH_POOL)
     x_star = interior_root(IPGG_BISTABLE)
     elapsed = time.perf_counter() - started
 
     ok = (
         abs(th_weak.f_min - 2.2) < 1e-9
         and abs(th_weak.f_max - 7.8) < 1e-9
-        and classify_regime(IPGG_WEAK).kind is RegimeKind.DEFECTION_DOMINANT
+        and classify_regime(IPGG_WEAK_POOL).kind is RegimeKind.DEFECTION_DOMINANT
         and abs(th_mid.f_min - 1.0) < 1e-9
         and abs(th_mid.f_max - 9.0) < 1e-9
         and classify_regime(IPGG_BISTABLE).kind is RegimeKind.BISTABLE
         and 0.78 < x_star < 0.79
         and abs(th_strong.f_max - 4.6) < 1e-9
-        and classify_regime(IPGG_STRONG).kind is RegimeKind.COOPERATION_DOMINANT
+        and classify_regime(IPGG_RICH_POOL).kind is RegimeKind.COOPERATION_DOMINANT
         and elapsed < 1.0
     )
     with capsys.disabled():
@@ -124,14 +125,11 @@ def test_criterion_2_bribery_defection_dominance(tmp_path, capsys):
 
 
 def test_criterion_3_root_monotonicity_sweeps(capsys):
-    from dataclasses import replace
-
-    bg_coop = replace(BG_GRID_BASE, p=0.6, q=0.5)  # cooperators bribe more than defectors
     sweeps = [
-        ("ipgg f at r_p=1.4", with_parameter(IPGG_WEAK, "r_p", 1.4), "f", 2.25, 7.75),
+        ("ipgg f at r_p=1.4", with_parameter(IPGG_WEAK_POOL, "r_p", 1.4), "f", 2.25, 7.75),
         ("ipgg r_p at f=3", IPGG_BISTABLE, "r_p", 1.1, 5.0),
-        ("bg f at r_p=2.5 (p>q)", with_parameter(bg_coop, "r_p", 2.5), "f", 2.0, 11.0),
-        ("bg r_p at f=2 (p>q)", with_parameter(bg_coop, "f", 2.0), "r_p", 2.4, 5.0),
+        ("bg f at r_p=2.5 (p>q)", with_parameter(BG_COOP_BRIBES_BASE, "r_p", 2.5), "f", 2.0, 11.0),
+        ("bg r_p at f=2 (p>q)", with_parameter(BG_COOP_BRIBES_BASE, "f", 2.0), "r_p", 2.4, 5.0),
     ]
     details = []
     ok = True
@@ -152,7 +150,7 @@ def test_criterion_4_basin_sign_flip(capsys):
     basin = {}
     for f in (2.0, 4.0):
         for r_p in (2.5, 4.0):
-            model = with_parameter(with_parameter(BG_GRID_BASE, "f", f), "r_p", r_p)
+            model = with_parameter(with_parameter(BG_DEFECTOR_BRIBES_BASE, "f", f), "r_p", r_p)
             basin[(f, r_p)] = basin_of_cooperation(model)
     elapsed = time.perf_counter() - started
     poor_gain = basin[(2.0, 4.0)] - basin[(2.0, 2.5)]

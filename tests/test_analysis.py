@@ -8,14 +8,6 @@ import pytest
 from hypothesis import assume, given, settings
 
 from conftest import bribery_params_strategy, model_strategy
-from helpers import (
-    BG_COOP_BRIBES,
-    BG_DEFECTOR_BRIBES,
-    BG_STRONG,
-    IPGG_BISTABLE,
-    IPGG_STRONG,
-    IPGG_WEAK,
-)
 
 from pgg_bribery import (
     BriberyParams,
@@ -35,6 +27,14 @@ from pgg_bribery import (
     thresholds,
     with_parameter,
 )
+from pgg_bribery.presets import (
+    BG_COOP_BRIBES,
+    BG_DEFECTOR_BRIBES,
+    BG_STRONG_LEADER,
+    IPGG_BISTABLE,
+    IPGG_RICH_POOL,
+    IPGG_WEAK_POOL,
+)
 
 
 class TestAveragePayoffs:
@@ -47,8 +47,8 @@ class TestAveragePayoffs:
 
     def test_matches_binomial_oracle_at_interior_point(self):
         for strategy in ("C", "D"):
-            closed = avg_payoff(IPGG_WEAK, 0.3, strategy)
-            oracle = binomial_avg_payoff(IPGG_WEAK, 0.3, strategy)
+            closed = avg_payoff(IPGG_WEAK_POOL, 0.3, strategy)
+            oracle = binomial_avg_payoff(IPGG_WEAK_POOL, 0.3, strategy)
             assert abs(closed - oracle) < 1e-10
 
     def test_binomial_degenerates_to_corner_payoffs(self):
@@ -67,9 +67,9 @@ class TestAveragePayoffs:
 
     def test_domain_checked(self):
         with pytest.raises(ValueError):
-            avg_payoff(IPGG_WEAK, 1.2, "C")
+            avg_payoff(IPGG_WEAK_POOL, 1.2, "C")
         with pytest.raises(ValueError):
-            binomial_avg_payoff(IPGG_WEAK, -0.1, "D")
+            binomial_avg_payoff(IPGG_WEAK_POOL, -0.1, "D")
 
 
 class TestSelectionPolynomial:
@@ -127,7 +127,7 @@ class TestThresholds:
     @pytest.mark.parametrize(
         "model,f_min,f_max",
         [
-            (IPGG_WEAK, 2.2, 7.8),
+            (IPGG_WEAK_POOL, 2.2, 7.8),
             (IPGG_BISTABLE, 1.0, 9.0),
             (BG_DEFECTOR_BRIBES, 1.84, 7.44),
         ],
@@ -138,8 +138,8 @@ class TestThresholds:
         assert th.f_max == pytest.approx(f_max, abs=1e-9)
 
     def test_strong_pool_upper_threshold(self):
-        assert thresholds(IPGG_STRONG).f_max == pytest.approx(4.6, abs=1e-9)
-        assert thresholds(BG_STRONG).f_max == pytest.approx(3.4, abs=1e-9)
+        assert thresholds(IPGG_RICH_POOL).f_max == pytest.approx(4.6, abs=1e-9)
+        assert thresholds(BG_STRONG_LEADER).f_max == pytest.approx(3.4, abs=1e-9)
 
     @settings(deadline=None)
     @given(model_strategy())
@@ -153,32 +153,32 @@ class TestThresholds:
 
 class TestRegimes:
     def test_three_ipgg_regimes(self):
-        assert classify_regime(IPGG_WEAK).kind is RegimeKind.DEFECTION_DOMINANT
+        assert classify_regime(IPGG_WEAK_POOL).kind is RegimeKind.DEFECTION_DOMINANT
         assert classify_regime(IPGG_BISTABLE).kind is RegimeKind.BISTABLE
-        assert classify_regime(IPGG_STRONG).kind is RegimeKind.COOPERATION_DOMINANT
+        assert classify_regime(IPGG_RICH_POOL).kind is RegimeKind.COOPERATION_DOMINANT
 
     def test_three_bribery_regimes(self):
         assert classify_regime(BG_DEFECTOR_BRIBES).kind is RegimeKind.DEFECTION_DOMINANT
         assert classify_regime(BG_COOP_BRIBES).kind is RegimeKind.BISTABLE
-        assert classify_regime(BG_STRONG).kind is RegimeKind.COOPERATION_DOMINANT
+        assert classify_regime(BG_STRONG_LEADER).kind is RegimeKind.COOPERATION_DOMINANT
 
     def test_stability_labels(self):
-        weak = classify_regime(IPGG_WEAK)
+        weak = classify_regime(IPGG_WEAK_POOL)
         assert weak.stable_at_zero and not weak.stable_at_one
         mid = classify_regime(IPGG_BISTABLE)
         assert mid.stable_at_zero and mid.stable_at_one
-        strong = classify_regime(IPGG_STRONG)
+        strong = classify_regime(IPGG_RICH_POOL)
         assert not strong.stable_at_zero and strong.stable_at_one
 
     def test_knife_edge_is_reported_not_binned(self):
-        th = thresholds(IPGG_WEAK)
+        th = thresholds(IPGG_WEAK_POOL)
         for boundary in (th.f_min, th.f_max, th.f_max + 5e-10):
             with pytest.raises(KnifeEdgeError):
-                classify_regime(with_parameter(IPGG_WEAK, "f", boundary))
-        classify_regime(with_parameter(IPGG_WEAK, "f", th.f_min + 1e-6))
+                classify_regime(with_parameter(IPGG_WEAK_POOL, "f", boundary))
+        classify_regime(with_parameter(IPGG_WEAK_POOL, "f", th.f_min + 1e-6))
 
     def test_degenerate_punishment_is_flagged(self):
-        inert = replace(IPGG_WEAK, beta=0.0)
+        inert = replace(IPGG_WEAK_POOL, beta=0.0)
         regime = classify_regime(inert)
         assert regime.degenerate and regime.kind is RegimeKind.DEFECTION_DOMINANT
         rich = replace(inert, f=6.0)
@@ -220,15 +220,15 @@ class TestInteriorRoot:
 
     def test_requires_bistability(self):
         with pytest.raises(ValueError, match="bistable"):
-            interior_root(IPGG_WEAK)
+            interior_root(IPGG_WEAK_POOL)
         with pytest.raises(ValueError, match="bistable"):
-            interior_root(IPGG_STRONG)
+            interior_root(IPGG_RICH_POOL)
 
 
 class TestStability:
     def test_defection_dominant_labels(self):
-        assert stability_at(IPGG_WEAK, 0.0) is True
-        assert stability_at(IPGG_WEAK, 1.0) is False
+        assert stability_at(IPGG_WEAK_POOL, 0.0) is True
+        assert stability_at(IPGG_WEAK_POOL, 1.0) is False
 
     def test_bistable_labels(self):
         assert stability_at(IPGG_BISTABLE, 0.0) is True
@@ -236,8 +236,8 @@ class TestStability:
         assert stability_at(IPGG_BISTABLE, interior_root(IPGG_BISTABLE)) is False
 
     def test_cooperation_dominant_labels(self):
-        assert stability_at(IPGG_STRONG, 0.0) is False
-        assert stability_at(IPGG_STRONG, 1.0) is True
+        assert stability_at(IPGG_RICH_POOL, 0.0) is False
+        assert stability_at(IPGG_RICH_POOL, 1.0) is True
 
     def test_rejects_non_equilibria(self):
         with pytest.raises(ValueError, match="not an equilibrium"):

@@ -5,9 +5,10 @@ import os
 import numpy as np
 import pytest
 
-from pgg_bribery import ConfigError, CoreParams, parse_config
+from pgg_bribery import ConfigError, parse_config
 from pgg_bribery.cli import main
 from pgg_bribery.output import fmt_float, read_csv
+from pgg_bribery.presets import IPGG_WEAK_POOL
 
 WEAK_POOL_DOC = """\
 model = ipgg
@@ -65,7 +66,7 @@ class TestParseConfig:
     def test_valid_document(self):
         config = parse_config(WEAK_POOL_DOC)
         assert config.model == "ipgg"
-        assert config.build_model() == CoreParams(n=5, b=12, c=1, tau=1, f=2, alpha=0.5, beta=0.2, r_p=1.4)
+        assert config.build_model() == IPGG_WEAK_POOL
         assert config.samples == 1_000_000 and config.seed == 42
         assert not config.warnings
 
@@ -300,6 +301,15 @@ class TestInputContract:
         captured = capsys.readouterr()
         assert message in captured.err
         assert "x_star" not in captured.out
+
+    @pytest.mark.parametrize("argv", [["gradient"], ["integrate", "--x0", "0.5"]])
+    def test_q_paths_reject_overflowing_thresholds(self, bistable_cfg, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        assert main(argv + ["--config", bistable_cfg, "--set", "tau=1e308", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "not finite" in captured.err
+        assert "Traceback" not in captured.err
+        assert not out.exists() or not os.listdir(out)
 
     def test_integrate_rejects_infinite_horizon(self, bistable_cfg, tmp_path, capsys):
         argv = ["integrate", "--config", bistable_cfg, "--x0", "0.9", "--out", str(tmp_path)]

@@ -5,13 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import (
-    BG_GRID_BASE,
-    IPGG_BISTABLE,
-    IPGG_STRONG,
-    IPGG_WEAK,
-    draw_bistable_instance,
-)
+from helpers import draw_bistable_instance
 
 from pgg_bribery import (
     KnifeEdgeError,
@@ -23,6 +17,12 @@ from pgg_bribery import (
     with_parameter,
 )
 from pgg_bribery.montecarlo import generator
+from pgg_bribery.presets import (
+    BG_DEFECTOR_BRIBES_BASE,
+    IPGG_BISTABLE,
+    IPGG_RICH_POOL,
+    IPGG_WEAK_POOL,
+)
 
 
 class TestIntegrate:
@@ -84,7 +84,7 @@ class TestIntegrate:
 
 class TestBasin:
     def test_defection_dominant_basin_is_empty(self):
-        assert basin_of_cooperation(IPGG_WEAK) == 0.0
+        assert basin_of_cooperation(IPGG_WEAK_POOL) == 0.0
 
     def test_bistable_basin_complements_the_root(self):
         basin = basin_of_cooperation(IPGG_BISTABLE)
@@ -92,14 +92,14 @@ class TestBasin:
         assert basin == pytest.approx(1.0 - interior_root(IPGG_BISTABLE), abs=1e-15)
 
     def test_cooperation_dominant_basin_is_everything(self):
-        assert basin_of_cooperation(IPGG_STRONG) == 1.0
+        assert basin_of_cooperation(IPGG_RICH_POOL) == 1.0
 
     def test_degenerate_models_still_report(self):
-        inert = replace(IPGG_WEAK, beta=0.0)
+        inert = replace(IPGG_WEAK_POOL, beta=0.0)
         assert basin_of_cooperation(inert) == 0.0
         assert basin_of_cooperation(replace(inert, f=6.0)) == 1.0
 
     def test_knife_edge_propagates(self):
-        edge = with_parameter(BG_GRID_BASE, "f", thresholds(BG_GRID_BASE).f_min)
+        edge = with_parameter(BG_DEFECTOR_BRIBES_BASE, "f", thresholds(BG_DEFECTOR_BRIBES_BASE).f_min)
         with pytest.raises(KnifeEdgeError):
             basin_of_cooperation(edge)

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given
 
 from conftest import bribery_params_strategy, core_params_strategy
-from helpers import BG_DEFECTOR_BRIBES, IPGG_WEAK
 
 from pgg_bribery import (
     BriberyParams,
@@ -21,6 +20,7 @@ from pgg_bribery import (
     payoff_d_bg,
     payoff_d_ipgg,
 )
+from pgg_bribery.presets import BG_DEFECTOR_BRIBES, IPGG_WEAK_POOL
 
 
 class TestFrozenValues:
@@ -28,30 +28,30 @@ class TestFrozenValues:
     in test_montecarlo."""
 
     def test_cooperator_no_punishment(self):
-        quiet = replace(IPGG_WEAK, beta=0.0)
+        quiet = replace(IPGG_WEAK_POOL, beta=0.0)
         assert payoff_c_ipgg(quiet, GroupComposition(4, 0)) == pytest.approx(12.0, abs=1e-12)
 
     def test_cooperator_no_tax(self):
-        untaxed = replace(IPGG_WEAK, tau=0.0)
+        untaxed = replace(IPGG_WEAK_POOL, tau=0.0)
         assert payoff_c_ipgg(untaxed, GroupComposition(4, 0)) == pytest.approx(13.0, abs=1e-12)
 
     def test_cooperator_mixed_group(self):
-        value = payoff_c_ipgg(IPGG_WEAK, GroupComposition(2, 2))
+        value = payoff_c_ipgg(IPGG_WEAK_POOL, GroupComposition(2, 2))
         assert value == pytest.approx(10.9667, abs=1e-4)
         assert value == pytest.approx(329 / 30, abs=1e-12)
 
     def test_defector_no_punishment(self):
-        quiet = replace(IPGG_WEAK, beta=0.0)
+        quiet = replace(IPGG_WEAK_POOL, beta=0.0)
         assert payoff_d_ipgg(quiet, GroupComposition(4, 0)) == pytest.approx(12.6, abs=1e-12)
 
     def test_defector_all_cooperator_co_players(self):
         # n_d = 0: the defector-leader share is off, the cooperator-leader
         # share (denominator n_d + 1 = 1) stays, fine = 0.8 * 0.7 = 0.56
-        value = payoff_d_ipgg(IPGG_WEAK, GroupComposition(4, 0))
+        value = payoff_d_ipgg(IPGG_WEAK_POOL, GroupComposition(4, 0))
         assert value == pytest.approx(12.6 - 0.56, abs=1e-12)
 
     def test_defector_all_defector_co_players(self):
-        assert payoff_d_ipgg(IPGG_WEAK, GroupComposition(0, 4)) == pytest.approx(10.86, abs=1e-12)
+        assert payoff_d_ipgg(IPGG_WEAK_POOL, GroupComposition(0, 4)) == pytest.approx(10.86, abs=1e-12)
 
     def test_bribery_cooperator_mixed_group(self):
         # base 10.9, receives 0.264 when leading, pays 0.144, fined 0.28
@@ -122,29 +122,29 @@ class TestInvariants:
     @pytest.mark.parametrize("field,value", [("alpha", 1.2), ("beta", -0.1), ("f", 0.0), ("tau", -1)])
     def test_range_violations(self, field, value):
         with pytest.raises(ParameterError):
-            replace(IPGG_WEAK, **{field: value})
+            replace(IPGG_WEAK_POOL, **{field: value})
 
     def test_leader_action_probabilities(self):
         with pytest.raises(ParameterError):
-            BriberyParams(replace(IPGG_WEAK, beta=0.5), h=1, gamma=0.6, p=0.3, q=0.8)
+            BriberyParams(replace(IPGG_WEAK_POOL, beta=0.5), h=1, gamma=0.6, p=0.3, q=0.8)
 
     def test_composition_must_match_group_size(self):
         with pytest.raises(ParameterError):
-            payoff_c_ipgg(IPGG_WEAK, GroupComposition(2, 1))
+            payoff_c_ipgg(IPGG_WEAK_POOL, GroupComposition(2, 1))
         with pytest.raises(ParameterError):
             GroupComposition(-1, 5)
 
     def test_pool_multiplier_warning(self):
-        assert replace(IPGG_WEAK, f=6.0).validation_warnings
+        assert replace(IPGG_WEAK_POOL, f=6.0).validation_warnings
         assert BriberyParams(
-            replace(IPGG_WEAK, f=6.0), h=1, gamma=0.3, p=0.1, q=0.2
+            replace(IPGG_WEAK_POOL, f=6.0), h=1, gamma=0.3, p=0.1, q=0.2
         ).validation_warnings
-        assert not IPGG_WEAK.validation_warnings
+        assert not IPGG_WEAK_POOL.validation_warnings
 
     def test_strategy_dispatch_rejects_unknown(self):
         with pytest.raises(ValueError):
-            group_payoff(IPGG_WEAK, "X", GroupComposition(2, 2))
+            group_payoff(IPGG_WEAK_POOL, "X", GroupComposition(2, 2))
 
     def test_params_are_immutable(self):
         with pytest.raises(AttributeError):
-            IPGG_WEAK.f = 3.0
+            IPGG_WEAK_POOL.f = 3.0

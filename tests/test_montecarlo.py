@@ -6,8 +6,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import BG_DEFECTOR_BRIBES, IPGG_BISTABLE, IPGG_WEAK
-
 from pgg_bribery import (
     Estimate,
     GroupComposition,
@@ -22,6 +20,7 @@ from pgg_bribery import (
     sample_event_payoff,
 )
 from pgg_bribery.montecarlo import generator
+from pgg_bribery.presets import BG_DEFECTOR_BRIBES, IPGG_BISTABLE, IPGG_WEAK_POOL
 from pgg_bribery.verify import draw_bribery_params
 
 SAMPLES = 200_000
@@ -30,14 +29,14 @@ SAMPLES = 200_000
 class TestReproducibility:
     def test_identical_seeds_reproduce_estimates(self):
         comp = GroupComposition(2, 2)
-        first = estimate_expected_payoff(IPGG_WEAK, "C", comp, 5000, RngSeed(7, 3))
-        second = estimate_expected_payoff(IPGG_WEAK, "C", comp, 5000, RngSeed(7, 3))
+        first = estimate_expected_payoff(IPGG_WEAK_POOL, "C", comp, 5000, RngSeed(7, 3))
+        second = estimate_expected_payoff(IPGG_WEAK_POOL, "C", comp, 5000, RngSeed(7, 3))
         assert first == second
 
     def test_distinct_streams_differ(self):
         comp = GroupComposition(2, 2)
-        first = estimate_expected_payoff(IPGG_WEAK, "C", comp, 5000, RngSeed(7, 3))
-        other = estimate_expected_payoff(IPGG_WEAK, "C", comp, 5000, RngSeed(7, 4))
+        first = estimate_expected_payoff(IPGG_WEAK_POOL, "C", comp, 5000, RngSeed(7, 3))
+        other = estimate_expected_payoff(IPGG_WEAK_POOL, "C", comp, 5000, RngSeed(7, 4))
         assert first.mean != other.mean
 
     def test_single_event_is_seed_deterministic(self):
@@ -52,14 +51,46 @@ class TestReproducibility:
 
     def test_worker_pool_size_never_changes_values(self):
         comp = GroupComposition(2, 2)
-        serial = estimate_expected_payoff(IPGG_WEAK, "C", comp, 600_000, RngSeed(5))
-        pooled = estimate_expected_payoff(IPGG_WEAK, "C", comp, 600_000, RngSeed(5), workers=2)
+        serial = estimate_expected_payoff(IPGG_WEAK_POOL, "C", comp, 600_000, RngSeed(5))
+        pooled = estimate_expected_payoff(IPGG_WEAK_POOL, "C", comp, 600_000, RngSeed(5), workers=2)
         assert serial == pooled
+
+
+class TestPinnedStreams:
+    """Exact estimates over two 250k chunks; any change to the draws or their order fails."""
+
+    PINNED = {
+        ("ipgg", "C"): (Estimate(11.467508333333337, 0.0014259661344466757, 300_000),
+                        Estimate(11.12287688888889, 0.002442704716733949, 300_000)),
+        ("ipgg", "D"): (Estimate(11.86767222222222, 0.0014252951848807525, 300_000),
+                        Estimate(11.634443555555555, 0.0017300921757678349, 300_000)),
+        ("bg", "C"): (Estimate(10.739670333333336, 0.002077325427831145, 300_000),
+                      Estimate(10.555982666666667, 0.0026143841272025467, 300_000)),
+        ("bg", "D"): (Estimate(11.292706444444441, 0.0019860671917374517, 300_000),
+                      Estimate(11.200950444444445, 0.002140324184985678, 300_000)),
+    }
+    MODELS = {"ipgg": IPGG_BISTABLE, "bg": BG_DEFECTOR_BRIBES}
+
+    @pytest.mark.parametrize("name,strategy", sorted(PINNED))
+    def test_fixed_and_mixed_estimates_are_pinned(self, name, strategy):
+        fixed, mixed = self.PINNED[name, strategy]
+        model = self.MODELS[name]
+        comp = GroupComposition(2, 2)
+        assert estimate_expected_payoff(model, strategy, comp, 300_000, RngSeed(42, 50)) == fixed
+        assert estimate_avg_payoff(model, 0.4, strategy, 300_000, RngSeed(42, 60)) == mixed
+
+    def test_pooled_estimates_are_pinned(self):
+        fixed, mixed = self.PINNED["bg", "D"]
+        comp = GroupComposition(2, 2)
+        pooled = estimate_expected_payoff(BG_DEFECTOR_BRIBES, "D", comp, 300_000, RngSeed(42, 50), workers=2)
+        assert pooled == fixed
+        pooled = estimate_avg_payoff(BG_DEFECTOR_BRIBES, 0.4, "D", 300_000, RngSeed(42, 60), workers=2)
+        assert pooled == mixed
 
 
 class TestEventOracle:
     def test_no_punishment_events_are_deterministic(self):
-        quiet = replace(IPGG_WEAK, beta=0.0)
+        quiet = replace(IPGG_WEAK_POOL, beta=0.0)
         comp = GroupComposition(4, 0)
         expected = quiet.b + quiet.f * quiet.c * (4 + 1) / 5 - quiet.c - quiet.tau
         for s in range(5):
@@ -71,9 +102,9 @@ class TestEventOracle:
     @pytest.mark.parametrize(
         "model,focal,comp",
         [
-            (IPGG_WEAK, "C", GroupComposition(2, 2)),
-            (IPGG_WEAK, "D", GroupComposition(4, 0)),
-            (IPGG_WEAK, "D", GroupComposition(0, 4)),
+            (IPGG_WEAK_POOL, "C", GroupComposition(2, 2)),
+            (IPGG_WEAK_POOL, "D", GroupComposition(4, 0)),
+            (IPGG_WEAK_POOL, "D", GroupComposition(0, 4)),
             (BG_DEFECTOR_BRIBES, "C", GroupComposition(2, 2)),
             (BG_DEFECTOR_BRIBES, "D", GroupComposition(2, 2)),
             (BG_DEFECTOR_BRIBES, "C", GroupComposition(0, 4)),
@@ -86,14 +117,14 @@ class TestEventOracle:
 
     def test_estimate_needs_two_samples(self):
         with pytest.raises(ValueError):
-            estimate_expected_payoff(IPGG_WEAK, "C", GroupComposition(2, 2), 1, RngSeed(0))
+            estimate_expected_payoff(IPGG_WEAK_POOL, "C", GroupComposition(2, 2), 1, RngSeed(0))
         with pytest.raises(ValueError):
             Estimate(mean=0.0, std_error=-1.0, n_samples=10)
 
 
 class TestAverageOracle:
     def test_degenerate_population_fraction(self):
-        quiet = replace(IPGG_WEAK, beta=0.0)
+        quiet = replace(IPGG_WEAK_POOL, beta=0.0)
         estimate = estimate_avg_payoff(quiet, 0.0, "C", 5000, RngSeed(3))
         expected = group_payoff(quiet, "C", GroupComposition(0, 4))
         assert estimate.mean == pytest.approx(expected, abs=1e-12)

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import model_strategy
-from helpers import BG_GRID_BASE, IPGG_WEAK
 
 from pgg_bribery import (
     KnifeEdgeError,
@@ -26,6 +25,7 @@ from pgg_bribery import (
 )
 from pgg_bribery.cli import main
 from pgg_bribery.output import fmt_cell
+from pgg_bribery.presets import BG_DEFECTOR_BRIBES_BASE, IPGG_WEAK_POOL
 
 
 def scalar_cell(model, f, r_p):
@@ -67,7 +67,7 @@ def test_array_core_equals_scalar_oracle(model, rp_list, f_list):
     assert_cells_match(model, f_values, rp_values, *regimes)
 
 
-@pytest.mark.parametrize("model", [IPGG_WEAK, BG_GRID_BASE])
+@pytest.mark.parametrize("model", [IPGG_WEAK_POOL, BG_DEFECTOR_BRIBES_BASE])
 def test_grid_and_sweep_knife_edges_match_the_scalar_reports(model):
     rp_lo = 1.0
     th = thresholds(with_parameter(model, "r_p", rp_lo))
@@ -88,17 +88,17 @@ def test_grid_and_sweep_knife_edges_match_the_scalar_reports(model):
 
 
 def test_classification_refuses_non_finite_thresholds():
-    overflowing = with_parameter(IPGG_WEAK, "r_p", 1e308)  # beta*tau*r_p*n*(n+1) overflows
+    overflowing = with_parameter(IPGG_WEAK_POOL, "r_p", 1e308)  # beta*tau*r_p*n*(n+1) overflows
     with pytest.raises(ValueError, match="not finite"):
         classify_regime(overflowing)
     with pytest.raises(ValueError, match="not finite"):
-        classify_regimes(IPGG_WEAK, r_p=np.array([1.0, 1e308]))
+        classify_regimes(IPGG_WEAK_POOL, r_p=np.array([1.0, 1e308]))
 
 
 @pytest.mark.parametrize("record, name, message", [
-    *[(IPGG_WEAK, name, f"{name} must be finite") for name in ("b", "c", "tau", "f", "r_p")],
-    (IPGG_WEAK, "n", "n must be an integer"),
-    (BG_GRID_BASE, "h", "h must be finite"),
+    *[(IPGG_WEAK_POOL, name, f"{name} must be finite") for name in ("b", "c", "tau", "f", "r_p")],
+    (IPGG_WEAK_POOL, "n", "n must be an integer"),
+    (BG_DEFECTOR_BRIBES_BASE, "h", "h must be finite"),
 ])
 def test_parameters_must_be_finite(record, name, message):
     for value in (float("inf"), float("nan")):
@@ -124,7 +124,7 @@ def weak_cfg(tmp_path):
 
 def test_cli_csvs_equal_rows_built_from_the_scalar_functions(weak_cfg, tmp_path, capsys):
     out = str(tmp_path / "out")
-    model = IPGG_WEAK
+    model = IPGG_WEAK_POOL
     th = thresholds(model)
     f_lo, f_hi = th.f_min, th.f_max + 1.0  # the first f is a knife edge
     assert main([

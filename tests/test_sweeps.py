@@ -3,8 +3,6 @@
 import numpy as np
 import pytest
 
-from helpers import BG_COOP_BRIBES, BG_GRID_BASE, IPGG_BISTABLE, IPGG_WEAK
-
 from pgg_bribery import (
     RegimeKind,
     bribery_offset,
@@ -15,6 +13,7 @@ from pgg_bribery import (
     thresholds,
     with_parameter,
 )
+from pgg_bribery.presets import BG_COOP_BRIBES, BG_DEFECTOR_BRIBES_BASE, IPGG_BISTABLE, IPGG_WEAK_POOL
 
 
 def bistable_roots(result):
@@ -24,7 +23,7 @@ def bistable_roots(result):
 
 class TestRootSweeps:
     def test_root_decreases_with_the_pool_multiplier(self):
-        result = sweep_root(IPGG_WEAK, "f", 2.25, 7.75, 50)
+        result = sweep_root(IPGG_WEAK_POOL, "f", 2.25, 7.75, 50)
         values, roots = bistable_roots(result)
         assert len(values) == 50
         assert all(b < a for a, b in zip(roots, roots[1:]))
@@ -38,15 +37,15 @@ class TestRootSweeps:
     def test_root_increases_with_punishment_when_the_pool_is_rich(self):
         # q > p raises the offset enough that f = 4.5 flips the sign of
         # f*c/n - c + offset, and with it the response of x* to r_p
-        model = with_parameter(BG_GRID_BASE, "f", 4.5)
+        model = with_parameter(BG_DEFECTOR_BRIBES_BASE, "f", 4.5)
         result = sweep_root(model, "r_p", 0.5, 4.0, 50)
         _, roots = bistable_roots(result)
         assert len(roots) == 50
         assert all(b > a for a, b in zip(roots, roots[1:]))
 
     def test_root_approaches_zero_toward_the_upper_threshold(self):
-        th = thresholds(IPGG_WEAK)
-        result = sweep_root(IPGG_WEAK, "f", th.f_min + 0.05, th.f_max - 1e-3, 80)
+        th = thresholds(IPGG_WEAK_POOL)
+        result = sweep_root(IPGG_WEAK_POOL, "f", th.f_min + 0.05, th.f_max - 1e-3, 80)
         _, roots = bistable_roots(result)
         assert roots[-1] < 0.01
         assert roots[0] > 0.97
@@ -54,7 +53,7 @@ class TestRootSweeps:
     def test_finite_difference_sign_rule(self):
         # sign(dx*/dr_p) equals sign of the punishment-free constant
         # f*c/n - c + bribery offset
-        for model, f in ((BG_GRID_BASE, 2.0), (BG_GRID_BASE, 4.5), (BG_COOP_BRIBES, 2.0)):
+        for model, f in ((BG_DEFECTOR_BRIBES_BASE, 2.0), (BG_DEFECTOR_BRIBES_BASE, 4.5), (BG_COOP_BRIBES, 2.0)):
             swept = with_parameter(model, "f", f)
             core = core_of(swept)
             constant = f * core.c / core.n - core.c + bribery_offset(swept)
@@ -63,9 +62,9 @@ class TestRootSweeps:
             assert np.sign(hi - lo) == np.sign(constant)
 
     def test_transitions_happen_once_each_at_the_thresholds(self):
-        th = thresholds(IPGG_WEAK)
+        th = thresholds(IPGG_WEAK_POOL)
         lo, hi, steps = 1.0, 9.0, 161
-        result = sweep_root(IPGG_WEAK, "f", lo, hi, steps)
+        result = sweep_root(IPGG_WEAK_POOL, "f", lo, hi, steps)
         kinds = [token for token in result.token if token != "knife_edge"]
         tokens = "".join(
             {"defection_dominant": "D", "bistable": "B", "cooperation_dominant": "C"}[k]
@@ -79,7 +78,7 @@ class TestRootSweeps:
         assert abs(first_c - th.f_max) <= cell + 1e-9
 
     def test_root_present_exactly_when_bistable(self):
-        result = sweep_root(IPGG_WEAK, "f", 1.0, 9.0, 33)
+        result = sweep_root(IPGG_WEAK_POOL, "f", 1.0, 9.0, 33)
         for i, (token, x_star) in enumerate(zip(result.token, result.x_star)):
             if token == "knife_edge":
                 assert result.notes[i]
@@ -87,34 +86,34 @@ class TestRootSweeps:
             assert (not np.isnan(x_star)) == (token == RegimeKind.BISTABLE.value)
 
     def test_knife_edge_points_are_carried_not_fatal(self):
-        th = thresholds(IPGG_WEAK)
-        result = sweep_root(IPGG_WEAK, "f", th.f_min, th.f_max, 3)
+        th = thresholds(IPGG_WEAK_POOL)
+        result = sweep_root(IPGG_WEAK_POOL, "f", th.f_min, th.f_max, 3)
         assert result.token[0] == "knife_edge" and "f_min" in result.notes[0]
         assert result.token[-1] == "knife_edge" and "f_max" in result.notes[2]
         assert result.token[1] == RegimeKind.BISTABLE.value
 
     def test_grid_is_strictly_increasing(self):
-        result = sweep_root(IPGG_WEAK, "f", 2.5, 7.0, 10)
+        result = sweep_root(IPGG_WEAK_POOL, "f", 2.5, 7.0, 10)
         values = result.points.tolist()
         assert all(b > a for a, b in zip(values, values[1:]))
 
     def test_bounds_are_validated(self):
         with pytest.raises(ValueError):
-            sweep_root(IPGG_WEAK, "f", 5.0, 2.0, 10)
+            sweep_root(IPGG_WEAK_POOL, "f", 5.0, 2.0, 10)
         with pytest.raises(ValueError):
-            sweep_root(IPGG_WEAK, "f", 2.0, 5.0, 1)
+            sweep_root(IPGG_WEAK_POOL, "f", 2.0, 5.0, 1)
         with pytest.raises(ValueError):
-            sweep_root(IPGG_WEAK, "x", 2.0, 5.0, 10)
+            sweep_root(IPGG_WEAK_POOL, "x", 2.0, 5.0, 10)
 
 
 class TestRegimeGrid:
     def test_cell_count_and_axes(self):
-        grid = regime_grid(BG_GRID_BASE, 2.0, 4.0, 2.5, 4.0, 3, 4)
+        grid = regime_grid(BG_DEFECTOR_BRIBES_BASE, 2.0, 4.0, 2.5, 4.0, 3, 4)
         assert len(grid.f_values) == 3 and len(grid.rp_values) == 4
         assert grid.token.shape == grid.basin.shape == grid.x_star.shape == (3, 4)
 
     def test_basin_sign_flip_between_poor_and_rich_pools(self):
-        grid = regime_grid(BG_GRID_BASE, 2.0, 4.0, 2.5, 4.0, 2, 2)
+        grid = regime_grid(BG_DEFECTOR_BRIBES_BASE, 2.0, 4.0, 2.5, 4.0, 2, 2)
         basin = {
             (f, r_p): grid.basin[i, j]
             for i, f in enumerate(grid.f_values)

@@ -29,19 +29,14 @@ from pgg_bribery import (
     with_parameter,
 )
 from pgg_bribery.cli import gradient_rows, grid_rows, sweep_rows
-from pgg_bribery.output import render_csv_plot, write_csv
+from pgg_bribery.output import write_csv, write_plot
 from pgg_bribery.presets import BG_COOP_BRIBES_BASE, BG_DEFECTOR_BRIBES_BASE, IPGG_BASE, REGIMES
 
 
-def emit(path, header, rows, note, plot=True):
+def emit(path, header, rows, note):
     write_csv(path, header, rows, [note])
     print(f"wrote {path}")
-    if plot:
-        svg = render_csv_plot(path)
-        svg_path = os.path.splitext(path)[0] + ".svg"
-        with open(svg_path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(svg)
-        print(f"wrote {svg_path}")
+    print(f"wrote {write_plot(path)}")
 
 
 def describe(name, model, lines):

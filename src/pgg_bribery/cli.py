@@ -23,6 +23,7 @@ import sys
 import numpy as np
 
 from .analysis import (
+    KNIFE_EDGE,
     KnifeEdgeError,
     RegimeKind,
     avg_payoff,
@@ -33,10 +34,10 @@ from .analysis import (
 )
 from .config import ConfigError, RunConfig, config_from_pairs, parse_pairs
 from .dynamics import basin_of_cooperation, integrate
-from .games import GroupComposition, ParameterError, group_payoff
+from .games import GroupComposition, ParameterError, core_of, group_payoff
 from .montecarlo import RngSeed, estimate_avg_payoff
-from .output import ColumnRows, fmt_float, fmt_quantity, render_csv_plot, write_csv
-from .sweeps import SWEEP_DEFAULTS, RegimeGrid, SweepResult, regime_grid, sweep_root
+from .output import ColumnRows, fmt_float, fmt_quantity, write_csv, write_plot
+from .sweeps import DEFAULT_STEPS, SWEEP_DEFAULTS, RegimeGrid, SweepResult, regime_grid, sweep_root
 from .verify import run_battery
 
 EXIT_OK = 0
@@ -100,7 +101,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--param", choices=("f", "r_p"), required=True)
     sp.add_argument("--lo", type=float)
     sp.add_argument("--hi", type=float)
-    sp.add_argument("--steps", type=int, default=200)
+    sp.add_argument("--steps", type=int, default=DEFAULT_STEPS)
 
     sp = sub.add_parser("grid", help="basin of cooperation over an (f, r_p) grid")
     common(sp)
@@ -143,7 +144,7 @@ def _load_config(args) -> RunConfig:
         key, value = override.split("=", 1)
         pairs[key.strip().lower()] = (value.strip(), None)
     config = config_from_pairs(pairs)
-    for warning in config.warnings:
+    for warning in config.model.validation_warnings:
         print(f"warning: {warning}", file=sys.stderr)
     return config
 
@@ -169,16 +170,13 @@ def _meta(config: RunConfig, command: str, extras: list[tuple[str, str]] = ()) -
     return lines
 
 
-def _out_path(args, filename: str) -> str:
+def _emit(config: RunConfig, args, filename: str, header: list[str], rows, extras=()) -> int:
+    """Write ``rows`` to ``--out``/``filename`` under the run's ``#`` header."""
     os.makedirs(args.out, exist_ok=True)
-    return os.path.join(args.out, filename)
-
-
-def _regime_token(model) -> str:
-    try:
-        return classify_regime(model).token
-    except KnifeEdgeError:
-        return "knife_edge"
+    path = os.path.join(args.out, filename)
+    write_csv(path, header, rows, _meta(config, args.command, extras))
+    print(f"wrote {path}")
+    return EXIT_OK
 
 
 def _cells(values: np.ndarray) -> list:
@@ -212,43 +210,34 @@ def grid_rows(grid: RegimeGrid) -> ColumnRows:
 def _cmd_gradient(config: RunConfig, args) -> int:
     if args.points < 2:
         raise ConfigError(f"--points must be >= 2, got {args.points}")
-    rows = gradient_rows(config.build_model(), args.points)
-    path = _out_path(args, "gradient.csv")
-    write_csv(path, ["x", "q", "g"], rows, _meta(config, "gradient", [("points", str(args.points))]))
-    print(f"wrote {path}")
-    return EXIT_OK
+    rows = gradient_rows(config.model, args.points)
+    return _emit(config, args, "gradient.csv", ["x", "q", "g"], rows, [("points", str(args.points))])
 
 
 def _cmd_payoffs(config: RunConfig, args) -> int:
-    model = config.build_model()
+    model = config.model
+    n = core_of(model).n
     rows = []
-    for n_c in range(config.n):
-        comp = GroupComposition(n_c, config.n - 1 - n_c)
+    for n_c in range(n):
+        comp = GroupComposition(n_c, n - 1 - n_c)
         rows.append((n_c, comp.n_d, group_payoff(model, "C", comp), group_payoff(model, "D", comp)))
-    path = _out_path(args, "payoffs.csv")
-    write_csv(path, ["n_c", "n_d", "pi_c", "pi_d"], rows, _meta(config, "payoffs"))
-    print(f"wrote {path}")
-    return EXIT_OK
+    return _emit(config, args, "payoffs.csv", ["n_c", "n_d", "pi_c", "pi_d"], rows)
 
 
 def _cmd_thresholds(config: RunConfig, args) -> int:
-    model = config.build_model()
-    th = thresholds(model)
-    token = _regime_token(model)
-    line = f"f_min={fmt_quantity(th.f_min)} f_max={fmt_quantity(th.f_max)} regime={token}"
+    th = thresholds(config.model)
     try:
-        if classify_regime(model).degenerate:
-            line += " degenerate=1"
+        regime = classify_regime(config.model)
+        label = regime.token + (" degenerate=1" if regime.degenerate else "")
     except KnifeEdgeError:
-        pass
-    print(line)
+        label = KNIFE_EDGE
+    print(f"f_min={fmt_quantity(th.f_min)} f_max={fmt_quantity(th.f_max)} regime={label}")
     return EXIT_OK
 
 
 def _cmd_roots(config: RunConfig, args) -> int:
-    model = config.build_model()
     try:
-        regime = classify_regime(model)
+        regime = classify_regime(config.model)
     except KnifeEdgeError as err:
         print(f"no interior root: {err}")
         return EXIT_OK
@@ -262,9 +251,8 @@ def _cmd_roots(config: RunConfig, args) -> int:
 
 
 def _cmd_basins(config: RunConfig, args) -> int:
-    model = config.build_model()
     try:
-        print(f"basin={fmt_quantity(basin_of_cooperation(model))}")
+        print(f"basin={fmt_quantity(basin_of_cooperation(config.model))}")
     except KnifeEdgeError as err:
         print(f"basin undefined: {err}")
     return EXIT_OK
@@ -274,42 +262,31 @@ def _cmd_sweep(config: RunConfig, args) -> int:
     lo, hi = SWEEP_DEFAULTS[args.param]
     lo = args.lo if args.lo is not None else lo
     hi = args.hi if args.hi is not None else hi
-    rows = sweep_rows(sweep_root(config.build_model(), args.param, lo, hi, args.steps))
-    path = _out_path(args, "sweep.csv")
+    rows = sweep_rows(sweep_root(config.model, args.param, lo, hi, args.steps))
     extras = [("param", args.param), ("lo", fmt_float(lo)), ("hi", fmt_float(hi)), ("steps", str(args.steps))]
-    write_csv(path, ["param", "regime", "x_star", "basin"], rows, _meta(config, "sweep", extras))
-    print(f"wrote {path}")
-    return EXIT_OK
+    return _emit(config, args, "sweep.csv", ["param", "regime", "x_star", "basin"], rows, extras)
 
 
 def _cmd_grid(config: RunConfig, args) -> int:
     grid = regime_grid(
-        config.build_model(), args.f_lo, args.f_hi, args.rp_lo, args.rp_hi,
+        config.model, args.f_lo, args.f_hi, args.rp_lo, args.rp_hi,
         args.f_steps, args.rp_steps,
     )
-    rows = grid_rows(grid)
-    path = _out_path(args, "grid.csv")
     extras = [
         ("f_lo", fmt_float(args.f_lo)), ("f_hi", fmt_float(args.f_hi)),
         ("rp_lo", fmt_float(args.rp_lo)), ("rp_hi", fmt_float(args.rp_hi)),
         ("f_steps", str(args.f_steps)), ("rp_steps", str(args.rp_steps)),
     ]
-    write_csv(path, ["f", "r_p", "regime", "basin"], rows, _meta(config, "grid", extras))
-    print(f"wrote {path}")
-    return EXIT_OK
+    return _emit(config, args, "grid.csv", ["f", "r_p", "regime", "basin"], grid_rows(grid), extras)
 
 
 def _cmd_integrate(config: RunConfig, args) -> int:
-    model = config.build_model()
     trajectory = integrate(
-        model, args.x0, step=config.step, t_max=config.t_max, conv_tol=config.conv_tol
+        config.model, args.x0, step=config.step, t_max=config.t_max, conv_tol=config.conv_tol
     )
     rows = list(zip(trajectory.times, trajectory.states))
-    path = _out_path(args, "trajectory.csv")
-    extras = [("x0", fmt_float(args.x0))]
-    write_csv(path, ["t", "x"], rows, _meta(config, "integrate", extras))
+    _emit(config, args, "trajectory.csv", ["t", "x"], rows, [("x0", fmt_float(args.x0))])
     target = "none" if trajectory.converged_to is None else fmt_quantity(trajectory.converged_to)
-    print(f"wrote {path}")
     print(f"converged_to={target}")
     return EXIT_OK
 
@@ -317,7 +294,7 @@ def _cmd_integrate(config: RunConfig, args) -> int:
 def _cmd_simulate(config: RunConfig, args) -> int:
     if not 0 <= args.x <= 1:
         raise ConfigError(f"--x must be in [0, 1], got {args.x}")
-    model = config.build_model()
+    model = config.model
     workers = _workers()
     rows = []
     for stream, strategy in enumerate(("C", "D")):
@@ -330,16 +307,8 @@ def _cmd_simulate(config: RunConfig, args) -> int:
             f"{strategy}: mean={fmt_quantity(estimate.mean)} "
             f"std_error={fmt_quantity(estimate.std_error)} closed_form={fmt_quantity(closed)}"
         )
-    path = _out_path(args, "simulate.csv")
-    extras = [("x", fmt_float(args.x))]
-    write_csv(
-        path,
-        ["strategy", "x", "mean", "std_error", "n_samples", "closed_form"],
-        rows,
-        _meta(config, "simulate", extras),
-    )
-    print(f"wrote {path}")
-    return EXIT_OK
+    header = ["strategy", "x", "mean", "std_error", "n_samples", "closed_form"]
+    return _emit(config, args, "simulate.csv", header, rows, [("x", fmt_float(args.x))])
 
 
 def _cmd_verify(config: RunConfig, args) -> int:
@@ -349,9 +318,7 @@ def _cmd_verify(config: RunConfig, args) -> int:
         print(f"{'ok  ' if suite.passed else 'FAIL'} {suite.name}: {suite.detail}")
         for row in suite.rows:
             rows.append((row.suite, row.case, row.value, row.bound, "ok" if row.ok else "fail"))
-    path = _out_path(args, "verify_checks.csv")
-    write_csv(path, ["suite", "case", "value", "bound", "status"], rows, _meta(config, "verify"))
-    print(f"wrote {path}")
+    _emit(config, args, "verify_checks.csv", ["suite", "case", "value", "bound", "status"], rows)
     if all(suite.passed for suite in suites):
         print("verify: PASS")
         return EXIT_OK
@@ -360,17 +327,7 @@ def _cmd_verify(config: RunConfig, args) -> int:
 
 
 def _cmd_plot(args) -> int:
-    try:
-        svg = render_csv_plot(args.csv_path)
-    except OSError as err:
-        raise OSError(f"cannot read {args.csv_path}: {err}") from err
-    out_path = args.out_svg or os.path.splitext(args.csv_path)[0] + ".svg"
-    try:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(svg)
-    except OSError as err:
-        raise OSError(f"cannot write {out_path}: {err}") from err
-    print(f"wrote {out_path}")
+    print(f"wrote {write_plot(args.csv_path, args.out_svg)}")
     return EXIT_OK
 
 

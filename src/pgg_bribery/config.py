@@ -1,32 +1,28 @@
 """Flat key-value run configuration.
 
 Format: one ``key = value`` per line, ``#`` starts a comment, keys are
-case-insensitive.  ``model`` selects ``ipgg`` or ``bg``; the bribery keys
-(h, gamma, p, q) are required for ``bg`` and rejected for ``ipgg``.
-Numeric controls (step, t_max, conv_tol, samples, seed) are optional and
-default to the values below.  All game invariants are re-validated on
-load; a pool multiplier outside (1, n) is recorded as a warning, not an
-error.
+case-insensitive.  ``model`` selects ``ipgg`` or ``bg``; the game keys are
+the fields of :class:`CoreParams` and, for ``bg`` only, of
+:class:`BriberyParams` (h, gamma, p, q).  Numeric controls (step, t_max,
+conv_tol, samples, seed) are optional; the integration defaults are
+:mod:`pgg_bribery.dynamics`' own.  ``RunConfig.model`` is the validated
+parameter record, so every game invariant is checked on load; a pool
+multiplier outside (1, n) is recorded in its ``validation_warnings``, not
+raised.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
-from .games import BriberyParams, CoreParams, Model, ParameterError
+from .dynamics import DEFAULT_CONV_TOL, DEFAULT_STEP, DEFAULT_T_MAX
+from .games import BriberyParams, CoreParams, Model, ParameterError, core_of
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "parse_pairs", "config_from_pairs"]
 
-CORE_KEYS = ("n", "b", "c", "tau", "f", "alpha", "beta", "r_p")
-BG_KEYS = ("h", "gamma", "p", "q")
-CONTROL_DEFAULTS = {
-    "step": 0.01,
-    "t_max": 1e4,
-    "conv_tol": 1e-10,
-    "samples": 1_000_000,
-    "seed": 42,
-}
+CORE_KEYS = tuple(f.name for f in fields(CoreParams) if f.init)
+BG_KEYS = tuple(f.name for f in fields(BriberyParams) if f.name != "core")
 
 
 class ConfigError(ValueError):
@@ -37,44 +33,33 @@ class ConfigError(ValueError):
         super().__init__(f"line {line}: {message}" if line is not None else message)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
-    """Validated run configuration for the CLI and the scripts."""
+    """Validated run configuration: the game model plus the numeric controls."""
 
-    model: str
-    n: int
-    b: float
-    c: float
-    tau: float
-    f: float
-    alpha: float
-    beta: float
-    r_p: float
-    h: float | None = None
-    gamma: float | None = None
-    p: float | None = None
-    q: float | None = None
-    step: float = CONTROL_DEFAULTS["step"]
-    t_max: float = CONTROL_DEFAULTS["t_max"]
-    conv_tol: float = CONTROL_DEFAULTS["conv_tol"]
-    samples: int = CONTROL_DEFAULTS["samples"]
-    seed: int = CONTROL_DEFAULTS["seed"]
-    warnings: list[str] = field(default_factory=list)
+    model: Model
+    step: float = DEFAULT_STEP
+    t_max: float = DEFAULT_T_MAX
+    conv_tol: float = DEFAULT_CONV_TOL
+    samples: int = 1_000_000
+    seed: int = 42
 
     def build_model(self) -> Model:
-        core = CoreParams(self.n, self.b, self.c, self.tau, self.f, self.alpha, self.beta, self.r_p)
-        if self.model == "bg":
-            return BriberyParams(core, self.h, self.gamma, self.p, self.q)
-        return core
+        """The validated model; the same object as ``model``."""
+        return self.model
 
     def metadata_items(self) -> list[tuple[str, str]]:
         """Deterministic key/value echo for emitted-file headers."""
-        items = [("model", self.model)]
-        items += [(key, repr(getattr(self, key))) for key in CORE_KEYS]
-        if self.model == "bg":
-            items += [(key, repr(getattr(self, key))) for key in BG_KEYS]
+        core = core_of(self.model)
+        items = [("model", "ipgg" if core is self.model else "bg")]
+        items += [(key, repr(getattr(core, key))) for key in CORE_KEYS]
+        if core is not self.model:
+            items += [(key, repr(getattr(self.model, key))) for key in BG_KEYS]
         items += [(key, repr(getattr(self, key))) for key in CONTROL_DEFAULTS]
         return items
+
+
+CONTROL_DEFAULTS = {f.name: f.default for f in fields(RunConfig) if f.name != "model"}
 
 
 def parse_pairs(text: str) -> dict[str, tuple[str, int | None]]:
@@ -135,7 +120,7 @@ def config_from_pairs(pairs: dict[str, tuple[str, int | None]]) -> RunConfig:
         raw, line = remaining.pop(key)
         values[key] = _parse_int(key, raw, line) if key == "n" else _parse_float(key, raw, line)
 
-    bg_values: dict[str, float | None] = {key: None for key in BG_KEYS}
+    bg_values: dict[str, float] = {}
     for key in BG_KEYS:
         if key in remaining:
             raw, line = remaining.pop(key)
@@ -152,22 +137,19 @@ def config_from_pairs(pairs: dict[str, tuple[str, int | None]]) -> RunConfig:
             controls[key] = (
                 _parse_int(key, raw, line) if key in ("samples", "seed") else _parse_float(key, raw, line)
             )
-
-    config = RunConfig(model=model, **values, **bg_values, **controls)
     for key in ("step", "t_max", "conv_tol"):
-        value = getattr(config, key)
-        if not 0 < value < math.inf:
-            raise ConfigError(f"{key} must be finite and > 0, got {value}")
-    if config.samples < 2:
-        raise ConfigError(f"samples must be >= 2, got {config.samples}")
-    if config.seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {config.seed}")
+        if not 0 < controls[key] < math.inf:
+            raise ConfigError(f"{key} must be finite and > 0, got {controls[key]}")
+    if controls["samples"] < 2:
+        raise ConfigError(f"samples must be >= 2, got {controls['samples']}")
+    if controls["seed"] < 0:
+        raise ConfigError(f"seed must be >= 0, got {controls['seed']}")
     try:
-        built = config.build_model()
+        core = CoreParams(**values)
+        built = BriberyParams(core, **bg_values) if model == "bg" else core
     except ParameterError as err:
         raise ConfigError(str(err)) from None
-    config.warnings = list(built.validation_warnings)
-    return config
+    return RunConfig(built, **controls)
 
 
 def parse_config(text: str) -> RunConfig:

@@ -391,6 +391,8 @@ def evolve_finite_population(
         raise ValueError(f"x0 must be in [0, 1], got {x0}")
     if rounds < 0:
         raise ValueError(f"rounds must be >= 0, got {rounds}")
+    if not math.isfinite(imitation_strength):
+        raise ValueError(f"imitation_strength must be finite, got {imitation_strength}")
 
     z = population_size
     k = min(z, max(0, int(round(x0 * z))))
@@ -411,7 +413,9 @@ def evolve_finite_population(
             pay_f = pay_c[comp_f] if focal_c else pay_d[comp_f]
             pay_p = pay_c[comp_p] if partner_c else pay_d[comp_p]
             gap = imitation_strength * (pay_p - pay_f)
-            if draw() < 1.0 / (1.0 + math.exp(-gap)):
+            # capped below exp's overflow; draws are multiples of 2**-53 and a
+            # capped probability stays in (0, 2**-53), so no comparison changes
+            if draw() < 1.0 / (1.0 + math.exp(min(-gap, 709.0))):
                 k += 1 if partner_c else -1
         if step % every == 0 or step == rounds or k == 0 or k == z:
             times.append(float(step))

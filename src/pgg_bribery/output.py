@@ -22,6 +22,7 @@ __all__ = [
     "write_csv",
     "read_csv",
     "render_csv_plot",
+    "write_plot",
 ]
 
 
@@ -270,3 +271,18 @@ def render_csv_plot(path) -> str:
         ys = [float(row[x_index]) for row in rows if row[x_index] != ""]
         return _line_plot_svg("row", [(header[x_index], list(map(float, range(len(ys)))), ys)], title)
     return _line_plot_svg(header[x_index], series, title)
+
+
+def write_plot(csv_path, svg_path=None) -> str:
+    """Render ``csv_path`` to ``svg_path`` (default: beside it, ``.svg``) and return that path."""
+    try:
+        svg = render_csv_plot(csv_path)
+    except OSError as err:
+        raise OSError(f"cannot read {csv_path}: {err}") from err
+    svg_path = svg_path or os.path.splitext(csv_path)[0] + ".svg"
+    try:
+        with open(svg_path, "w", encoding="utf-8", newline="\n") as handle:
+            handle.write(svg)
+    except OSError as err:
+        raise OSError(f"cannot write {svg_path}: {err}") from err
+    return svg_path

@@ -39,6 +39,7 @@ from .games import (
     BriberyParams,
     CoreParams,
     GroupComposition,
+    core_of,
     group_payoff,
     payoff_c_bg,
     payoff_c_ipgg,
@@ -189,7 +190,7 @@ def _check_threshold_gap(seed: int, cases: int = 1000) -> SuiteResult:
     worst = 0.0
     for i in range(cases):
         model = _draw_model(rng, i)
-        core = model.core if isinstance(model, BriberyParams) else model
+        core = core_of(model)
         th = thresholds(model)
         expected = core.n * (core.n - 1) * core.beta * core.tau * core.r_p / core.c
         worst = max(worst, abs(th.f_max - th.f_min - expected))
@@ -300,7 +301,7 @@ def _check_conservation(seed: int, events: int = 4000) -> SuiteResult:
     violations = 0
     for i in range(events):
         model = _draw_model(rng, i, positive_punishment=True)
-        core = model.core if isinstance(model, BriberyParams) else model
+        core = core_of(model)
         n = core.n
         n_c = int(rng.integers(0, n))
         comp = GroupComposition(n_c, n - 1 - n_c)

@@ -242,3 +242,16 @@ class TestStability:
     def test_rejects_non_equilibria(self):
         with pytest.raises(ValueError, match="not an equilibrium"):
             stability_at(IPGG_BISTABLE, 0.5)
+
+    @settings(deadline=None, max_examples=300)
+    @given(model_strategy())
+    def test_derivative_agrees_with_the_regime_labels(self, model):
+        # stability_at is the one derivative-based check of Regime.stable_at_zero/one
+        try:
+            regime = classify_regime(model)
+        except KnifeEdgeError:
+            return
+        assert stability_at(model, 0.0) is regime.stable_at_zero
+        assert stability_at(model, 1.0) is regime.stable_at_one
+        if regime.kind is RegimeKind.BISTABLE:
+            assert stability_at(model, regime.x_star) is False

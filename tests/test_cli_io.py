@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from pgg_bribery import ConfigError, parse_config
+from pgg_bribery import ConfigError, CoreParams, parse_config
 from pgg_bribery.cli import main
 from pgg_bribery.output import fmt_float, read_csv
 from pgg_bribery.presets import IPGG_WEAK_POOL
@@ -65,10 +65,11 @@ def bg_cfg(tmp_path):
 class TestParseConfig:
     def test_valid_document(self):
         config = parse_config(WEAK_POOL_DOC)
-        assert config.model == "ipgg"
-        assert config.build_model() == IPGG_WEAK_POOL
+        assert isinstance(config.model, CoreParams)
+        assert config.model == IPGG_WEAK_POOL
+        assert config.build_model() is config.model
         assert config.samples == 1_000_000 and config.seed == 42
-        assert not config.warnings
+        assert not config.model.validation_warnings
 
     def test_leader_probabilities_rejected(self):
         doc = BG_DOC.replace("beta = 0.2", "beta = 0.5")
@@ -77,7 +78,7 @@ class TestParseConfig:
 
     def test_pool_multiplier_warning_is_not_fatal(self):
         config = parse_config(WEAK_POOL_DOC.replace("f = 2", "f = 6"))
-        assert config.warnings and "outside" in config.warnings[0]
+        assert config.model.validation_warnings and "outside" in config.model.validation_warnings[0]
 
     def test_unknown_key_reports_the_line(self):
         with pytest.raises(ConfigError, match="line 3.*unknown key 'foo'"):
@@ -105,11 +106,11 @@ class TestParseConfig:
 
     def test_keys_are_case_insensitive(self):
         doc = WEAK_POOL_DOC.replace("n = 5", "N = 5").replace("r_p = 1.4", "R_P = 1.4")
-        assert parse_config(doc).build_model() == parse_config(WEAK_POOL_DOC).build_model()
+        assert parse_config(doc).model == parse_config(WEAK_POOL_DOC).model
 
     def test_comments_and_blank_lines(self):
         doc = "# full-line comment\n\n" + WEAK_POOL_DOC.replace("f = 2", "f = 2  # inline")
-        assert parse_config(doc).f == 2.0
+        assert parse_config(doc).model.f == 2.0
 
     def test_malformed_number(self):
         with pytest.raises(ConfigError, match="must be a number"):
@@ -167,7 +168,7 @@ class TestSubcommands:
         _, _, rows = read_csv(os.path.join(out, "gradient.csv"))
         from pgg_bribery import gradient_of_selection, q_function, parse_config
 
-        model = parse_config(BISTABLE_DOC).build_model()
+        model = parse_config(BISTABLE_DOC).model
         for row in rows:
             x = float(row[0])
             assert float(row[1]) == q_function(model, x)

@@ -1,6 +1,7 @@
 """Seeded event sampling, estimator agreement with the closed forms,
 and the finite-population imitation walk."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -209,3 +210,37 @@ class TestImitationWalk:
     def test_population_must_cover_two_groups(self):
         with pytest.raises(ValueError):
             evolve_finite_population(IPGG_BISTABLE, 9, 0.5, 100, seed=RngSeed(0))
+
+    @pytest.mark.parametrize("strength", [1000.0, -1000.0])
+    def test_extreme_selection_strength_does_not_overflow(self, strength):
+        trajectory = evolve_finite_population(IPGG_BISTABLE, 100, 0.5, 2000, strength, RngSeed(0))
+        assert ((trajectory.states >= 0) & (trajectory.states <= 1)).all()
+        if strength > 0:  # near-deterministic imitation follows the basin of x0 < x*
+            assert trajectory.converged_to == 0.0
+
+    @pytest.mark.parametrize("strength", [math.inf, -math.inf, math.nan])
+    def test_non_finite_selection_strength_is_refused(self, strength):
+        with pytest.raises(ValueError, match="imitation_strength must be finite"):
+            evolve_finite_population(IPGG_BISTABLE, 100, 0.5, 2000, strength, RngSeed(0))
+
+    # 30k-round walks (z=1000, x0=0.5) by (seed, imitation strength): the absorbing
+    # state, the last recorded round, and the cooperator counts at every 100th
+    # record, summed over all records and summed weighted by record index.
+    # s=0.01 is near neutral, so it pins the draw order; s=1 also pins the payoffs.
+    PINNED_WALKS = {
+        (1, 0.01): (None, 30000.0, [500, 497, 541, 548, 566, 553, 562, 591, 545, 519, 492], 537476, 271680141),
+        (2, 0.01): (None, 30000.0, [500, 494, 505, 541, 538, 542, 484, 485, 493, 492, 516], 505400, 252265975),
+        (3, 1.0): (0.0, 18089.0, [500, 353, 228, 109, 30, 7, 1], 97106, 13279129),
+    }
+
+    @pytest.mark.parametrize("seed,strength", sorted(PINNED_WALKS))
+    def test_walk_stream_is_pinned(self, seed, strength):
+        trajectory = evolve_finite_population(IPGG_BISTABLE, 1000, 0.5, 30_000, strength, RngSeed(seed))
+        converged_to, last_round, every_100th, total, weighted = self.PINNED_WALKS[seed, strength]
+        counts = np.rint(trajectory.states * 1000).astype(int)
+        assert trajectory.converged_to == converged_to
+        assert trajectory.times.tolist() == [30.0 * i for i in range(len(counts) - 1)] + [last_round]
+        assert (counts / 1000 == trajectory.states).all()
+        assert counts[::100].tolist() == every_100th
+        assert int(counts.sum()) == total
+        assert int(counts @ np.arange(len(counts))) == weighted

@@ -37,10 +37,6 @@ from .games import (
     ParameterError,
     core_of,
     group_payoff,
-    payoff_c_bg,
-    payoff_c_ipgg,
-    payoff_d_bg,
-    payoff_d_ipgg,
 )
 from .montecarlo import (
     Estimate,
@@ -50,7 +46,6 @@ from .montecarlo import (
     estimate_expected_payoff,
     evolve_finite_population,
     realize_event,
-    sample_event_payoff,
 )
 from .sweeps import RegimeGrid, SweepResult, regime_grid, sweep_root, with_parameter
 from .verify import run_battery
@@ -93,15 +88,10 @@ __all__ = [
     "integrate",
     "interior_root",
     "parse_config",
-    "payoff_c_bg",
-    "payoff_c_ipgg",
-    "payoff_d_bg",
-    "payoff_d_ipgg",
     "q_function",
     "realize_event",
     "regime_grid",
     "run_battery",
-    "sample_event_payoff",
     "stability_at",
     "sweep_root",
     "thresholds",

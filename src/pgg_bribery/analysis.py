@@ -34,12 +34,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from math import comb, isfinite
+from math import comb, exp, isfinite, lgamma, log, log1p
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .games import BriberyParams, Model, core_of, group_payoff, GroupComposition
+from .games import BriberyParams, GroupComposition, Model, core_of, group_payoff, is_cooperator
 
 __all__ = [
     "KnifeEdgeError",
@@ -251,12 +251,11 @@ def avg_payoff(model: Model, x: float, strategy: str) -> float:
     co-player compositions, finite at x = 0 and x = 1.
     """
     _check_x(x)
-    if strategy not in ("C", "D"):
-        raise ValueError(f"strategy must be 'C' or 'D', got {strategy!r}")
+    cooperator = is_cooperator(strategy)
     core = core_of(model)
     n = core.n
     co = coefficients(model)
-    if strategy == "C":
+    if cooperator:
         # own-type leader share requires a cooperator co-player to exist,
         # hence the missing (1-x)^(n-1) mass
         fines = co.fine_c * (1.0 - (1.0 - x) ** (n - 1) + _geom_sum(1.0 - x, n - 1))
@@ -273,9 +272,16 @@ def avg_payoff(model: Model, x: float, strategy: str) -> float:
     if isinstance(model, BriberyParams):
         accepted = model.gamma * model.h
         income = (n - 1) * accepted * (model.p * x + model.q * (1.0 - x)) / n
-        offer_prob = model.p if strategy == "C" else model.q
+        offer_prob = model.p if cooperator else model.q
         value += income - (1.0 - 1.0 / n) * offer_prob * accepted
     return value
+
+
+def _log_space_weight(k: int, j: int, x: float) -> float:
+    """P(Binomial(k, x) = j) through lgamma, for coefficients too large for a float."""
+    if x == 0.0 or x == 1.0:
+        return float(j == (0 if x == 0.0 else k))
+    return exp(lgamma(k + 1) - lgamma(j + 1) - lgamma(k - j + 1) + j * log(x) + (k - j) * log1p(-x))
 
 
 def binomial_avg_payoff(model: Model, x: float, strategy: str) -> float:
@@ -288,7 +294,10 @@ def binomial_avg_payoff(model: Model, x: float, strategy: str) -> float:
     n = core_of(model).n
     total = 0.0
     for n_c in range(n):
-        weight = comb(n - 1, n_c) * x**n_c * (1.0 - x) ** (n - 1 - n_c)
+        try:
+            weight = comb(n - 1, n_c) * x**n_c * (1.0 - x) ** (n - 1 - n_c)
+        except OverflowError:  # the binomial coefficient exceeds a float
+            weight = _log_space_weight(n - 1, n_c, x)
         total += weight * group_payoff(model, strategy, GroupComposition(n_c, n - 1 - n_c))
     return total
 

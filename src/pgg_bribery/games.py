@@ -16,8 +16,9 @@ Two N-player games played by cooperators (C) and defectors (D):
   instead of punishing.  Punishing, accepting and doing nothing are
   mutually exclusive leader actions, so ``beta + gamma <= 1``.
 
-The payoff functions below are conditional expectations over the leader
-draw and the leader's action for a fixed co-player composition.  A bribe
+The per-group entry point is ``group_payoff(model, strategy, comp)``: the
+conditional expectation, over the leader draw and the leader's action, of
+a C or D player's payoff for a fixed co-player composition.  A bribe
 is only paid when it is both offered and accepted, and a fine budget with
 no eligible target is simply not levied (a leader of an absent type can
 never be drawn).  Averaging over compositions lives in
@@ -38,10 +39,7 @@ __all__ = [
     "GroupComposition",
     "Model",
     "core_of",
-    "payoff_c_ipgg",
-    "payoff_d_ipgg",
-    "payoff_c_bg",
-    "payoff_d_bg",
+    "is_cooperator",
     "group_payoff",
 ]
 
@@ -189,72 +187,39 @@ def _check_group(params: CoreParams, comp: GroupComposition) -> None:
         )
 
 
-def payoff_c_ipgg(params: CoreParams, comp: GroupComposition) -> float:
-    """Expected payoff of a cooperator whose co-players are ``comp``.
-
-    The expectation runs over the uniform leader draw and the leader's
-    punish/no-op decision; endowment, contribution, group share and tax
-    are deterministic given the composition.
-    """
-    _check_group(params, comp)
-    n, n_c, n_d = params.n, comp.n_c, comp.n_d
-    budget = params.beta * params.alpha * n * params.tau * params.r_p
-    # A cooperator co-player can lead only if one exists; the n_c/(n-1)
-    # draw odds then cancel against the n_c non-leader cooperators
-    # sharing the budget.
-    own_type_leads = budget / (n - 1) if n_c > 0 else 0.0
-    other_type_leads = (n_d / (n - 1)) * budget / (n_c + 1)
-    fine = (1.0 - 1.0 / n) * (own_type_leads + other_type_leads)
-    share = params.f * params.c * (n_c + 1) / n
-    return params.b + share - params.c - params.tau - fine
-
-
-def payoff_d_ipgg(params: CoreParams, comp: GroupComposition) -> float:
-    """Expected payoff of a defector whose co-players are ``comp``."""
-    _check_group(params, comp)
-    n, n_c, n_d = params.n, comp.n_c, comp.n_d
-    budget = params.beta * (1.0 - params.alpha) * n * params.tau * params.r_p
-    own_type_leads = budget / (n - 1) if n_d > 0 else 0.0
-    other_type_leads = (n_c / (n - 1)) * budget / (n_d + 1)
-    fine = (1.0 - 1.0 / n) * (own_type_leads + other_type_leads)
-    share = params.f * params.c * n_c / n
-    return params.b + share - params.tau - fine
-
-
-def _bribe_terms(params: BriberyParams, comp: GroupComposition, offer_prob: float):
-    """Expected bribe income when leading and expected bribe payment when not."""
-    n = params.core.n
-    accepted_bribe = params.gamma * params.h
-    income = (params.p * comp.n_c + params.q * comp.n_d) * accepted_bribe / n
-    payment = (1.0 - 1.0 / n) * offer_prob * accepted_bribe
-    return income, payment
-
-
-def payoff_c_bg(params: BriberyParams, comp: GroupComposition) -> float:
-    """Expected cooperator payoff in the bribery game.
-
-    Reduces bit-for-bit to the IPGG payoff when gamma = 0 or h = 0.
-    """
-    income, payment = _bribe_terms(params, comp, params.p)
-    return payoff_c_ipgg(params.core, comp) + income - payment
-
-
-def payoff_d_bg(params: BriberyParams, comp: GroupComposition) -> float:
-    """Expected defector payoff in the bribery game."""
-    income, payment = _bribe_terms(params, comp, params.q)
-    return payoff_d_ipgg(params.core, comp) + income - payment
+def is_cooperator(strategy: str) -> bool:
+    """True for "C", False for "D"; any other strategy is refused."""
+    if strategy not in ("C", "D"):
+        raise ValueError(f"strategy must be 'C' or 'D', got {strategy!r}")
+    return strategy == "C"
 
 
 def group_payoff(model: Model, strategy: str, comp: GroupComposition) -> float:
-    """Dispatch to the per-group payoff of ``strategy`` ("C" or "D")."""
+    """Expected payoff of a ``strategy`` ("C" or "D") player whose co-players are ``comp``.
+
+    The expectation runs over the uniform leader draw and the leader's
+    action; endowment, contribution, group share and tax are
+    deterministic given the composition.  With bribery switched off
+    (gamma = 0 or h = 0) the BG value equals the IPGG value bit for bit.
+    """
+    cooperator = is_cooperator(strategy)
+    core = core_of(model)
+    _check_group(core, comp)
+    n = core.n
+    n_own, n_other = (comp.n_c, comp.n_d) if cooperator else (comp.n_d, comp.n_c)
+    budget = core.beta * (core.alpha if cooperator else 1.0 - core.alpha) * n * core.tau * core.r_p
+    # An own-type co-player can lead only if one exists; the n_own/(n-1)
+    # draw odds then cancel against the n_own own-type non-leaders
+    # sharing the budget.
+    own_type_leads = budget / (n - 1) if n_own > 0 else 0.0
+    other_type_leads = (n_other / (n - 1)) * budget / (n_own + 1)
+    fine = (1.0 - 1.0 / n) * (own_type_leads + other_type_leads)
+    share = core.f * core.c * (comp.n_c + cooperator) / n
+    value = core.b + share - (core.c if cooperator else 0.0) - core.tau - fine
     if isinstance(model, BriberyParams):
-        if strategy == "C":
-            return payoff_c_bg(model, comp)
-        if strategy == "D":
-            return payoff_d_bg(model, comp)
-    else:
-        if strategy == "C":
-            return payoff_c_ipgg(model, comp)
-        if strategy == "D":
-            return payoff_d_ipgg(model, comp)
-    raise ValueError(f"strategy must be 'C' or 'D', got {strategy!r}")
+        # bribe income when leading, expected bribe payment when not
+        accepted_bribe = model.gamma * model.h
+        income = (model.p * comp.n_c + model.q * comp.n_d) * accepted_bribe / n
+        payment = (1.0 - 1.0 / n) * (model.p if cooperator else model.q) * accepted_bribe
+        return value + income - payment
+    return value

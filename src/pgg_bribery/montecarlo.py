@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import Trajectory
-from .games import BriberyParams, GroupComposition, Model, core_of, group_payoff
+from .games import BriberyParams, GroupComposition, Model, core_of, group_payoff, is_cooperator
 from .games import _check_group
 
 __all__ = [
@@ -43,7 +43,6 @@ __all__ = [
     "Estimate",
     "EventOutcome",
     "realize_event",
-    "sample_event_payoff",
     "estimate_expected_payoff",
     "estimate_avg_payoff",
     "evolve_finite_population",
@@ -98,12 +97,6 @@ class EventOutcome:
     bribes_received: float
 
 
-def _validate_strategy(strategy: str) -> bool:
-    if strategy not in ("C", "D"):
-        raise ValueError(f"strategy must be 'C' or 'D', got {strategy!r}")
-    return strategy == "C"
-
-
 def realize_event(
     model: Model, focal: str, comp: GroupComposition, rng: np.random.Generator
 ) -> EventOutcome:
@@ -112,7 +105,7 @@ def realize_event(
     Group members are indexed 0..n-1 with the focal player at 0, the
     cooperator co-players next and the defector co-players last.
     """
-    focal_c = _validate_strategy(focal)
+    focal_c = is_cooperator(focal)
     core = core_of(model)
     _check_group(core, comp)
     n, n_c, n_d = core.n, comp.n_c, comp.n_d
@@ -177,13 +170,6 @@ def realize_event(
             payoff += received
 
     return EventOutcome(payoff, leader, action, fines_c, fines_d, paid, received)
-
-
-def sample_event_payoff(
-    model: Model, focal: str, comp: GroupComposition, seed: RngSeed
-) -> float:
-    """Focal payoff of a single seeded event realization."""
-    return realize_event(model, focal, comp, generator(seed)).focal_payoff
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +287,7 @@ def estimate_expected_payoff(
     workers: int | None = None,
 ) -> Estimate:
     """Mean and standard error of ``n`` event payoffs at a fixed composition."""
-    focal_c = _validate_strategy(focal)
+    focal_c = is_cooperator(focal)
     _check_group(core_of(model), comp)
     return _estimate(model, focal_c, comp.n_c, None, n, seed, workers)
 
@@ -315,7 +301,7 @@ def estimate_avg_payoff(
     workers: int | None = None,
 ) -> Estimate:
     """Monte Carlo estimate of the population-average payoff at fraction x."""
-    focal_c = _validate_strategy(strategy)
+    focal_c = is_cooperator(strategy)
     if not 0 <= x <= 1:
         raise ValueError(f"x must be in [0, 1], got {x}")
     return _estimate(model, focal_c, None, x, n, seed, workers)

@@ -41,10 +41,6 @@ from .games import (
     GroupComposition,
     core_of,
     group_payoff,
-    payoff_c_bg,
-    payoff_c_ipgg,
-    payoff_d_bg,
-    payoff_d_ipgg,
 )
 from .montecarlo import (
     RngSeed,
@@ -144,19 +140,19 @@ def _check_reductions(seed: int, cases: int = 300) -> SuiteResult:
         expect_d = quiet.b + quiet.f * quiet.c * n_c / n - quiet.tau
         worst_beta0 = max(
             worst_beta0,
-            abs(payoff_c_ipgg(quiet, comp) - expect_c),
-            abs(payoff_d_ipgg(quiet, comp) - expect_d),
+            abs(group_payoff(quiet, "C", comp) - expect_c),
+            abs(group_payoff(quiet, "D", comp) - expect_d),
         )
 
         off = replace(bg, gamma=0.0) if i % 2 == 0 else replace(bg, h=0.0)
         exact_bg = exact_bg and (
-            payoff_c_bg(off, comp) == payoff_c_ipgg(core, comp)
-            and payoff_d_bg(off, comp) == payoff_d_ipgg(core, comp)
+            group_payoff(off, "C", comp) == group_payoff(core, "C", comp)
+            and group_payoff(off, "D", comp) == group_payoff(core, "D", comp)
         )
 
         symmetric = replace(bg, q=bg.p)
-        gap_bg = payoff_c_bg(symmetric, comp) - payoff_d_bg(symmetric, comp)
-        gap_core = payoff_c_ipgg(core, comp) - payoff_d_ipgg(core, comp)
+        gap_bg = group_payoff(symmetric, "C", comp) - group_payoff(symmetric, "D", comp)
+        gap_core = group_payoff(core, "C", comp) - group_payoff(core, "D", comp)
         worst_pq = max(worst_pq, abs(gap_bg - gap_core))
 
         corner = GroupComposition(0, n - 1) if i % 2 == 0 else GroupComposition(n - 1, 0)

@@ -65,6 +65,18 @@ class TestAveragePayoffs:
     def test_closed_form_equals_binomial_everywhere(self, model, x, strategy):
         assert abs(avg_payoff(model, x, strategy) - binomial_avg_payoff(model, x, strategy)) < 1e-10
 
+    @pytest.mark.parametrize("x", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("model", [IPGG_BISTABLE, BG_DEFECTOR_BRIBES], ids=["ipgg", "bg"])
+    def test_binomial_oracle_survives_coefficients_beyond_a_float(self, model, x):
+        # comb(1099, 549) is about 2**1095, past the largest double
+        if isinstance(model, BriberyParams):
+            large = replace(model, core=replace(model.core, n=1100))
+        else:
+            large = replace(model, n=1100)
+        for strategy in ("C", "D"):
+            oracle = binomial_avg_payoff(large, x, strategy)
+            assert abs(oracle - avg_payoff(large, x, strategy)) < 1e-10
+
     def test_domain_checked(self):
         with pytest.raises(ValueError):
             avg_payoff(IPGG_WEAK_POOL, 1.2, "C")

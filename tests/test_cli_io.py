@@ -1,6 +1,7 @@
 """Configuration parsing, CLI subcommands, CSV determinism, plotting."""
 
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -154,8 +155,8 @@ class TestSubcommands:
         out_a, out_b = str(tmp_path / "a"), str(tmp_path / "b")
         assert main(["gradient", "--config", bistable_cfg, "--out", out_a]) == 0
         assert main(["gradient", "--config", bistable_cfg, "--out", out_b]) == 0
-        bytes_a = open(os.path.join(out_a, "gradient.csv"), "rb").read()
-        bytes_b = open(os.path.join(out_b, "gradient.csv"), "rb").read()
+        bytes_a = Path(out_a, "gradient.csv").read_bytes()
+        bytes_b = Path(out_b, "gradient.csv").read_bytes()
         assert bytes_a == bytes_b
         meta, header, rows = read_csv(os.path.join(out_a, "gradient.csv"))
         assert header == ["x", "q", "g"]
@@ -221,8 +222,8 @@ class TestSubcommands:
         argv = ["simulate", "--config", weak_cfg, "--set", "samples=20000", "--x", "0.4"]
         assert main(argv + ["--out", out_a]) == 0
         assert main(argv + ["--out", out_b]) == 0
-        bytes_a = open(os.path.join(out_a, "simulate.csv"), "rb").read()
-        assert bytes_a == open(os.path.join(out_b, "simulate.csv"), "rb").read()
+        bytes_a = Path(out_a, "simulate.csv").read_bytes()
+        assert bytes_a == Path(out_b, "simulate.csv").read_bytes()
         _, header, rows = read_csv(os.path.join(out_a, "simulate.csv"))
         assert header == ["strategy", "x", "mean", "std_error", "n_samples", "closed_form"]
         for row in rows:
@@ -272,7 +273,7 @@ class TestPlot:
             csv_path = os.path.join(out, f"{name}.csv")
             assert main(["plot", csv_path]) == 0
             svg_path = os.path.join(out, f"{name}.svg")
-            content = open(svg_path, encoding="utf-8").read()
+            content = Path(svg_path).read_text(encoding="utf-8")
             assert content.startswith("<?xml")
             assert "<svg" in content and "</svg>" in content
 
@@ -282,7 +283,7 @@ class TestPlot:
         a, b = os.path.join(out, "a.svg"), os.path.join(out, "b.svg")
         main(["plot", os.path.join(out, "gradient.csv"), "--out-svg", a])
         main(["plot", os.path.join(out, "gradient.csv"), "--out-svg", b])
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()
 
 
 class TestFormatting:

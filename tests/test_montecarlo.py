@@ -18,7 +18,6 @@ from pgg_bribery import (
     group_payoff,
     q_function,
     realize_event,
-    sample_event_payoff,
 )
 from pgg_bribery.montecarlo import generator
 from pgg_bribery.presets import BG_DEFECTOR_BRIBES, IPGG_BISTABLE, IPGG_WEAK_POOL
@@ -42,7 +41,9 @@ class TestReproducibility:
 
     def test_single_event_is_seed_deterministic(self):
         comp = GroupComposition(1, 3)
-        values = {sample_event_payoff(BG_DEFECTOR_BRIBES, "D", comp, RngSeed(11, 2)) for _ in range(5)}
+        values = {
+            realize_event(BG_DEFECTOR_BRIBES, "D", comp, generator(RngSeed(11, 2))).focal_payoff for _ in range(5)
+        }
         assert len(values) == 1
 
     def test_streams_pass_an_independence_sanity_check(self):
@@ -95,7 +96,8 @@ class TestEventOracle:
         comp = GroupComposition(4, 0)
         expected = quiet.b + quiet.f * quiet.c * (4 + 1) / 5 - quiet.c - quiet.tau
         for s in range(5):
-            assert sample_event_payoff(quiet, "C", comp, RngSeed(s)) == pytest.approx(expected, abs=1e-12)
+            payoff = realize_event(quiet, "C", comp, generator(RngSeed(s))).focal_payoff
+            assert payoff == pytest.approx(expected, abs=1e-12)
         estimate = estimate_expected_payoff(quiet, "C", comp, 10_000, RngSeed(0))
         assert estimate.std_error == 0.0
         assert estimate.mean == pytest.approx(expected, abs=1e-12)

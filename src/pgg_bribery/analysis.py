@@ -209,10 +209,21 @@ def coefficients(model: Model, f=None, r_p=None) -> Coefficients:
 
 
 def _q_of(co: Coefficients) -> Callable:
+    """The one body of Q: a closure over ``co`` for a float or a numpy array.
+
+    Both Horner sums, S(1 - x) and S(x), run in one loop with the same
+    operations in the same order as :func:`_geom_sum`, so a scalar and an
+    array element get the same bits.
+    """
     constant, fine_c, fine_d, terms = co.constant, co.fine_c, co.fine_d, co.n - 1
 
     def q(x):
-        return constant - fine_c * _geom_sum(1.0 - x, terms) + fine_d * _geom_sum(x, terms)
+        y = 1.0 - x
+        s_c = s_d = 0.0
+        for _ in range(terms):
+            s_c = y * (1.0 + s_c)
+            s_d = x * (1.0 + s_d)
+        return constant - fine_c * s_c + fine_d * s_d
 
     return q
 

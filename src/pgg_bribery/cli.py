@@ -189,20 +189,20 @@ def gradient_rows(model, points: int) -> ColumnRows:
     xs = np.arange(points) / (points - 1)
     q = q_function(model, xs)
     g = gradient_of_selection(model, xs)
-    return ColumnRows(xs.tolist(), q.tolist(), g.tolist())
+    return ColumnRows(xs, q, g)
 
 
 def sweep_rows(result: SweepResult) -> ColumnRows:
     """Rows (value, regime, x_star, basin) of a sweep."""
-    return ColumnRows(result.points.tolist(), result.token.tolist(), _cells(result.x_star), _cells(result.basin))
+    return ColumnRows(result.points, result.token, _cells(result.x_star), _cells(result.basin))
 
 
 def grid_rows(grid: RegimeGrid) -> ColumnRows:
     """Rows (f, r_p, regime, basin) of a grid, f-major."""
     return ColumnRows(
-        np.repeat(grid.f_values, len(grid.rp_values)).tolist(),
-        np.tile(grid.rp_values, len(grid.f_values)).tolist(),
-        grid.token.ravel().tolist(),
+        np.repeat(grid.f_values, len(grid.rp_values)),
+        np.tile(grid.rp_values, len(grid.f_values)),
+        grid.token.ravel(),
         _cells(grid.basin.ravel()),
     )
 
@@ -284,7 +284,7 @@ def _cmd_integrate(config: RunConfig, args) -> int:
     trajectory = integrate(
         config.model, args.x0, step=config.step, t_max=config.t_max, conv_tol=config.conv_tol
     )
-    rows = list(zip(trajectory.times, trajectory.states))
+    rows = ColumnRows(trajectory.times, trajectory.states)
     _emit(config, args, "trajectory.csv", ["t", "x"], rows, [("x0", fmt_float(args.x0))])
     target = "none" if trajectory.converged_to is None else fmt_quantity(trajectory.converged_to)
     print(f"converged_to={target}")

@@ -21,6 +21,7 @@ __all__ = ["Trajectory", "integrate", "basin_of_cooperation"]
 DEFAULT_STEP = 0.01
 DEFAULT_T_MAX = 1e4
 DEFAULT_CONV_TOL = 1e-10
+MAX_STEPS = 10**8  # bound on t_max / step, so every accepted run ends
 
 
 @dataclass
@@ -65,7 +66,10 @@ def integrate(
     Stops early once |G(x)| < ``conv_tol`` and labels ``converged_to``
     with the nearest equilibrium among {0, x*, 1}; ``converged_to`` is
     None when ``t_max`` is exhausted first.  ``record_every`` thins the
-    stored series without affecting the integration itself.
+    stored series without affecting the integration itself.  Each step
+    reuses the G(x) of the convergence test as its k1, so it costs four
+    evaluations of G.  Raises ``ValueError`` when ``t_max / step`` exceeds
+    ``MAX_STEPS``.
     """
     if not 0 <= x0 <= 1:
         raise ValueError(f"x0 must be in [0, 1], got {x0}")
@@ -73,6 +77,8 @@ def integrate(
         raise ValueError(f"step must be > 0, got {step}")
     if not 0 < t_max < math.inf:
         raise ValueError(f"t_max must be finite and > 0, got {t_max}")
+    if t_max / step > MAX_STEPS:
+        raise ValueError(f"t_max/step = {t_max / step:g} exceeds the limit of {MAX_STEPS} steps")
     if not conv_tol > 0:
         raise ValueError(f"conv_tol must be > 0, got {conv_tol}")
     if record_every < 1:
@@ -86,13 +92,14 @@ def integrate(
     x = float(x0)
     times = [0.0]
     states = [x]
-    converged = abs(g(x)) < conv_tol
-    max_steps = int(np.ceil(t_max / step))
+    k1 = g(x)
+    converged = abs(k1) < conv_tol
+    max_steps = math.ceil(t_max / step)
+    half_step = 0.5 * step  # 0.5 * step * k is (0.5 * step) * k
     steps_taken = 0
     while not converged and steps_taken < max_steps:
-        k1 = g(x)
-        k2 = g(x + 0.5 * step * k1)
-        k3 = g(x + 0.5 * step * k2)
+        k2 = g(x + half_step * k1)
+        k3 = g(x + half_step * k2)
         k4 = g(x + step * k3)
         x += step * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
         x = min(1.0, max(0.0, x))
@@ -100,7 +107,8 @@ def integrate(
         if steps_taken % record_every == 0:
             times.append(steps_taken * step)
             states.append(x)
-        converged = abs(g(x)) < conv_tol
+        k1 = g(x)
+        converged = abs(k1) < conv_tol
     if times[-1] != steps_taken * step:
         times.append(steps_taken * step)
         states.append(x)

@@ -14,11 +14,14 @@ from __future__ import annotations
 
 import os
 
+import numpy as np
+
 __all__ = [
     "fmt_float",
     "fmt_cell",
     "fmt_quantity",
     "ColumnRows",
+    "CHUNK",
     "write_csv",
     "read_csv",
     "render_csv_plot",
@@ -49,28 +52,54 @@ def fmt_quantity(value: float) -> str:
 
 
 class ColumnRows:
-    """Rows read across equal-length columns, one tuple at a time.
+    """Rows held as equal-length columns: lists, tuples or numpy arrays.
 
-    Lets a long output be written without holding a tuple per row.
+    :func:`write_csv` formats them column by column, ``CHUNK`` rows at a
+    time; a numpy column becomes Python values and text one chunk at a
+    time, never for the whole file at once.
     """
 
     def __init__(self, *columns):
         self.columns = columns
 
     def __len__(self) -> int:
-        return len(self.columns[0])
+        return len(self.columns[0]) if self.columns else 0
 
-    def __iter__(self):
-        return zip(*self.columns)
+
+CHUNK = 4096  # rows formatted per write
+
+
+def _column_field(values) -> tuple[str, list]:
+    """The row-format field of one column chunk and the values it formats.
+
+    A chunk of floats keeps its values under ``%.17g`` (the bytes of
+    :func:`fmt_float`); any other chunk becomes text, strings as they are
+    and every other cell through :func:`fmt_cell`.
+    """
+    if isinstance(values, np.ndarray):
+        values = values.tolist()
+    if all(type(value) is float for value in values):
+        return "%.17g", values
+    return "%s", [value if type(value) is str else fmt_cell(value) for value in values]
 
 
 def write_csv(path, header: list[str], rows, meta: list[str]) -> None:
+    """Write ``meta`` as ``#`` lines, then ``header`` and ``rows``.
+
+    ``rows`` is a :class:`ColumnRows` or a sequence of equal-length rows,
+    which is first transposed into one.  Every cell is written as
+    :func:`fmt_cell` writes it.
+    """
+    if not isinstance(rows, ColumnRows):
+        rows = ColumnRows(*zip(*rows, strict=True))
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         for line in meta:
             handle.write(f"# {line}\n")
         handle.write(",".join(header) + "\n")
-        for row in rows:
-            handle.write(",".join(fmt_cell(cell) for cell in row) + "\n")
+        for start in range(0, len(rows), CHUNK):
+            fields, chunks = zip(*(_column_field(column[start:start + CHUNK]) for column in rows.columns))
+            row_format = ",".join(fields) + "\n"
+            handle.write("".join([row_format % row for row in zip(*chunks)]))
 
 
 def read_csv(path) -> tuple[list[str], list[str], list[list[str]]]:

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pgg_bribery import ConfigError, CoreParams, parse_config
+from pgg_bribery import ConfigError, CoreParams, dynamics, parse_config
 from pgg_bribery.cli import main
 from pgg_bribery.output import fmt_float, read_csv
 from pgg_bribery.presets import IPGG_WEAK_POOL
@@ -322,6 +322,18 @@ class TestInputContract:
         argv = ["integrate", "--config", bistable_cfg, "--x0", "0.9", "--out", str(tmp_path)]
         assert main(argv + ["--set", "t_max=1e300", "--set", "step=1e-300"]) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("overrides", [["step=1e-300"], ["t_max=1e4", "step=9.9e-5"]])
+    def test_integrate_refuses_more_than_max_steps(self, bistable_cfg, tmp_path, capsys, monkeypatch, overrides):
+        def no_integration(model):
+            raise AssertionError("the run started instead of being refused")
+
+        monkeypatch.setattr(dynamics, "q_callable", no_integration)
+        argv = ["integrate", "--config", bistable_cfg, "--x0", "0.9", "--out", str(tmp_path)]
+        for override in overrides:
+            argv += ["--set", override]
+        assert main(argv) == 1
+        assert f"exceeds the limit of {dynamics.MAX_STEPS} steps" in capsys.readouterr().err
 
     def test_plot_names_the_ragged_line(self, tmp_path, capsys):
         path = tmp_path / "ragged.csv"

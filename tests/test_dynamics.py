@@ -8,20 +8,84 @@ import pytest
 from helpers import draw_bistable_instance
 
 from pgg_bribery import (
+    CoreParams,
     KnifeEdgeError,
+    RegimeKind,
     RngSeed,
     basin_of_cooperation,
+    classify_regime,
     integrate,
     interior_root,
+    q_function,
     thresholds,
     with_parameter,
 )
+from pgg_bribery.dynamics import DEFAULT_CONV_TOL, DEFAULT_STEP, DEFAULT_T_MAX
 from pgg_bribery.montecarlo import generator
 from pgg_bribery.presets import (
     BG_DEFECTOR_BRIBES_BASE,
     IPGG_BISTABLE,
     IPGG_RICH_POOL,
     IPGG_WEAK_POOL,
+    REGIMES,
+)
+
+
+def reference_integrate(model, x0, record_every):
+    """Classical RK4 with five evaluations of G per step, k1 evaluated afresh."""
+
+    def g(x):
+        return x * (1.0 - x) * q_function(model, x)
+
+    step = DEFAULT_STEP
+    x = float(x0)
+    times, states = [0.0], [x]
+    converged = abs(g(x)) < DEFAULT_CONV_TOL
+    steps_taken = 0
+    while not converged and steps_taken < int(np.ceil(DEFAULT_T_MAX / step)):
+        k1 = g(x)
+        k2 = g(x + 0.5 * step * k1)
+        k3 = g(x + 0.5 * step * k2)
+        k4 = g(x + step * k3)
+        x += step * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+        x = min(1.0, max(0.0, x))
+        steps_taken += 1
+        if steps_taken % record_every == 0:
+            times.append(steps_taken * step)
+            states.append(x)
+        converged = abs(g(x)) < DEFAULT_CONV_TOL
+    if times[-1] != steps_taken * step:
+        times.append(steps_taken * step)
+        states.append(x)
+    converged_to = None
+    if converged:
+        try:
+            regime = classify_regime(model)
+        except KnifeEdgeError:
+            regime = None
+        equilibria = [0.0, 1.0]
+        if regime is not None and regime.kind is RegimeKind.BISTABLE:
+            equilibria.append(regime.x_star)
+        converged_to = min(equilibria, key=lambda e: abs(e - x))
+    return times, states, converged_to
+
+
+def _bistable_draws():
+    rng = generator(RngSeed(2718, 0))
+    return [draw_bistable_instance(rng, bribery=case % 2 == 1) for case in range(10)]
+
+
+def _wide_group():
+    core = CoreParams(n=40, b=12, c=1, tau=1, f=3, alpha=0.3, beta=0.2, r_p=0.2)
+    th = thresholds(core)
+    return with_parameter(core, "f", 0.5 * (th.f_min + th.f_max))
+
+
+RK4_CASES = (
+    [(name, model, x0) for name, model in REGIMES.items() for x0 in (0.05, 0.5, 0.95)]
+    + [(f"draw{i}", model, x_star + offset) for i, (model, x_star) in enumerate(_bistable_draws())
+       for offset in (-0.02, 0.02)]
+    + [("n40", _wide_group(), x0) for x0 in (0.5, 0.95)]
 )
 
 
@@ -80,6 +144,17 @@ class TestIntegrate:
     def test_precondition_errors(self, kwargs):
         with pytest.raises(ValueError):
             integrate(IPGG_BISTABLE, **kwargs)
+
+
+class TestReferenceLoop:
+    @pytest.mark.parametrize("record_every", [1, 7])
+    @pytest.mark.parametrize("name, model, x0", RK4_CASES, ids=[f"{c[0]}-{c[2]:.3g}" for c in RK4_CASES])
+    def test_integrate_is_bit_identical_to_the_five_evaluation_loop(self, name, model, x0, record_every):
+        times, states, converged_to = reference_integrate(model, x0, record_every)
+        trajectory = integrate(model, x0, record_every=record_every)
+        assert trajectory.times.tobytes() == np.array(times).tobytes()
+        assert trajectory.states.tobytes() == np.array(states).tobytes()
+        assert trajectory.converged_to == converged_to
 
 
 class TestBasin:

@@ -6,7 +6,10 @@ CSV files into ``--out``.  Exit codes: 0 success, 1 configuration or
 validation failure, 2 verification failure, 3 I/O failure.
 
 The optional environment variable ``PGG_BRIBERY_WORKERS`` sets the
-worker-pool size for Monte Carlo subcommands; leaving it unset runs them
+worker-pool size for Monte Carlo subcommands: one pool, of at most that
+many workers and never more than there are sample chunks, serves all the
+estimates of ``simulate`` (of each Monte Carlo suite of ``verify``) and
+is shut down before the command returns.  Leaving it unset runs them
 serially in this process, and no setting changes any emitted value.
 
 :func:`gradient_rows`, :func:`sweep_rows` and :func:`grid_rows` build the
@@ -35,7 +38,7 @@ from .analysis import (
 from .config import ConfigError, RunConfig, config_from_pairs, parse_pairs
 from .dynamics import basin_of_cooperation, integrate
 from .games import GroupComposition, ParameterError, core_of, group_payoff
-from .montecarlo import RngSeed, estimate_avg_payoff
+from .montecarlo import RngSeed, _avg_request, _estimate_all
 from .output import ColumnRows, fmt_float, fmt_quantity, write_csv, write_plot
 from .sweeps import DEFAULT_STEPS, SWEEP_DEFAULTS, RegimeGrid, SweepResult, regime_grid, sweep_root
 from .verify import run_battery
@@ -295,12 +298,13 @@ def _cmd_simulate(config: RunConfig, args) -> int:
     if not 0 <= args.x <= 1:
         raise ConfigError(f"--x must be in [0, 1], got {args.x}")
     model = config.model
-    workers = _workers()
+    strategies = ("C", "D")
+    requests = [
+        _avg_request(model, args.x, strategy, config.samples, RngSeed(config.seed, stream))
+        for stream, strategy in enumerate(strategies)
+    ]
     rows = []
-    for stream, strategy in enumerate(("C", "D")):
-        estimate = estimate_avg_payoff(
-            model, args.x, strategy, config.samples, RngSeed(config.seed, stream), workers=workers
-        )
+    for strategy, estimate in zip(strategies, _estimate_all(requests, _workers())):
         closed = avg_payoff(model, args.x, strategy)
         rows.append((strategy, args.x, estimate.mean, estimate.std_error, estimate.n_samples, closed))
         print(

@@ -23,7 +23,14 @@ Reproducibility: every estimator takes an :class:`RngSeed`; identical
 scheduling, and distinct stream ids yield independent streams (numpy
 SeedSequence spawn keys).  Estimates are computed in fixed 250k-sample
 chunks, one substream per chunk, merged in chunk order, so the values do
-not depend on how many worker processes execute the chunks.
+not depend on how many worker processes execute the chunks, nor on which
+other estimates share the same batch.
+
+Worker pool: with ``workers`` > 1, the chunks of all the estimates one
+caller batches (both ``simulate`` strategies, each Monte Carlo suite of
+``verify``) go through a single process pool, started for that call with
+at most one worker per chunk and shut down, its workers joined, before
+the call returns.  No pool outlives the call that started it.
 """
 
 from __future__ import annotations
@@ -262,20 +269,62 @@ def _chunk_task(args) -> tuple[int, float, float]:
 def _map_chunks(task, arglist, workers):
     if workers is not None and workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    if workers is None or workers == 1 or len(arglist) == 1:
+    if workers is None or workers == 1 or len(arglist) <= 1:
         return [task(args) for args in arglist]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    # a fork-context pool starts all of its workers at once: never more than there are chunks
+    with ProcessPoolExecutor(max_workers=min(workers, len(arglist))) as pool:
         return list(pool.map(task, arglist))
 
 
-def _estimate(model, focal_c, n_c, x, n, seed, workers) -> Estimate:
-    if n < 2:
-        raise ValueError(f"need n >= 2 samples, got {n}")
-    args = [
-        (model, focal_c, n_c, x, seed, i, size)
-        for i, size in enumerate(_chunk_sizes(n))
-    ]
-    return _merge(_map_chunks(_chunk_task, args, workers))
+@dataclass(frozen=True)
+class _Request:
+    """One estimate: ``n`` focal payoffs drawn from the ``seed`` substreams.
+
+    ``n_c`` is the fixed cooperator co-player count, or None for
+    compositions drawn Binomial(n-1, x).
+    """
+
+    model: Model
+    focal_c: bool
+    n_c: int | None
+    x: float | None
+    n: int
+    seed: RngSeed
+
+
+def _payoff_request(model: Model, focal: str, comp: GroupComposition, n: int, seed: RngSeed) -> _Request:
+    """Request for :func:`estimate_expected_payoff`; checks the strategy and the composition."""
+    focal_c = is_cooperator(focal)
+    _check_group(core_of(model), comp)
+    return _Request(model, focal_c, comp.n_c, None, n, seed)
+
+
+def _avg_request(model: Model, x: float, strategy: str, n: int, seed: RngSeed) -> _Request:
+    """Request for :func:`estimate_avg_payoff`; checks the strategy and ``x``."""
+    focal_c = is_cooperator(strategy)
+    if not 0 <= x <= 1:
+        raise ValueError(f"x must be in [0, 1], got {x}")
+    return _Request(model, focal_c, None, x, n, seed)
+
+
+def _estimate_all(requests: list[_Request], workers: int | None) -> list[Estimate]:
+    """Every request's estimate, all chunks through one :func:`_map_chunks` call.
+
+    Each request is merged from its own chunk slice in chunk order, so the
+    values equal those of one call per request, at any ``workers``.
+    """
+    args, slices = [], []
+    for req in requests:
+        if req.n < 2:
+            raise ValueError(f"need n >= 2 samples, got {req.n}")
+        start = len(args)
+        args += [
+            (req.model, req.focal_c, req.n_c, req.x, req.seed, i, size)
+            for i, size in enumerate(_chunk_sizes(req.n))
+        ]
+        slices.append(slice(start, len(args)))
+    parts = _map_chunks(_chunk_task, args, workers)
+    return [_merge(parts[part]) for part in slices]
 
 
 def estimate_expected_payoff(
@@ -287,9 +336,7 @@ def estimate_expected_payoff(
     workers: int | None = None,
 ) -> Estimate:
     """Mean and standard error of ``n`` event payoffs at a fixed composition."""
-    focal_c = is_cooperator(focal)
-    _check_group(core_of(model), comp)
-    return _estimate(model, focal_c, comp.n_c, None, n, seed, workers)
+    return _estimate_all([_payoff_request(model, focal, comp, n, seed)], workers)[0]
 
 
 def estimate_avg_payoff(
@@ -301,32 +348,14 @@ def estimate_avg_payoff(
     workers: int | None = None,
 ) -> Estimate:
     """Monte Carlo estimate of the population-average payoff at fraction x."""
-    focal_c = is_cooperator(strategy)
-    if not 0 <= x <= 1:
-        raise ValueError(f"x must be in [0, 1], got {x}")
-    return _estimate(model, focal_c, None, x, n, seed, workers)
+    return _estimate_all([_avg_request(model, x, strategy, n, seed)], workers)[0]
 
 
 # ---------------------------------------------------------------------------
 # finite-population imitation dynamics
 
 
-class _Uniforms:
-    """Buffered scalar uniforms from a Generator (fast sequential draws)."""
-
-    def __init__(self, rng: np.random.Generator, block: int = 8192):
-        self._rng = rng
-        self._block = block
-        self._buf = rng.random(block)
-        self._next = 0
-
-    def __call__(self) -> float:
-        i = self._next
-        if i == self._block:
-            self._buf = self._rng.random(self._block)
-            i = 0
-        self._next = i + 1
-        return self._buf[i]
+UNIFORM_BLOCK = 8192  # uniforms the walk draws per refill of its buffer
 
 
 def _payoff_tables(model: Model) -> tuple[list[float], list[float]]:
@@ -338,15 +367,27 @@ def _payoff_tables(model: Model) -> tuple[list[float], list[float]]:
     return pay_c, pay_d
 
 
-def _draw_co_players(draw, pool: int, coops: int, k: int) -> int:
-    """Sample k members without replacement; count the cooperators."""
+def _fermi(strength: float, pay_f: float, pay_p: float) -> float:
+    """Probability that a player earning ``pay_f`` adopts the strategy of one earning ``pay_p``."""
+    gap = strength * (pay_p - pay_f)
+    # capped below exp's overflow; draws are multiples of 2**-53 and a
+    # capped probability stays in (0, 2**-53), so no comparison changes
+    return 1.0 / (1.0 + math.exp(min(-gap, 709.0)))
+
+
+def _draw_co_players(u: list[float], i: int, pool: int, coops: int, k: int) -> tuple[int, int]:
+    """Sample k members without replacement with the uniforms ``u[i:i+k]``.
+
+    Returns the number of cooperators drawn and the next unused index.
+    """
     n_c = 0
-    for _ in range(k):
-        if draw() * pool < coops:
+    end = i + k
+    for draw in u[i:end]:
+        if draw * pool < coops:
             coops -= 1
             n_c += 1
         pool -= 1
-    return n_c
+    return n_c, end
 
 
 def evolve_finite_population(
@@ -367,6 +408,9 @@ def evolve_finite_population(
     1 / (1 + exp(-s * payoff_gap)) where s is ``imitation_strength``.
     The recorded time axis counts rounds.  The walk is absorbed at the
     monomorphic states (no mutation).
+
+    The uniforms come from the ``seed`` stream in blocks of
+    :data:`UNIFORM_BLOCK`, as Python floats, consumed in order.
     """
     core = core_of(model)
     if population_size < 2 * core.n:
@@ -382,8 +426,15 @@ def evolve_finite_population(
 
     z = population_size
     k = min(z, max(0, int(round(x0 * z))))
-    pay_c, pay_d = _payoff_tables(model)
-    draw = _Uniforms(generator(seed))
+    n = core.n
+    pay = _payoff_tables(model)[::-1]  # indexed by "is a cooperator"
+    # per focal strategy, Fermi probabilities keyed by the focal and partner
+    # co-player cooperator counts (focal * n + partner), computed on first use
+    adoption: tuple[dict[int, float], dict[int, float]] = ({}, {})
+    rng = generator(seed)
+    u = rng.random(UNIFORM_BLOCK).tolist()
+    i = 0
+    per_round = 2 * n + 1  # the most uniforms one round uses
     every = record_every if record_every is not None else max(1, rounds // 1000)
 
     times = [0.0]
@@ -391,18 +442,22 @@ def evolve_finite_population(
     for step in range(1, rounds + 1):
         if k == 0 or k == z:
             break
-        focal_c = draw() < k / z
-        partner_c = draw() * (z - 1) < (k - 1 if focal_c else k)
+        while len(u) - i < per_round:
+            u = u[i:] + rng.random(UNIFORM_BLOCK).tolist()
+            i = 0
+        focal_c = u[i] < k / z
+        partner_c = u[i + 1] * (z - 1) < (k - 1 if focal_c else k)
+        i += 2
         if partner_c != focal_c:
-            comp_f = _draw_co_players(draw, z - 1, k - focal_c, core.n - 1)
-            comp_p = _draw_co_players(draw, z - 1, k - partner_c, core.n - 1)
-            pay_f = pay_c[comp_f] if focal_c else pay_d[comp_f]
-            pay_p = pay_c[comp_p] if partner_c else pay_d[comp_p]
-            gap = imitation_strength * (pay_p - pay_f)
-            # capped below exp's overflow; draws are multiples of 2**-53 and a
-            # capped probability stays in (0, 2**-53), so no comparison changes
-            if draw() < 1.0 / (1.0 + math.exp(min(-gap, 709.0))):
+            comp_f, i = _draw_co_players(u, i, z - 1, k - focal_c, n - 1)
+            comp_p, i = _draw_co_players(u, i, z - 1, k - partner_c, n - 1)
+            table, key = adoption[focal_c], comp_f * n + comp_p
+            prob = table.get(key)
+            if prob is None:
+                prob = table[key] = _fermi(imitation_strength, pay[focal_c][comp_f], pay[partner_c][comp_p])
+            if u[i] < prob:
                 k += 1 if partner_c else -1
+            i += 1
         if step % every == 0 or step == rounds or k == 0 or k == z:
             times.append(float(step))
             states.append(k / z)

@@ -15,7 +15,8 @@ Suites (one summary line each from the CLI):
 
 Every random draw is seeded, so repeated runs produce byte-identical
 reports; Monte Carlo work is chunked by fixed substreams, so worker-pool
-size cannot change any value.
+size cannot change any value.  Each Monte Carlo suite sends all of its
+estimates through one chunk map, so one worker pool serves the suite.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .analysis import (
     bribery_offset,
     classify_regime,
     interior_root,
-    q_function,
+    q_callable,
     thresholds,
 )
 from .games import (
@@ -44,7 +45,9 @@ from .games import (
 )
 from .montecarlo import (
     RngSeed,
-    estimate_avg_payoff,
+    _avg_request,
+    _estimate_all,
+    _payoff_request,
     estimate_expected_payoff,
     generator,
     realize_event,
@@ -174,8 +177,9 @@ def _check_bribery_offset(seed: int, cases: int = 1000) -> SuiteResult:
     for _ in range(cases):
         bg = draw_bribery_params(rng)
         expected = bribery_offset(bg)
+        q_bg, q_core = q_callable(bg), q_callable(bg.core)
         for x in grid:
-            observed = q_function(bg, float(x)) - q_function(bg.core, float(x))
+            observed = q_bg(float(x)) - q_core(float(x))
             worst = max(worst, abs(observed - expected))
     rows = [CheckRow("bribery_offset", "max_abs_dev", worst, 1e-12, worst < 1e-12)]
     return _suite("bribery_offset", rows, f"max |Q_bg - Q_ipgg - offset| = {worst:.3e} over {cases} x 11 points")
@@ -205,8 +209,8 @@ def _check_regime_signs(seed: int, cases: int = 10_000) -> SuiteResult:
         except KnifeEdgeError:
             continue
         classified += 1
-        q0 = q_function(model, 0.0)
-        q1 = q_function(model, 1.0)
+        q = q_callable(model)
+        q0, q1 = q(0.0), q(1.0)
         if regime.kind is RegimeKind.DEFECTION_DOMINANT:
             agree = q1 < 0.0
         elif regime.kind is RegimeKind.COOPERATION_DOMINANT:
@@ -237,8 +241,8 @@ def _check_root_bracketing(seed: int, cases: int = 200) -> SuiteResult:
         if not 1e-5 < x_star < 1.0 - 1e-5:
             continue
         checked += 1
-        below = q_function(bistable, x_star - 1e-6)
-        above = q_function(bistable, x_star + 1e-6)
+        q = q_callable(bistable)
+        below, above = q(x_star - 1e-6), q(x_star + 1e-6)
         if not below < 0.0 < above:
             failures += 1
     rows = [CheckRow("root_bracketing", "sign_failures", float(failures), 0.5, failures == 0)]
@@ -259,12 +263,14 @@ def mc_battery_cases() -> list[tuple[str, object, str, GroupComposition]]:
 
 
 def _check_mc_events(seed: int, samples: int, workers) -> SuiteResult:
+    cases = mc_battery_cases()
+    requests = [
+        _payoff_request(model, strategy, comp, samples, RngSeed(seed, 200 + index))
+        for index, (_, model, strategy, comp) in enumerate(cases)
+    ]
     rows = []
     worst = 0.0
-    for index, (case, model, strategy, comp) in enumerate(mc_battery_cases()):
-        estimate = estimate_expected_payoff(
-            model, strategy, comp, samples, RngSeed(seed, 200 + index), workers=workers
-        )
+    for (case, model, strategy, comp), estimate in zip(cases, _estimate_all(requests, workers)):
         expected = group_payoff(model, strategy, comp)
         sigmas = abs(estimate.mean - expected) / estimate.std_error if estimate.std_error else 0.0
         worst = max(worst, sigmas)
@@ -274,20 +280,20 @@ def _check_mc_events(seed: int, samples: int, workers) -> SuiteResult:
 
 
 def _check_mc_averages(seed: int, samples: int, workers) -> SuiteResult:
+    sets = [("ipgg", IPGG_BISTABLE, 0.5), ("ipgg", IPGG_BISTABLE, 0.9),
+            ("bg", BG_DEFECTOR_BRIBES, 0.3), ("bg", BG_DEFECTOR_BRIBES, 0.5)]
+    cases = [(name, model, x, strategy) for name, model, x in sets for strategy in ("C", "D")]
+    requests = [
+        _avg_request(model, x, strategy, samples, RngSeed(seed, 300 + index))
+        for index, (_, model, x, strategy) in enumerate(cases)
+    ]
     rows = []
     worst = 0.0
-    cases = [("ipgg", IPGG_BISTABLE, 0.5), ("ipgg", IPGG_BISTABLE, 0.9),
-             ("bg", BG_DEFECTOR_BRIBES, 0.3), ("bg", BG_DEFECTOR_BRIBES, 0.5)]
-    for index, (name, model, x) in enumerate(cases):
-        for strategy in ("C", "D"):
-            estimate = estimate_avg_payoff(
-                model, x, strategy, samples, RngSeed(seed, 300 + 2 * index + (strategy == "D")),
-                workers=workers,
-            )
-            expected = avg_payoff(model, x, strategy)
-            sigmas = abs(estimate.mean - expected) / estimate.std_error if estimate.std_error else 0.0
-            worst = max(worst, sigmas)
-            rows.append(CheckRow("mc_average_payoffs", f"{name}/x{x}/{strategy}", sigmas, 4.0, sigmas < 4.0))
+    for (name, model, x, strategy), estimate in zip(cases, _estimate_all(requests, workers)):
+        expected = avg_payoff(model, x, strategy)
+        sigmas = abs(estimate.mean - expected) / estimate.std_error if estimate.std_error else 0.0
+        worst = max(worst, sigmas)
+        rows.append(CheckRow("mc_average_payoffs", f"{name}/x{x}/{strategy}", sigmas, 4.0, sigmas < 4.0))
     return _suite("mc_average_payoffs", rows,
                   f"8 cases x {samples} samples, worst deviation {worst:.2f} standard errors")
 

@@ -1,4 +1,7 @@
+import multiprocessing
+
 import hypothesis.strategies as st
+import pytest
 from hypothesis import strategies
 
 from pgg_bribery import BriberyParams, CoreParams
@@ -37,3 +40,10 @@ def model_strategy(min_beta: float = 0.0, min_rp: float = 0.0):
         core_params_strategy(min_beta, min_rp),
         bribery_params_strategy(min_beta, min_rp),
     )
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_worker_processes():
+    """Every worker pool is shut down before the call that started it returns."""
+    yield
+    assert multiprocessing.active_children() == []

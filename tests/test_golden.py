@@ -1,13 +1,16 @@
-"""The figure script's and the atlas CLI jobs' artifacts against the recorded golden digests."""
+"""Outputs against the recorded golden digests: the figure script, the atlas
+CLI jobs, and the oracle workload's verify job and imitation walk."""
 
 import hashlib
 import importlib.util
 import json
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+from pgg_bribery import games, montecarlo
 from pgg_bribery.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -46,3 +49,23 @@ def test_atlas_cli_outputs_match_golden_digests(atlas_jobs, job_id, tmp_path, ca
     assert main(atlas_jobs[job_id].argv + ["--out", str(tmp_path)]) == 0
     capsys.readouterr()
     assert _digests(tmp_path) == GOLDEN[job_id]
+
+
+@pytest.fixture(scope="module")
+def oracle_jobs(tmp_path_factory):
+    jobs = workloads.oracle(workloads.DEFAULT_SEED, tmp_path_factory.mktemp("oracle")).jobs
+    return {job.id: job for job in jobs}
+
+
+def test_oracle_verify_matches_golden_digest(oracle_jobs, tmp_path, monkeypatch, capsys):
+    # the benchmark's pool size: every estimate of the battery goes through one pool of two workers
+    monkeypatch.setenv(workloads.WORKERS_ENV, "2")
+    assert main(oracle_jobs["verify"].argv + ["--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert _digests(tmp_path) == GOLDEN["verify"]
+
+
+def test_oracle_walk_matches_golden_digest(oracle_jobs, tmp_path):
+    program = SimpleNamespace(games=games, montecarlo=montecarlo)
+    result = workloads._walk(program, oracle_jobs["walk"].params)
+    assert workloads.digests(tmp_path, workloads.Outcome(0, "", result)) == GOLDEN["walk"]

@@ -19,7 +19,8 @@ from pgg_bribery import (
     q_function,
     realize_event,
 )
-from pgg_bribery.montecarlo import generator
+from pgg_bribery import montecarlo
+from pgg_bribery.montecarlo import _avg_request, _estimate_all, _payoff_request, generator
 from pgg_bribery.presets import BG_DEFECTOR_BRIBES, IPGG_BISTABLE, IPGG_WEAK_POOL
 from pgg_bribery.verify import draw_bribery_params
 
@@ -56,6 +57,69 @@ class TestReproducibility:
         serial = estimate_expected_payoff(IPGG_WEAK_POOL, "C", comp, 600_000, RngSeed(5))
         pooled = estimate_expected_payoff(IPGG_WEAK_POOL, "C", comp, 600_000, RngSeed(5), workers=2)
         assert serial == pooled
+
+
+class TestBatchedEstimates:
+    """All estimates of a command go through one chunk map; no value may move."""
+
+    # fixed and mixed compositions, IPGG and BG, one and two chunks per request
+    REQUESTS = [
+        ("fixed", IPGG_WEAK_POOL, "C", GroupComposition(2, 2), 300_000, RngSeed(9, 1)),
+        ("fixed", BG_DEFECTOR_BRIBES, "D", GroupComposition(1, 3), 40_000, RngSeed(9, 2)),
+        ("mixed", IPGG_BISTABLE, "D", 0.7, 40_000, RngSeed(9, 3)),
+        ("mixed", BG_DEFECTOR_BRIBES, "C", 0.4, 300_000, RngSeed(9, 4)),
+    ]
+
+    @staticmethod
+    def _one_at_a_time(kind, model, strategy, where, n, seed):
+        if kind == "fixed":
+            return estimate_expected_payoff(model, strategy, where, n, seed)
+        return estimate_avg_payoff(model, where, strategy, n, seed)
+
+    @staticmethod
+    def _request(kind, model, strategy, where, n, seed):
+        if kind == "fixed":
+            return _payoff_request(model, strategy, where, n, seed)
+        return _avg_request(model, where, strategy, n, seed)
+
+    @pytest.fixture(scope="class")
+    def separate(self):
+        return [self._one_at_a_time(*request) for request in self.REQUESTS]
+
+    @pytest.mark.parametrize("workers", [None, 1, 2])
+    def test_batch_equals_one_estimate_at_a_time(self, separate, workers):
+        batch = _estimate_all([self._request(*request) for request in self.REQUESTS], workers)
+        assert batch == separate
+
+    def test_a_short_request_fails_the_batch(self):
+        requests = [self._request(*request) for request in self.REQUESTS]
+        requests.insert(2, _payoff_request(IPGG_WEAK_POOL, "C", GroupComposition(2, 2), 1, RngSeed(0)))
+        with pytest.raises(ValueError, match="n >= 2"):
+            _estimate_all(requests, 2)
+
+    def test_pool_never_outnumbers_the_chunks(self, monkeypatch):
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable):
+                return map(fn, iterable)
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InProcessPool)
+        comp = GroupComposition(2, 2)
+        three_chunks = estimate_expected_payoff(IPGG_WEAK_POOL, "C", comp, 600_000, RngSeed(5), workers=5000)
+        assert sizes == [3]
+        assert three_chunks == estimate_expected_payoff(IPGG_WEAK_POOL, "C", comp, 600_000, RngSeed(5))
+        estimate_expected_payoff(IPGG_WEAK_POOL, "C", comp, 600_000, RngSeed(5), workers=2)
+        assert sizes == [3, 2]
 
 
 class TestPinnedStreams:

@@ -25,16 +25,18 @@ All threshold, root and stability computations use Q.
 
 :func:`coefficients` is the one definition of Q's coefficients and of the
 thresholds, for one model or for numpy arrays of ``f`` and ``r_p``.
-:func:`classify_regime` classifies one model; :func:`classify_regimes`
-classifies arrays of cells with a vectorised bisection whose results
-equal the scalar ones bit for bit.
+:func:`classify_regime` classifies one model on Python floats and
+:func:`classify_regimes` arrays of cells.  Both locate x* with one
+bisection body of ``BISECTION_STEPS`` halvings, so every cell equals
+the lone model bit for bit.  ``tests/test_exact_regimes.py`` checks the
+regimes and roots against exact rational arithmetic.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from math import comb, exp, isfinite, lgamma, log, log1p
+from math import ceil, comb, exp, isfinite, lgamma, log, log1p, log2
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -326,33 +328,32 @@ def _non_finite(f_min, f_max) -> ValueError:
     )
 
 
-def _bisect_root(q: Callable[[float], float]) -> float:
-    """Unique zero of the strictly increasing Q on (0, 1) by bisection."""
-    lo, hi = 1e-15, 1.0 - 1e-15
-    while hi - lo > ROOT_TOL:
-        mid = 0.5 * (lo + hi)
-        if q(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+BRACKET = (1e-15, 1.0 - 1e-15)
+# halvings that take the bracket below ROOT_TOL: 40, as rounding moves a
+# width by under 1e-15 and the widths after 39 and 40 steps are
+# ~1.82e-12 and ~9.09e-13, so every cell stops after the same count
+BISECTION_STEPS = ceil(log2((BRACKET[1] - BRACKET[0]) / ROOT_TOL))
 
 
-def _bisect_roots(q: Callable[[np.ndarray], np.ndarray], shape) -> np.ndarray:
-    """:func:`_bisect_root` for an array of cells as one masked vector loop.
+def _either(below: bool, if_below: float, otherwise: float) -> float:
+    return if_below if below else otherwise
 
-    Every cell takes the same midpoints and the same test as the scalar
-    loop and stops on its own bracket width, so each root is bit-identical.
+
+def _bisect(co: Coefficients):
+    """Unique zero of the strictly increasing Q on (0, 1) by bisection.
+
+    One body for one model on Python floats and for arrays of cells: the
+    select is ``np.where`` when the coefficients are arrays, so every cell
+    takes the same midpoints and the same test as a lone model.
     """
-    lo = np.full(shape, 1e-15)
-    hi = np.full(shape, 1.0 - 1e-15)
-    active = hi - lo > ROOT_TOL
-    while active.any():
+    q = _q_of(co)
+    select = np.where if isinstance(co.constant, np.ndarray) else _either
+    lo, hi = BRACKET
+    for _ in range(BISECTION_STEPS):
         mid = 0.5 * (lo + hi)
         below = q(mid) < 0.0
-        lo = np.where(active & below, mid, lo)
-        hi = np.where(active & ~below, mid, hi)
-        active = hi - lo > ROOT_TOL
+        lo = select(below, mid, lo)
+        hi = select(below, hi, mid)
     return 0.5 * (lo + hi)
 
 
@@ -375,7 +376,7 @@ def classify_regime(model: Model) -> Regime:
         return Regime(RegimeKind.DEFECTION_DOMINANT, degenerate=degenerate)
     if f > f_max:
         return Regime(RegimeKind.COOPERATION_DOMINANT, degenerate=degenerate)
-    return Regime(RegimeKind.BISTABLE, x_star=_bisect_root(_q_of(co)))
+    return Regime(RegimeKind.BISTABLE, x_star=_bisect(co))
 
 
 class Regimes(NamedTuple):
@@ -413,7 +414,7 @@ def classify_regimes(model: Model, f=None, r_p=None) -> Regimes:
     )
     token[(np.abs(f - f_min) <= KNIFE_EDGE_TOL) | (np.abs(f - f_max) <= KNIFE_EDGE_TOL)] = KNIFE_EDGE
     bistable = token == RegimeKind.BISTABLE.value
-    x_star = np.where(bistable, _bisect_roots(_q_of(co), f.shape), np.nan)
+    x_star = np.where(bistable, _bisect(co), np.nan)
     basin = np.where(
         token == RegimeKind.DEFECTION_DOMINANT.value,
         0.0,
@@ -435,16 +436,18 @@ def interior_root(model: Model) -> float:
 def stability_at(model: Model, point: float) -> bool:
     """True when the equilibrium ``point`` is stable (dG/dx < 0 there).
 
-    ``point`` must satisfy G(point) = 0 within ``EQUILIBRIUM_TOL``; the
-    derivative is evaluated from the closed polynomial form, giving
-    Q(0) at x = 0, -Q(1) at x = 1 and x(1-x)Q'(x) at an interior root.
+    ``point`` must satisfy G(point) = 0 within ``EQUILIBRIUM_TOL`` plus
+    ``|dG/dx| * ROOT_TOL``, as an interior root is located only to
+    ``ROOT_TOL``; the derivative is evaluated from the closed polynomial
+    form, giving Q(0) at x = 0, -Q(1) at x = 1 and x(1-x)Q'(x) at an
+    interior root.
     """
-    if abs(gradient_of_selection(model, point)) > EQUILIBRIUM_TOL:
-        raise ValueError(f"x={point} is not an equilibrium of the selection gradient")
     co = coefficients(model)
     q = q_function(model, point)
     q_prime = co.fine_c * _geom_sum_derivative(1.0 - point, co.n - 1) + co.fine_d * _geom_sum_derivative(point, co.n - 1)
     slope = (1.0 - 2.0 * point) * q + point * (1.0 - point) * q_prime
+    if not abs(point * (1.0 - point) * q) <= EQUILIBRIUM_TOL + abs(slope) * ROOT_TOL:
+        raise ValueError(f"x={point} is not an equilibrium of the selection gradient")
     if slope == 0.0:
         raise ValueError(f"marginal equilibrium at x={point}: dG/dx vanishes")
     return slope < 0.0

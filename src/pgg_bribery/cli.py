@@ -50,20 +50,6 @@ EXIT_IO = 3
 
 WORKERS_ENV = "PGG_BRIBERY_WORKERS"
 
-SUBCOMMANDS = (
-    "gradient",
-    "payoffs",
-    "thresholds",
-    "roots",
-    "basins",
-    "sweep",
-    "grid",
-    "integrate",
-    "simulate",
-    "verify",
-    "plot",
-)
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(

@@ -397,7 +397,6 @@ def evolve_finite_population(
     rounds: int,
     imitation_strength: float = 1.0,
     seed: RngSeed = RngSeed(0),
-    record_every: int | None = None,
 ) -> Trajectory:
     """Pairwise-comparison imitation dynamics in a finite population.
 
@@ -435,7 +434,7 @@ def evolve_finite_population(
     u = rng.random(UNIFORM_BLOCK).tolist()
     i = 0
     per_round = 2 * n + 1  # the most uniforms one round uses
-    every = record_every if record_every is not None else max(1, rounds // 1000)
+    every = max(1, rounds // 1000)
 
     times = [0.0]
     states = [k / z]

@@ -22,7 +22,7 @@ from pgg_bribery import (
 from pgg_bribery import montecarlo
 from pgg_bribery.montecarlo import _avg_request, _estimate_all, _payoff_request, generator
 from pgg_bribery.presets import BG_DEFECTOR_BRIBES, IPGG_BISTABLE, IPGG_WEAK_POOL
-from pgg_bribery.verify import draw_bribery_params
+from pgg_bribery.verify import draw_bribery_params, run_battery
 
 SAMPLES = 200_000
 
@@ -97,7 +97,9 @@ class TestBatchedEstimates:
         with pytest.raises(ValueError, match="n >= 2"):
             _estimate_all(requests, 2)
 
-    def test_pool_never_outnumbers_the_chunks(self, monkeypatch):
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        """The ``max_workers`` of every pool started, each run in process."""
         sizes = []
 
         class InProcessPool:
@@ -114,12 +116,20 @@ class TestBatchedEstimates:
                 return map(fn, iterable)
 
         monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InProcessPool)
+        return sizes
+
+    def test_pool_never_outnumbers_the_chunks(self, pool_sizes):
         comp = GroupComposition(2, 2)
         three_chunks = estimate_expected_payoff(IPGG_WEAK_POOL, "C", comp, 600_000, RngSeed(5), workers=5000)
-        assert sizes == [3]
+        assert pool_sizes == [3]
         assert three_chunks == estimate_expected_payoff(IPGG_WEAK_POOL, "C", comp, 600_000, RngSeed(5))
         estimate_expected_payoff(IPGG_WEAK_POOL, "C", comp, 600_000, RngSeed(5), workers=2)
-        assert sizes == [3, 2]
+        assert pool_sizes == [3, 2]
+
+    def test_verify_runs_both_monte_carlo_suites_in_one_pool(self, pool_sizes):
+        suites = {suite.name: suite for suite in run_battery(samples=1000, workers=2)}
+        assert pool_sizes == [2]
+        assert len(suites["mc_event_payoffs"].rows) == 24 and len(suites["mc_average_payoffs"].rows) == 8
 
 
 class TestPinnedStreams:

@@ -414,7 +414,13 @@ def classify_regimes(model: Model, f=None, r_p=None) -> Regimes:
     )
     token[(np.abs(f - f_min) <= KNIFE_EDGE_TOL) | (np.abs(f - f_max) <= KNIFE_EDGE_TOL)] = KNIFE_EDGE
     bistable = token == RegimeKind.BISTABLE.value
-    x_star = np.where(bistable, _bisect(co), np.nan)
+    # only bistable cells have a root: bisect those lanes, each independent of the others
+    x_star = np.full(bistable.shape, np.nan)
+    x_star[bistable] = _bisect(co._replace(
+        constant=np.broadcast_to(co.constant, bistable.shape)[bistable],
+        fine_c=np.broadcast_to(co.fine_c, bistable.shape)[bistable],
+        fine_d=np.broadcast_to(co.fine_d, bistable.shape)[bistable],
+    ))
     basin = np.where(
         token == RegimeKind.DEFECTION_DOMINANT.value,
         0.0,

@@ -8,7 +8,7 @@ validation failure, 2 verification failure, 3 I/O failure.
 The optional environment variable ``PGG_BRIBERY_WORKERS`` sets the
 worker-pool size for Monte Carlo subcommands: one pool, of at most that
 many workers and never more than there are sample chunks, serves all the
-estimates of ``simulate`` (of each Monte Carlo suite of ``verify``) and
+estimates of ``simulate`` (of both Monte Carlo suites of ``verify``) and
 is shut down before the command returns.  Leaving it unset runs them
 serially in this process, and no setting changes any emitted value.
 

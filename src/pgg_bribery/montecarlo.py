@@ -18,6 +18,17 @@ Sample means of these events are the independent oracle for the
 closed-form payoffs in :mod:`pgg_bribery.games` and, composition-sampled,
 for the population averages in :mod:`pgg_bribery.analysis`.
 
+The estimators evaluate a chunk of events at once.  The draws are the
+same as ever: leader, action uniform and, in the bribery game, offer
+uniform and the cooperator and defector bribe counts.  The arithmetic is
+a table lookup: the focal payoff of every (co-player cooperator count,
+outcome) pair is computed once per chunk into an ``(n, 4)`` table
+(untouched, fined by an own-type leader, fined by an other-type leader,
+pays a bribe), each sample gathers its entry, and a leading focal
+player's bribe income is added after the lookup.  The entries use the
+operations of one realized event in their order, so the payoffs are
+bit-identical to evaluating every term per sample.
+
 Reproducibility: every estimator takes an :class:`RngSeed`; identical
 (master_seed, stream_id) pairs reproduce identical results regardless of
 scheduling, and distinct stream ids yield independent streams (numpy
@@ -27,10 +38,11 @@ not depend on how many worker processes execute the chunks, nor on which
 other estimates share the same batch.
 
 Worker pool: with ``workers`` > 1, the chunks of all the estimates one
-caller batches (both ``simulate`` strategies, each Monte Carlo suite of
+caller batches (both ``simulate`` strategies, both Monte Carlo suites of
 ``verify``) go through a single process pool, started for that call with
 at most one worker per chunk and shut down, its workers joined, before
-the call returns.  No pool outlives the call that started it.
+the call returns.  No pool outlives the call that started it, and each
+command starts at most one.
 """
 
 from __future__ import annotations
@@ -214,15 +226,43 @@ def _merge(parts) -> Estimate:
     return Estimate(mean, std_error, n_tot)
 
 
+def _payoff_table(model: Model, focal_c: bool) -> np.ndarray:
+    """Focal payoffs by co-player cooperator count (row) and event outcome (column).
+
+    Row ``n_c`` of the ``(n, 4)`` table holds the payoff of a focal player
+    with ``n_c`` cooperator co-players who is untouched, fined by an
+    own-type leader, fined by an other-type leader, or pays an accepted
+    bribe.  Each entry is ``((base - own share) - other share) - h * paid``
+    with 0.0 for the terms that do not apply: the operations a realized
+    event applies, in their order.  Bribe income is not in the table, as
+    it depends on the bribes offered, not on the row alone.
+    """
+    core = core_of(model)
+    n = core.n
+    n_c = np.arange(n)
+    n_own = n_c if focal_c else n - 1 - n_c
+    total_c = n_c + (1 if focal_c else 0)
+    base = core.b + core.f * core.c * total_c / n - core.tau - (core.c if focal_c else 0.0)
+    budget = (core.alpha if focal_c else 1.0 - core.alpha) * n * core.tau * core.r_p
+    own_share = np.where(n_own > 0, budget / np.maximum(n_own, 1), 0.0)
+    other_share = budget / (n_own + 1)
+    zero = np.zeros(n)
+    own_fine = np.stack([zero, own_share, zero, zero], axis=1)
+    other_fine = np.stack([zero, zero, other_share, zero], axis=1)
+    paid = np.array([0.0, 0.0, 0.0, model.h if isinstance(model, BriberyParams) else 0.0])
+    return base[:, None] - own_fine - other_fine - paid
+
+
 def _event_payoffs(model, focal_c, n_c, rng, size) -> np.ndarray:
     """Vectorized focal payoffs against ``n_c`` cooperator co-players.
 
     ``n_c`` is an int for a fixed composition, or an array of ``size``
-    sampled co-player counts; a scalar keeps the composition terms scalar.
+    sampled co-player counts.  Each sample's outcome indexes one entry of
+    :func:`_payoff_table`; a leading focal player's bribe income is added
+    after the lookup.
     """
     core = core_of(model)
     n = core.n
-    n_d = n - 1 - n_c
     is_bg = isinstance(model, BriberyParams)
 
     lead = rng.integers(0, n, size)
@@ -230,30 +270,24 @@ def _event_payoffs(model, focal_c, n_c, rng, size) -> np.ndarray:
     if is_bg:
         u_offer = rng.random(size)
         recv_c = rng.binomial(n_c, model.p, size)
-        recv_d = rng.binomial(n_d, model.q, size)
+        recv_d = rng.binomial(n - 1 - n_c, model.q, size)
 
-    total_c = n_c + (1 if focal_c else 0)
-    payoff = core.b + core.f * core.c * total_c / n - core.tau - (core.c if focal_c else 0.0)
-
-    punished = (u_action < core.beta) & (lead != 0)
-    if focal_c:
-        budget = core.alpha * n * core.tau * core.r_p
-        n_own = n_c
-        own_leads = lead <= n_c  # a cooperator co-player leads (lead >= 1 here)
-    else:
-        budget = (1.0 - core.alpha) * n * core.tau * core.r_p
-        n_own = n_d
-        own_leads = lead > n_c
-    own_share = np.where(n_own > 0, budget / np.maximum(n_own, 1), 0.0)
-    other_share = budget / (n_own + 1)
-    payoff = payoff - np.where(punished & own_leads, own_share, 0.0)
-    payoff -= np.where(punished & ~own_leads, other_share, 0.0)
-
+    # outcome: 0 untouched, 1 fined by an own-type leader, 2 fined by an other-type leader, 3 pays a bribe
+    led = lead != 0  # a co-player leads
+    fined = (u_action < core.beta) & led
+    other_leads = (lead > n_c) if focal_c else (lead <= n_c)
+    outcome = np.add(fined, fined & other_leads, dtype=np.int8)
     if is_bg:
         accepts = (u_action >= core.beta) & (u_action < core.beta + model.gamma)
-        offer_prob = model.p if focal_c else model.q
-        payoff -= model.h * ((lead != 0) & accepts & (u_offer < offer_prob))
-        payoff += model.h * np.where((lead == 0) & accepts, recv_c + recv_d, 0)
+        outcome += np.int8(3) * (led & accepts & (u_offer < (model.p if focal_c else model.q)))
+    # the leader and action draws are spent: their buffers take the index and the income
+    index = np.multiply(n_c, 4, out=lead)
+    index += outcome
+    payoff = _payoff_table(model, focal_c).ravel().take(index)
+    if is_bg:
+        recv_c += recv_d
+        recv_c *= ~led & accepts  # bribes received by a focal leader who accepts
+        payoff += np.multiply(model.h, recv_c, out=u_action)
     return payoff
 
 

@@ -1,0 +1,190 @@
+"""The table-driven event kernel against the per-sample body it replaced,
+and its payoff table against the closed-form group payoff."""
+
+from dataclasses import replace
+
+import hypothesis.strategies as st
+import numpy as np
+import pytest
+from hypothesis import given, settings
+
+from conftest import model_strategy
+
+from pgg_bribery import BriberyParams, CoreParams, GroupComposition, RngSeed, core_of, group_payoff
+from pgg_bribery.montecarlo import _event_payoffs, _payoff_table, generator
+from pgg_bribery.presets import BG_DEFECTOR_BRIBES, IPGG_BISTABLE
+
+
+def reference_event_payoffs(model, focal_c, n_c, rng, size) -> np.ndarray:
+    """The per-sample event body: every term computed for every sample, then selected."""
+    core = core_of(model)
+    n = core.n
+    n_d = n - 1 - n_c
+    is_bg = isinstance(model, BriberyParams)
+
+    lead = rng.integers(0, n, size)
+    u_action = rng.random(size)
+    if is_bg:
+        u_offer = rng.random(size)
+        recv_c = rng.binomial(n_c, model.p, size)
+        recv_d = rng.binomial(n_d, model.q, size)
+
+    total_c = n_c + (1 if focal_c else 0)
+    payoff = core.b + core.f * core.c * total_c / n - core.tau - (core.c if focal_c else 0.0)
+
+    punished = (u_action < core.beta) & (lead != 0)
+    if focal_c:
+        budget = core.alpha * n * core.tau * core.r_p
+        n_own = n_c
+        own_leads = lead <= n_c  # a cooperator co-player leads (lead >= 1 here)
+    else:
+        budget = (1.0 - core.alpha) * n * core.tau * core.r_p
+        n_own = n_d
+        own_leads = lead > n_c
+    own_share = np.where(n_own > 0, budget / np.maximum(n_own, 1), 0.0)
+    other_share = budget / (n_own + 1)
+    payoff = payoff - np.where(punished & own_leads, own_share, 0.0)
+    payoff -= np.where(punished & ~own_leads, other_share, 0.0)
+
+    if is_bg:
+        accepts = (u_action >= core.beta) & (u_action < core.beta + model.gamma)
+        offer_prob = model.p if focal_c else model.q
+        payoff -= model.h * ((lead != 0) & accepts & (u_offer < offer_prob))
+        payoff += model.h * np.where((lead == 0) & accepts, recv_c + recv_d, 0)
+    return payoff
+
+
+SIZES = (1, 7, 4097)
+
+
+def _payoffs(kernel, model, focal_c, where, size, index):
+    """One chunk as the estimators draw it: ``where`` is a fixed n_c, or x for compositions drawn first."""
+    rng = generator(RngSeed(2024), index)
+    n_c = where if isinstance(where, int) else rng.binomial(core_of(model).n - 1, where, size)
+    return kernel(model, focal_c, n_c, rng, size)
+
+
+def assert_kernel_matches_reference(model, x_random):
+    """Both strategies, every fixed n_c and drawn compositions at x in {0, 1, x_random}, at every size."""
+    places = list(range(core_of(model).n)) + [0.0, 1.0, x_random]
+    index = 0
+    for focal_c in (True, False):
+        for size in SIZES:
+            for where in places:
+                got = _payoffs(_event_payoffs, model, focal_c, where, size, index)
+                want = _payoffs(reference_event_payoffs, model, focal_c, where, size, index)
+                assert got.dtype == want.dtype == np.float64
+                assert got.tobytes() == want.tobytes(), (focal_c, size, where)
+                index += 1
+
+
+_BG = BG_DEFECTOR_BRIBES
+EDGE_MODELS = {
+    "ipgg": IPGG_BISTABLE,
+    "ipgg_beta=0": replace(IPGG_BISTABLE, beta=0.0),
+    "ipgg_beta=1": replace(IPGG_BISTABLE, beta=1.0),
+    "ipgg_alpha=0": replace(IPGG_BISTABLE, alpha=0.0),
+    "ipgg_alpha=1": replace(IPGG_BISTABLE, alpha=1.0),
+    "ipgg_n=2": replace(IPGG_BISTABLE, n=2, f=1.5),
+    "bg": _BG,
+    "bg_beta=0": replace(_BG, core=replace(_BG.core, beta=0.0)),
+    "bg_beta+gamma=1": replace(_BG, gamma=1.0 - _BG.core.beta),
+    "bg_beta=0_gamma=1": replace(_BG, core=replace(_BG.core, beta=0.0), gamma=1.0),
+    "bg_gamma=0": replace(_BG, gamma=0.0),
+    "bg_h=0": replace(_BG, h=0.0),
+    "bg_alpha=0": replace(_BG, core=replace(_BG.core, alpha=0.0)),
+    "bg_alpha=1": replace(_BG, core=replace(_BG.core, alpha=1.0)),
+    "bg_p=0_q=0": replace(_BG, p=0.0, q=0.0),
+    "bg_p=1_q=1": replace(_BG, p=1.0, q=1.0),
+    "bg_p=0_q=1": replace(_BG, p=0.0, q=1.0),
+    "bg_p=1_q=0": replace(_BG, p=1.0, q=0.0),
+    "bg_n=2": replace(_BG, core=replace(_BG.core, n=2, f=1.5)),
+}
+
+
+class TestReferenceKernel:
+    """Same draws, same bytes: the table lookup equals the per-sample body."""
+
+    @pytest.mark.parametrize("name", sorted(EDGE_MODELS))
+    def test_edge_models_match_the_reference(self, name):
+        assert_kernel_matches_reference(EDGE_MODELS[name], 0.37)
+
+    @settings(deadline=None)
+    @given(model_strategy(), st.floats(0.0, 1.0))
+    def test_random_models_match_the_reference(self, model, x):
+        assert_kernel_matches_reference(model, x)
+
+    @pytest.mark.parametrize("boundary", ["beta", "beta+gamma", "offer"])
+    def test_a_draw_on_a_probability_boundary_matches_the_reference(self, boundary):
+        # the model's probability equals one sample's uniform, so "<" and "<=" differ there
+        size, index, n_c = 64, 7, 2
+        rng = generator(RngSeed(2024), index)
+        lead = rng.integers(0, _BG.core.n, size)
+        u_action, u_offer = rng.random(size), rng.random(size)
+        j = int(np.argmax(lead != 0))
+        models = {
+            "beta": [replace(IPGG_BISTABLE, beta=u_action[j]),
+                     replace(_BG, core=replace(_BG.core, beta=u_action[j]), gamma=1.0 - u_action[j])],
+            "beta+gamma": [replace(_BG, core=replace(_BG.core, beta=0.0), gamma=u_action[j])],
+            "offer": [replace(_BG, core=replace(_BG.core, beta=0.0), gamma=1.0, p=u_offer[j], q=u_offer[j])],
+        }[boundary]
+        for model in models:
+            for focal_c in (True, False):
+                got = _payoffs(_event_payoffs, model, focal_c, n_c, size, index)
+                want = _payoffs(reference_event_payoffs, model, focal_c, n_c, size, index)
+                assert got.tobytes() == want.tobytes()
+
+    def test_a_large_group_keeps_the_table_linear_in_n(self):
+        model = replace(_BG, core=replace(_BG.core, n=3000, f=2.0))
+        assert _payoff_table(model, True).shape == _payoff_table(model, False).shape == (3000, 4)
+        for focal_c in (True, False):
+            for index, where in enumerate((1234, 0.4)):
+                got = _payoffs(_event_payoffs, model, focal_c, where, 4097, index)
+                want = _payoffs(reference_event_payoffs, model, focal_c, where, 4097, index)
+                assert got.tobytes() == want.tobytes()
+
+
+def assert_table_expectation_is_the_group_payoff(model):
+    """Outcome odds times table entries, plus expected bribe income, against ``group_payoff``.
+
+    A co-player of the own type leads with odds n_own/n and one of the other
+    type with n_other/n; the leader punishes with probability beta and
+    accepts with gamma; a non-leading focal player offers with p (C) or q
+    (D), and a leading one receives p*n_c + q*n_d bribes on average.
+    """
+    core = core_of(model)
+    n = core.n
+    is_bg = isinstance(model, BriberyParams)
+    gamma, h = (model.gamma, model.h) if is_bg else (0.0, 0.0)
+    for strategy in ("C", "D"):
+        focal_c = strategy == "C"
+        table = _payoff_table(model, focal_c)
+        for n_c in range(n):
+            n_d = n - 1 - n_c
+            n_own, n_other = (n_c, n_d) if focal_c else (n_d, n_c)
+            fined_own = core.beta * n_own / n
+            fined_other = core.beta * n_other / n
+            pays = gamma * (n - 1) / n * ((model.p if focal_c else model.q) if is_bg else 0.0)
+            odds = [1.0 - fined_own - fined_other - pays, fined_own, fined_other, pays]
+            income = h * gamma / n * ((model.p * n_c + model.q * n_d) if is_bg else 0.0)
+            expected = sum(w * v for w, v in zip(odds, table[n_c])) + income
+            closed = group_payoff(model, strategy, GroupComposition(n_c, n_d))
+            scale = max(1.0, float(np.abs(table[n_c]).max()), income)
+            assert abs(expected - closed) <= 1e-12 * scale, (strategy, n_c, expected, closed)
+
+
+class TestTableExpectation:
+    """The table ties to the closed form with no random numbers involved."""
+
+    @pytest.mark.parametrize("name", sorted(EDGE_MODELS))
+    def test_edge_models(self, name):
+        assert_table_expectation_is_the_group_payoff(EDGE_MODELS[name])
+
+    @settings(deadline=None, max_examples=200)
+    @given(model_strategy())
+    def test_random_models(self, model):
+        assert_table_expectation_is_the_group_payoff(model)
+
+    def test_a_large_group(self):
+        model = CoreParams(n=3000, b=12, c=1, tau=1, f=2.0, alpha=0.6, beta=0.2, r_p=2.5)
+        assert_table_expectation_is_the_group_payoff(BriberyParams(model, h=1, gamma=0.6, p=0.3, q=0.8))

@@ -1,5 +1,5 @@
 """Outputs against the recorded golden digests: the figure script, the atlas
-CLI jobs, and the oracle workload's verify job and imitation walk."""
+CLI jobs, and the oracle workload's verify and simulate jobs and imitation walk."""
 
 import hashlib
 import importlib.util
@@ -63,6 +63,15 @@ def test_oracle_verify_matches_golden_digest(oracle_jobs, tmp_path, monkeypatch,
     assert main(oracle_jobs["verify"].argv + ["--out", str(tmp_path)]) == 0
     capsys.readouterr()
     assert _digests(tmp_path) == GOLDEN["verify"]
+
+
+@pytest.mark.parametrize("job_id", ["simulate_bg", "simulate_ipgg"])
+def test_oracle_simulate_matches_golden_digest(oracle_jobs, job_id, tmp_path, monkeypatch, capsys):
+    # 1e7 composition-sampled events per strategy, the event kernel's largest caller
+    monkeypatch.setenv(workloads.WORKERS_ENV, "2")
+    assert main(oracle_jobs[job_id].argv + ["--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert _digests(tmp_path) == GOLDEN[job_id]
 
 
 def test_oracle_walk_matches_golden_digest(oracle_jobs, tmp_path):

@@ -37,7 +37,7 @@ from .analysis import (
 )
 from .config import ConfigError, RunConfig, config_from_pairs, parse_pairs
 from .dynamics import basin_of_cooperation, integrate
-from .games import GroupComposition, ParameterError, core_of, group_payoff
+from .games import ParameterError, _payoff_tables, core_of
 from .montecarlo import RngSeed, _avg_request, _estimate_all
 from .output import ColumnRows, fmt_float, fmt_quantity, write_csv, write_plot
 from .sweeps import DEFAULT_STEPS, SWEEP_DEFAULTS, RegimeGrid, SweepResult, regime_grid, sweep_root
@@ -204,12 +204,8 @@ def _cmd_gradient(config: RunConfig, args) -> int:
 
 
 def _cmd_payoffs(config: RunConfig, args) -> int:
-    model = config.model
-    n = core_of(model).n
-    rows = []
-    for n_c in range(n):
-        comp = GroupComposition(n_c, n - 1 - n_c)
-        rows.append((n_c, comp.n_d, group_payoff(model, "C", comp), group_payoff(model, "D", comp)))
+    n = core_of(config.model).n
+    rows = ColumnRows(range(n), range(n - 1, -1, -1), *_payoff_tables(config.model))
     return _emit(config, args, "payoffs.csv", ["n_c", "n_d", "pi_c", "pi_d"], rows)
 
 
@@ -281,8 +277,6 @@ def _cmd_integrate(config: RunConfig, args) -> int:
 
 
 def _cmd_simulate(config: RunConfig, args) -> int:
-    if not 0 <= args.x <= 1:
-        raise ConfigError(f"--x must be in [0, 1], got {args.x}")
     model = config.model
     strategies = ("C", "D")
     requests = [

@@ -223,3 +223,12 @@ def group_payoff(model: Model, strategy: str, comp: GroupComposition) -> float:
         payment = (1.0 - 1.0 / n) * (model.p if cooperator else model.q) * accepted_bribe
         return value + income - payment
     return value
+
+
+def _payoff_tables(model: Model) -> tuple[list[float], list[float]]:
+    """:func:`group_payoff` of each strategy against 0..n-1 cooperator co-players."""
+    n = core_of(model).n
+    comps = [GroupComposition(k, n - 1 - k) for k in range(n)]
+    pay_c = [group_payoff(model, "C", comp) for comp in comps]
+    pay_d = [group_payoff(model, "D", comp) for comp in comps]
+    return pay_c, pay_d

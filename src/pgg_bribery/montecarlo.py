@@ -18,16 +18,23 @@ Sample means of these events are the independent oracle for the
 closed-form payoffs in :mod:`pgg_bribery.games` and, composition-sampled,
 for the population averages in :mod:`pgg_bribery.analysis`.
 
-The estimators evaluate a chunk of events at once.  The draws are the
-same as ever: leader, action uniform and, in the bribery game, offer
-uniform and the cooperator and defector bribe counts.  The arithmetic is
-a table lookup: the focal payoff of every (co-player cooperator count,
-outcome) pair is computed once per chunk into an ``(n, 4)`` table
-(untouched, fined by an own-type leader, fined by an other-type leader,
-pays a bribe), each sample gathers its entry, and a leading focal
-player's bribe income is added after the lookup.  The entries use the
-operations of one realized event in their order, so the payoffs are
-bit-identical to evaluating every term per sample.
+An event makes the draws of one estimator sample, in its order: the
+leader, the action uniform and, in the bribery game, the focal offer
+uniform and the bribe counts of the cooperator and defector co-players
+(the non-leading ones when a co-player leads; those counts never enter
+the focal payoff).  :func:`realize_event` is that event written out, and
+on the same generator its focal payoff equals the estimators' sample bit
+for bit.
+
+The estimators evaluate a chunk of events at once, each sample with the
+draws above.  The arithmetic is a table lookup: the focal payoff of
+every (co-player cooperator count, outcome) pair is computed once per
+chunk into an ``(n, 4)`` table (untouched, fined by an own-type leader,
+fined by an other-type leader, pays a bribe), each sample gathers its
+entry, and a leading focal player's bribe income is added after the
+lookup.  The entries use the operations of one realized event in their
+order, so the payoffs are bit-identical to evaluating every term per
+sample.
 
 Reproducibility: every estimator takes an :class:`RngSeed`; identical
 (master_seed, stream_id) pairs reproduce identical results regardless of
@@ -54,8 +61,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import Trajectory
-from .games import BriberyParams, GroupComposition, Model, core_of, group_payoff, is_cooperator
-from .games import _check_group
+from .games import BriberyParams, GroupComposition, Model, core_of, is_cooperator
+from .games import _check_group, _payoff_tables
 
 __all__ = [
     "RngSeed",
@@ -122,7 +129,9 @@ def realize_event(
     """Realize one group interaction and account for every transfer.
 
     Group members are indexed 0..n-1 with the focal player at 0, the
-    cooperator co-players next and the defector co-players last.
+    cooperator co-players next and the defector co-players last.  The
+    event makes the draws of one estimator sample, so on the same
+    generator its ``focal_payoff`` equals that sample's payoff bit for bit.
     """
     focal_c = is_cooperator(focal)
     core = core_of(model)
@@ -171,22 +180,19 @@ def realize_event(
                 payoff -= budget_d / nl_d
 
     paid = received = 0.0
-    if is_bg and action == "accept":
-        offers = 0
-        # focal first, then cooperator co-players, then defector co-players
-        if lead != 0:
-            if rng.random() < (model.p if focal_c else model.q):
+    if is_bg:
+        # an estimator sample's draws: the focal offer uniform, then the
+        # offer counts of the non-leading cooperator and defector co-players
+        u_offer = rng.random()
+        offers = rng.binomial(n_c - (leader == "cooperator"), model.p)
+        offers += rng.binomial(n_d - (leader == "defector"), model.q)
+        if action == "accept":
+            if lead != 0 and u_offer < (model.p if focal_c else model.q):
                 offers += 1
                 payoff -= model.h
-        for member in range(1, n):
-            if member == lead:
-                continue
-            prob = model.p if member <= n_c else model.q
-            if rng.random() < prob:
-                offers += 1
-        paid = received = model.h * offers
-        if lead == 0:
-            payoff += received
+            paid = received = model.h * offers
+            if lead == 0:
+                payoff += received
 
     return EventOutcome(payoff, leader, action, fines_c, fines_d, paid, received)
 
@@ -203,12 +209,14 @@ def _chunk_sizes(n: int) -> list[int]:
 
 
 def _summarize(samples: np.ndarray) -> tuple[int, float, float]:
+    """A chunk's size, mean and sum of squared deviations; ``samples`` is overwritten."""
     first = samples[0]
     if np.all(samples == first):
         return len(samples), float(first), 0.0
     mean = float(samples.mean())
-    m2 = float(np.sum((samples - mean) ** 2))
-    return len(samples), mean, m2
+    samples -= mean
+    samples *= samples
+    return len(samples), mean, float(samples.sum())
 
 
 def _merge(parts) -> Estimate:
@@ -390,15 +398,6 @@ def estimate_avg_payoff(
 
 
 UNIFORM_BLOCK = 8192  # uniforms the walk draws per refill of its buffer
-
-
-def _payoff_tables(model: Model) -> tuple[list[float], list[float]]:
-    """Expected payoff of each strategy for every co-player composition."""
-    n = core_of(model).n
-    comps = [GroupComposition(k, n - 1 - k) for k in range(n)]
-    pay_c = [group_payoff(model, "C", comp) for comp in comps]
-    pay_d = [group_payoff(model, "D", comp) for comp in comps]
-    return pay_c, pay_d
 
 
 def _fermi(strength: float, pay_f: float, pay_p: float) -> float:

@@ -60,6 +60,8 @@ class ColumnRows:
     """
 
     def __init__(self, *columns):
+        if len({len(column) for column in columns}) > 1:
+            raise ValueError(f"columns of unequal length: {[len(column) for column in columns]}")
         self.columns = columns
 
     def __len__(self) -> int:
@@ -273,6 +275,8 @@ def _heatmap_svg(f_values, rp_values, lookup, title: str) -> str:
 def render_csv_plot(path) -> str:
     """Render a previously emitted CSV as a standalone SVG document."""
     meta, header, rows = read_csv(path)
+    if not rows:
+        raise ValueError(f"{path}: no data rows to plot")
     title = os.path.basename(str(path))
     if header == ["f", "r_p", "regime", "basin"]:
         f_values = sorted({float(row[0]) for row in rows})

@@ -229,6 +229,14 @@ class TestSubcommands:
         for row in rows:
             assert abs(float(row[2]) - float(row[5])) < 5 * float(row[3])
 
+    @pytest.mark.parametrize("x", ["1.5", "nan"])
+    def test_simulate_refuses_an_x_outside_the_unit_interval(self, weak_cfg, tmp_path, capsys, x):
+        out = tmp_path / "s"
+        argv = ["simulate", "--config", weak_cfg, "--set", "samples=100", "--x", x, "--out", str(out)]
+        assert main(argv) == 1
+        assert "x must be in [0, 1]" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_verify_small_battery_passes(self, weak_cfg, tmp_path, capsys):
         out = str(tmp_path / "v")
         code = main(["verify", "--config", weak_cfg, "--set", "samples=20000", "--out", out])
@@ -284,6 +292,15 @@ class TestPlot:
         main(["plot", os.path.join(out, "gradient.csv"), "--out-svg", a])
         main(["plot", os.path.join(out, "gradient.csv"), "--out-svg", b])
         assert Path(a).read_bytes() == Path(b).read_bytes()
+
+    @pytest.mark.parametrize("header", ["f,r_p,regime,basin", "x,q,g"], ids=["heatmap", "line_plot"])
+    def test_a_csv_without_data_rows_is_refused(self, tmp_path, capsys, header):
+        path = tmp_path / "empty.csv"
+        path.write_text(f"# note\n{header}\n")
+        assert main(["plot", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert str(path) in err and "no data rows" in err
+        assert not (tmp_path / "empty.svg").exists()
 
 
 class TestFormatting:

@@ -1,5 +1,6 @@
-"""The table-driven event kernel against the per-sample body it replaced,
-and its payoff table against the closed-form group payoff."""
+"""The table-driven event kernel against the per-sample body it replaced
+and against :func:`realize_event`, and its payoff table against the
+closed-form group payoff."""
 
 from dataclasses import replace
 
@@ -10,9 +11,17 @@ from hypothesis import given, settings
 
 from conftest import model_strategy
 
-from pgg_bribery import BriberyParams, CoreParams, GroupComposition, RngSeed, core_of, group_payoff
+from pgg_bribery import (
+    BriberyParams,
+    CoreParams,
+    GroupComposition,
+    RngSeed,
+    core_of,
+    group_payoff,
+    realize_event,
+)
 from pgg_bribery.montecarlo import _event_payoffs, _payoff_table, generator
-from pgg_bribery.presets import BG_DEFECTOR_BRIBES, IPGG_BISTABLE
+from pgg_bribery.presets import BG_DEFECTOR_BRIBES, IPGG_BISTABLE, REGIMES
 
 
 def reference_event_payoffs(model, focal_c, n_c, rng, size) -> np.ndarray:
@@ -142,6 +151,75 @@ class TestReferenceKernel:
                 got = _payoffs(_event_payoffs, model, focal_c, where, 4097, index)
                 want = _payoffs(reference_event_payoffs, model, focal_c, where, 4097, index)
                 assert got.tobytes() == want.tobytes()
+
+
+def assert_event_is_the_kernel_sample(model, strategy, n_c, index):
+    """``realize_event`` and a one-sample chunk on the same generator give the same focal payoff bits."""
+    comp = GroupComposition(n_c, core_of(model).n - 1 - n_c)
+    event = realize_event(model, strategy, comp, generator(RngSeed(2024), index))
+    sample = _event_payoffs(model, strategy == "C", n_c, generator(RngSeed(2024), index), 1)
+    assert event.focal_payoff.hex() == float(sample[0]).hex(), (strategy, n_c, index)
+
+
+def assert_events_are_kernel_samples(model, events=20):
+    """Both strategies, every co-player composition, ``events`` generators each."""
+    index = 0
+    for strategy in ("C", "D"):
+        for n_c in range(core_of(model).n):
+            for _ in range(events):
+                assert_event_is_the_kernel_sample(model, strategy, n_c, index)
+                index += 1
+
+
+class TestOneEventProcess:
+    """An event is one estimator sample: the same draws give the same focal payoff."""
+
+    @pytest.mark.parametrize("name", sorted(REGIMES))
+    def test_presets(self, name):
+        assert_events_are_kernel_samples(REGIMES[name])
+
+    @pytest.mark.parametrize("name", sorted(EDGE_MODELS))
+    def test_edge_models(self, name):
+        assert_events_are_kernel_samples(EDGE_MODELS[name])
+
+    @settings(deadline=None)
+    @given(model_strategy())
+    def test_random_models(self, model):
+        assert_events_are_kernel_samples(model, events=10)
+
+    @pytest.mark.parametrize("boundary", ["beta", "beta+gamma", "offer"])
+    def test_a_draw_on_a_probability_boundary(self, boundary):
+        # the model's probability equals the event's uniform, so "<" and "<=" differ there
+        for index in range(100):  # the first event led by a co-player
+            rng = generator(RngSeed(2024), index)
+            if rng.integers(0, _BG.core.n) != 0:
+                break
+        u_action, u_offer = rng.random(), rng.random()
+        models = {
+            "beta": [replace(IPGG_BISTABLE, beta=u_action),
+                     replace(_BG, core=replace(_BG.core, beta=u_action), gamma=1.0 - u_action)],
+            "beta+gamma": [replace(_BG, core=replace(_BG.core, beta=0.0), gamma=u_action)],
+            "offer": [replace(_BG, core=replace(_BG.core, beta=0.0), gamma=1.0, p=u_offer, q=u_offer)],
+        }[boundary]
+        for model in models:
+            for strategy in ("C", "D"):
+                for n_c in range(core_of(model).n):
+                    assert_event_is_the_kernel_sample(model, strategy, n_c, index)
+
+    def test_certain_bribes_count_every_non_leader_once(self):
+        # with p = q = 1 and gamma = 1 each of the n - 1 non-leaders offers, whoever leads
+        model = replace(_BG, core=replace(_BG.core, beta=0.0), gamma=1.0, p=1.0, q=1.0)
+        n = model.core.n
+        leaders = set()
+        for strategy in ("C", "D"):
+            for n_c in range(n):
+                comp = GroupComposition(n_c, n - 1 - n_c)
+                for i in range(40):
+                    event = realize_event(model, strategy, comp, generator(RngSeed(31), n_c, i))
+                    assert event.action == "accept"
+                    assert event.bribes_paid == event.bribes_received == model.h * (n - 1), event
+                    leaders.add(event.leader)
+        assert leaders == {"focal", "cooperator", "defector"}
 
 
 def assert_table_expectation_is_the_group_payoff(model):

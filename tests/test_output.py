@@ -59,6 +59,12 @@ def test_chunks_of_one_column_may_differ_in_kind(tmp_path):
     assert (tmp_path / "out.csv").read_bytes() == reference_bytes(["a", "b"], zip(values, labels), [])
 
 
+def test_unequal_columns_are_refused_before_writing(tmp_path):
+    with pytest.raises(ValueError, match="unequal length"):
+        write_csv(tmp_path / "out.csv", ["a", "b"], ColumnRows([1.0, 2.0, 3.0], [4.0]), [])
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_ragged_rows_are_refused_before_writing(tmp_path):
     with pytest.raises(ValueError):
         write_csv(tmp_path / "out.csv", ["a", "b"], [(1.0, 2.0), (3.0,)], [])

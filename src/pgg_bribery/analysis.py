@@ -217,17 +217,39 @@ def _q_of(co: Coefficients) -> Callable:
     operations in the same order as :func:`_geom_sum`, so a scalar and an
     array element get the same bits.
     """
-    constant, fine_c, fine_d, terms = co.constant, co.fine_c, co.fine_d, co.n - 1
+    # one range object serves every call: building one per call (a builtin
+    # lookup and call) took about a fifth of `integrate`'s time at n = 5
+    constant, fine_c, fine_d, terms = co.constant, co.fine_c, co.fine_d, range(co.n - 1)
 
     def q(x):
         y = 1.0 - x
         s_c = s_d = 0.0
-        for _ in range(terms):
+        for _ in terms:
             s_c = y * (1.0 + s_c)
             s_d = x * (1.0 + s_d)
         return constant - fine_c * s_c + fine_d * s_d
 
     return q
+
+
+def _g_of(co: Coefficients) -> Callable:
+    """The one body of G(x) = x (1 - x) Q(x): a closure over ``co``.
+
+    It runs the Horner loop of :func:`_q_of` in its own frame and returns
+    ``x * y * Q`` with ``y = 1 - x``, the operations and order of
+    ``x * (1.0 - x) * q(x)``, so it gives the same bits with one call.
+    """
+    constant, fine_c, fine_d, terms = co.constant, co.fine_c, co.fine_d, range(co.n - 1)
+
+    def g(x):
+        y = 1.0 - x
+        s_c = s_d = 0.0
+        for _ in terms:
+            s_c = y * (1.0 + s_c)
+            s_d = x * (1.0 + s_d)
+        return x * y * (constant - fine_c * s_c + fine_d * s_d)
+
+    return g
 
 
 def _finite_coefficients(model: Model) -> Coefficients:
@@ -254,7 +276,7 @@ def q_function(model: Model, x):
 def gradient_of_selection(model: Model, x):
     """G(x) = x (1 - x) Q(x), the replicator right-hand side (``x`` may be an array)."""
     _check_x(x)
-    return x * (1.0 - x) * q_function(model, x)
+    return _g_of(_finite_coefficients(model))(x)
 
 
 def avg_payoff(model: Model, x: float, strategy: str) -> float:

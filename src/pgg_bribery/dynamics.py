@@ -1,9 +1,13 @@
 """Numerical integration of the replicator equation and basin sizes.
 
 The dynamics are one-dimensional and smooth, so a classical fixed-step
-4th-order Runge-Kutta scheme is enough; each accepted state is clamped
-to [0, 1] because the gradient vanishes only quadratically at the
-boundaries and a step can overshoot by a rounding error.
+4th-order Runge-Kutta scheme is enough.  Each stage calls one closure,
+``analysis._g_of``, which evaluates G(x) = x(1-x)Q(x) in a single frame.
+Each accepted state is clamped to [0, 1] because the gradient vanishes
+only quadratically at the boundaries and a step can overshoot.  The clamp
+is a branch, ``0.0 if not x > 0.0 else 1.0 if x > 1.0 else x``: it
+gives the bits of ``min(1.0, max(0.0, x))`` for every double, -0.0 and
+NaN included (both give +0.0), without two builtin calls per step.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import KnifeEdgeError, RegimeKind, classify_regime, q_callable
+from .analysis import KnifeEdgeError, RegimeKind, _finite_coefficients, _g_of, classify_regime
 from .games import Model
 
 __all__ = ["Trajectory", "integrate", "basin_of_cooperation"]
@@ -84,11 +88,7 @@ def integrate(
     if record_every < 1:
         raise ValueError(f"record_every must be >= 1, got {record_every}")
 
-    q = q_callable(model)
-
-    def g(x: float) -> float:
-        return x * (1.0 - x) * q(x)
-
+    g = _g_of(_finite_coefficients(model))
     x = float(x0)
     times = [0.0]
     states = [x]
@@ -102,7 +102,7 @@ def integrate(
         k3 = g(x + half_step * k2)
         k4 = g(x + step * k3)
         x += step * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-        x = min(1.0, max(0.0, x))
+        x = 0.0 if not x > 0.0 else 1.0 if x > 1.0 else x
         steps_taken += 1
         if steps_taken % record_every == 0:
             times.append(steps_taken * step)

@@ -5,6 +5,9 @@ decimal points.  Floats are printed with 17 significant digits so the
 files are byte-stable and round-trip to the exact double.  A leading
 ``#`` comment block echoes the configuration and the subcommand options,
 making every artifact self-describing; readers skip those lines.
+:func:`write_csv` formats ``CHUNK`` rows with one ``%`` operation: the
+row format repeated once per row, applied to the chunk's cells in row
+order.
 
 SVG output is a convenience rendering of any emitted CSV (line plot, or
 heatmap for the regime-grid schema); numeric results live in the CSV.
@@ -13,6 +16,8 @@ heatmap for the regime-grid schema); numeric results live in the CSV.
 from __future__ import annotations
 
 import os
+from itertools import chain
+from math import isfinite
 
 import numpy as np
 
@@ -76,9 +81,12 @@ def _column_field(values) -> tuple[str, list]:
 
     A chunk of floats keeps its values under ``%.17g`` (the bytes of
     :func:`fmt_float`); any other chunk becomes text, strings as they are
-    and every other cell through :func:`fmt_cell`.
+    and every other cell through :func:`fmt_cell`.  A ``float64`` array
+    holds only floats, so it skips the per-value type scan.
     """
     if isinstance(values, np.ndarray):
+        if values.dtype == np.float64:
+            return "%.17g", values.tolist()
         values = values.tolist()
     if all(type(value) is float for value in values):
         return "%.17g", values
@@ -90,7 +98,9 @@ def write_csv(path, header: list[str], rows, meta: list[str]) -> None:
 
     ``rows`` is a :class:`ColumnRows` or a sequence of equal-length rows,
     which is first transposed into one.  Every cell is written as
-    :func:`fmt_cell` writes it.
+    :func:`fmt_cell` writes it.  Each chunk of ``CHUNK`` rows is one
+    ``%`` operation: the row format repeated once per row, applied to the
+    chunk's cells flattened in row order.
     """
     if not isinstance(rows, ColumnRows):
         rows = ColumnRows(*zip(*rows, strict=True))
@@ -101,14 +111,20 @@ def write_csv(path, header: list[str], rows, meta: list[str]) -> None:
         for start in range(0, len(rows), CHUNK):
             fields, chunks = zip(*(_column_field(column[start:start + CHUNK]) for column in rows.columns))
             row_format = ",".join(fields) + "\n"
-            handle.write("".join([row_format % row for row in zip(*chunks)]))
+            handle.write((row_format * len(chunks[0])) % tuple(chain.from_iterable(zip(*chunks))))
 
 
 def read_csv(path) -> tuple[list[str], list[str], list[list[str]]]:
     """Read back an emitted CSV: (meta lines, header, string rows)."""
+    return _read_table(path)[:3]
+
+
+def _read_table(path) -> tuple[list[str], list[str], list[list[str]], list[int]]:
+    """:func:`read_csv`, plus the line number of each row."""
     meta: list[str] = []
     header: list[str] | None = None
     rows: list[list[str]] = []
+    linenos: list[int] = []
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.rstrip("\n")
@@ -126,9 +142,10 @@ def read_csv(path) -> tuple[list[str], list[str], list[list[str]]]:
                 )
             else:
                 rows.append(fields)
+                linenos.append(lineno)
     if header is None:
         raise ValueError(f"{path} contains no header row")
-    return meta, header, rows
+    return meta, header, rows, linenos
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +162,13 @@ def _is_number(cell: str) -> bool:
     try:
         float(cell)
         return True
+    except ValueError:
+        return False
+
+
+def _is_finite_number(cell: str) -> bool:
+    try:
+        return isfinite(float(cell))
     except ValueError:
         return False
 
@@ -273,19 +297,34 @@ def _heatmap_svg(f_values, rp_values, lookup, title: str) -> str:
 
 
 def render_csv_plot(path) -> str:
-    """Render a previously emitted CSV as a standalone SVG document."""
-    meta, header, rows = read_csv(path)
+    """Render a previously emitted CSV as a standalone SVG document.
+
+    Empty cells are gaps.  A plotted cell that is not a finite number is
+    refused with ``ValueError`` naming the file and the line.
+    """
+    meta, header, rows, linenos = _read_table(path)
     if not rows:
         raise ValueError(f"{path}: no data rows to plot")
     title = os.path.basename(str(path))
+
+    def numbers(column: int, keep: range | list[int]) -> list[float]:
+        """The cells of ``column`` in the rows ``keep`` as floats, each finite."""
+        try:
+            values = [float(rows[k][column]) for k in keep]
+            if all(map(isfinite, values)):
+                return values
+        except ValueError:
+            pass
+        bad = next(k for k in keep if not _is_finite_number(rows[k][column]))
+        raise ValueError(f"{path}: line {linenos[bad]}: {header[column]} {rows[bad][column]!r} is not a finite number")
+
+    every = range(len(rows))
     if header == ["f", "r_p", "regime", "basin"]:
-        f_values = sorted({float(row[0]) for row in rows})
-        rp_values = sorted({float(row[1]) for row in rows})
-        lookup = {
-            (float(row[0]), float(row[1])): (float(row[3]) if row[3] != "" else None)
-            for row in rows
-        }
-        return _heatmap_svg(f_values, rp_values, lookup, title)
+        f_column, rp_column = numbers(0, every), numbers(1, every)
+        filled = [k for k in every if rows[k][3] != ""]
+        basins = dict(zip(filled, numbers(3, filled)))
+        lookup = {(f_column[k], rp_column[k]): basins.get(k) for k in every}
+        return _heatmap_svg(sorted(set(f_column)), sorted(set(rp_column)), lookup, title)
 
     numeric = [
         all(_is_number(row[i]) for row in rows) and any(row[i] != "" for row in rows)
@@ -297,11 +336,10 @@ def render_csv_plot(path) -> str:
     x_index = numeric_columns[0]
     series = []
     for i in numeric_columns[1:]:
-        xs = [float(row[x_index]) for row in rows if row[i] != "" and row[x_index] != ""]
-        ys = [float(row[i]) for row in rows if row[i] != "" and row[x_index] != ""]
-        series.append((header[i], xs, ys))
+        plotted = [k for k in every if rows[k][i] != "" and rows[k][x_index] != ""]
+        series.append((header[i], numbers(x_index, plotted), numbers(i, plotted)))
     if not series:  # a single numeric column plots against the row index
-        ys = [float(row[x_index]) for row in rows if row[x_index] != ""]
+        ys = numbers(x_index, [k for k in every if rows[k][x_index] != ""])
         return _line_plot_svg("row", [(header[x_index], list(map(float, range(len(ys)))), ys)], title)
     return _line_plot_svg(header[x_index], series, title)
 

@@ -101,6 +101,15 @@ class TestSelectionPolynomial:
         assert gradient_of_selection(IPGG_BISTABLE, 0.9) == pytest.approx(expected, abs=1e-15)
         assert gradient_of_selection(IPGG_BISTABLE, 0.9) == pytest.approx(0.0177, abs=1e-3)
 
+    @settings(deadline=None)
+    @given(model_strategy(), st.floats(0.0, 1.0))
+    @example(IPGG_BISTABLE, 0.0)
+    @example(IPGG_BISTABLE, 1.0)
+    def test_gradient_is_x_times_one_minus_x_times_q_bit_for_bit(self, model, x):
+        assert gradient_of_selection(model, x).hex() == (x * (1.0 - x) * q_function(model, x)).hex()
+        xs = np.array([x, 0.0, 0.5, 1.0])
+        assert gradient_of_selection(model, xs).tobytes() == (xs * (1.0 - xs) * q_function(model, xs)).tobytes()
+
     def test_bribery_off_matches_core_polynomial(self):
         off = replace(BG_DEFECTOR_BRIBES, gamma=0.0)
         for x in np.linspace(0.0, 1.0, 11):

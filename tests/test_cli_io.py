@@ -345,7 +345,7 @@ class TestInputContract:
         def no_integration(model):
             raise AssertionError("the run started instead of being refused")
 
-        monkeypatch.setattr(dynamics, "q_callable", no_integration)
+        monkeypatch.setattr(dynamics, "_g_of", no_integration)
         argv = ["integrate", "--config", bistable_cfg, "--x0", "0.9", "--out", str(tmp_path)]
         for override in overrides:
             argv += ["--set", override]
@@ -358,3 +358,26 @@ class TestInputContract:
         assert main(["plot", str(path)]) == 1
         err = capsys.readouterr().err
         assert str(path) in err and "line 4" in err
+
+    @pytest.mark.parametrize("text, line, message", [
+        ("x,q\n1,inf\n2,3\n", 3, "q 'inf' is not a finite number"),
+        ("x,q\n1,2\n-inf,3\n", 4, "x '-inf' is not a finite number"),
+        ("x\n1\nnan\n", 4, "x 'nan' is not a finite number"),
+        ("f,r_p,regime,basin\n1,1,bistable,0.5\n2,nan,bistable,0.5\n", 4, "r_p 'nan' is not a finite number"),
+        ("f,r_p,regime,basin\n1,1,bistable,inf\n", 3, "basin 'inf' is not a finite number"),
+        ("f,r_p,regime,basin\nabc,1,x,0.5\n", 3, "f 'abc' is not a finite number"),
+        ("f,r_p,regime,basin\n1,,x,0.5\n", 3, "r_p '' is not a finite number"),
+    ], ids=["line_inf", "line_x_inf", "one_column_nan", "grid_nan", "grid_basin_inf", "grid_text", "grid_empty_r_p"])
+    def test_plot_refuses_a_cell_that_is_not_a_finite_number(self, tmp_path, capsys, text, line, message):
+        path = tmp_path / "bad.csv"
+        path.write_text("# note\n" + text)
+        assert main(["plot", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert f"{path}: line {line}: {message}" in err
+        assert not (tmp_path / "bad.svg").exists()
+
+    def test_plot_keeps_empty_cells_as_gaps(self, tmp_path, capsys):
+        path = tmp_path / "gaps.csv"
+        path.write_text("f,r_p,regime,basin\n1,1,knife_edge,\n1,2,bistable,0.5\n")
+        assert main(["plot", str(path)]) == 0
+        assert 'fill="#cccccc"' in (tmp_path / "gaps.svg").read_text(encoding="utf-8")

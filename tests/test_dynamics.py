@@ -16,10 +16,10 @@ from pgg_bribery import (
     classify_regime,
     integrate,
     interior_root,
-    q_function,
     thresholds,
     with_parameter,
 )
+from pgg_bribery.analysis import q_callable
 from pgg_bribery.dynamics import DEFAULT_CONV_TOL, DEFAULT_STEP, DEFAULT_T_MAX
 from pgg_bribery.montecarlo import generator
 from pgg_bribery.presets import (
@@ -31,24 +31,30 @@ from pgg_bribery.presets import (
 )
 
 
-def reference_integrate(model, x0, record_every):
-    """Classical RK4 with five evaluations of G per step, k1 evaluated afresh."""
+def reference_g(model):
+    """G(x) = x(1-x)Q(x) on the unchecked Q closure: a large step takes the stages outside [0, 1]."""
+    q = q_callable(model)
+    return lambda x: x * (1.0 - x) * q(x)
 
-    def g(x):
-        return x * (1.0 - x) * q_function(model, x)
 
-    step = DEFAULT_STEP
+def rk4_update(g, x, step):
+    """One classical RK4 update from ``x``, k1 evaluated afresh, before the clamp."""
+    k1 = g(x)
+    k2 = g(x + 0.5 * step * k1)
+    k3 = g(x + 0.5 * step * k2)
+    k4 = g(x + step * k3)
+    return x + step * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+
+
+def reference_integrate(model, x0, record_every, step=DEFAULT_STEP):
+    """Classical RK4 with five evaluations of G per step and a min/max clamp."""
+    g = reference_g(model)
     x = float(x0)
     times, states = [0.0], [x]
     converged = abs(g(x)) < DEFAULT_CONV_TOL
     steps_taken = 0
     while not converged and steps_taken < int(np.ceil(DEFAULT_T_MAX / step)):
-        k1 = g(x)
-        k2 = g(x + 0.5 * step * k1)
-        k3 = g(x + 0.5 * step * k2)
-        k4 = g(x + step * k3)
-        x += step * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-        x = min(1.0, max(0.0, x))
+        x = min(1.0, max(0.0, rk4_update(g, x, step)))
         steps_taken += 1
         if steps_taken % record_every == 0:
             times.append(steps_taken * step)
@@ -155,6 +161,18 @@ class TestReferenceLoop:
         assert trajectory.times.tobytes() == np.array(times).tobytes()
         assert trajectory.states.tobytes() == np.array(states).tobytes()
         assert trajectory.converged_to == converged_to
+
+    @pytest.mark.parametrize("name, x0", [("ipgg_rich_pool", 0.95), ("bg_bistable", 0.05)])
+    def test_integrate_is_bit_identical_where_the_clamp_fires(self, name, x0):
+        model, step = REGIMES[name], 2.0
+        times, states, converged_to = reference_integrate(model, x0, 1, step=step)
+        trajectory = integrate(model, x0, step=step)
+        assert trajectory.times.tobytes() == np.array(times).tobytes()
+        assert trajectory.states.tobytes() == np.array(states).tobytes()
+        assert trajectory.converged_to == converged_to
+        # some update overshot [0, 1], so the clamp set the next state
+        g = reference_g(model)
+        assert any(not 0.0 <= rk4_update(g, x, step) <= 1.0 for x in states[:2000])
 
 
 class TestBasin:

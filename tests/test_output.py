@@ -59,6 +59,20 @@ def test_chunks_of_one_column_may_differ_in_kind(tmp_path):
     assert (tmp_path / "out.csv").read_bytes() == reference_bytes(["a", "b"], zip(values, labels), [])
 
 
+@pytest.mark.parametrize("cols", [
+    [["%s", "%%", "%(a)s", "%.17g", "100%"], [1.5, 2.5, 3.5, 4.5, 5.5]],
+    [np.array([0.1, float("nan"), -0.0, 1e300])],
+    [np.array([0.1, 1 / 3, float("inf"), -0.0], dtype=np.float32), ["a", "%d", "b", "%"]],
+], ids=["percent_strings", "one_column", "float32_array"])
+def test_one_format_per_chunk_writes_the_per_row_bytes(tmp_path, cols):
+    # cells are the operands of the chunk's one `%`, never part of its format
+    header = [f"c{i}" for i in range(len(cols))]
+    cols = [np.concatenate([col] * (CHUNK // 2)) if isinstance(col, np.ndarray) else col * (CHUNK // 2)
+            for col in cols]
+    write_csv(tmp_path / "out.csv", header, ColumnRows(*cols), [])
+    assert (tmp_path / "out.csv").read_bytes() == reference_bytes(header, zip(*cols), [])
+
+
 def test_unequal_columns_are_refused_before_writing(tmp_path):
     with pytest.raises(ValueError, match="unequal length"):
         write_csv(tmp_path / "out.csv", ["a", "b"], ColumnRows([1.0, 2.0, 3.0], [4.0]), [])

@@ -35,13 +35,13 @@ regimes and roots against exact rational arithmetic.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import ceil, comb, exp, isfinite, lgamma, log, log1p, log2
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .games import BriberyParams, GroupComposition, Model, core_of, group_payoff, is_cooperator
+from .games import BriberyParams, GroupComposition, Model, ParameterError, core_of, group_payoff, is_cooperator
 
 __all__ = [
     "KnifeEdgeError",
@@ -419,9 +419,19 @@ def classify_regimes(model: Model, f=None, r_p=None) -> Regimes:
 
     ``f`` and ``r_p`` replace the model's values and broadcast against
     each other (pass ``f[:, None]`` and ``r_p[None, :]`` for a grid).
-    Every cell equals the scalar result bit for bit.  Raises ``ValueError``
+    Every cell equals the scalar result bit for bit.  Raises the record's
+    ``ParameterError`` at the first cell it refuses, and ``ValueError``
     when any threshold is not finite.
     """
+    for name, values in (("f", f), ("r_p", r_p)):
+        # the record's bounds: finite, f > 0, r_p >= 0
+        bad = values is not None and ~(np.isfinite(values) & (values > 0 if name == "f" else values >= 0))
+        if np.any(bad):
+            index = int(np.argmax(bad))
+            try:
+                replace(core_of(model), **{name: float(np.ravel(values)[index])})
+            except ParameterError as err:
+                raise ParameterError(f"{err} (index {index} of {name})") from None
     with np.errstate(over="ignore", invalid="ignore"):
         co = coefficients(model, f, r_p)
     f, f_min, f_max = np.broadcast_arrays(co.f, co.f_min, co.f_max)

@@ -3,21 +3,19 @@
 The dynamics are one-dimensional and smooth, so a classical fixed-step
 4th-order Runge-Kutta scheme is enough.  Each stage calls one closure,
 ``analysis._g_of``, which evaluates G(x) = x(1-x)Q(x) in a single frame.
-Each accepted state is clamped to [0, 1] because the gradient vanishes
-only quadratically at the boundaries and a step can overshoot.  The clamp
-is a branch, ``0.0 if not x > 0.0 else 1.0 if x > 1.0 else x``: it
-gives the bits of ``min(1.0, max(0.0, x))`` for every double, -0.0 and
-NaN included (both give +0.0), without two builtin calls per step.
+Every state is recorded in one ``array('d')``, 8 bytes per step.  A step
+that leaves [0, 1] is refused: clamped, it would report a wrong equilibrium.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import KnifeEdgeError, RegimeKind, _finite_coefficients, _g_of, classify_regime
+from .analysis import RegimeKind, _finite_coefficients, _g_of, classify_regime, interior_root
 from .games import Model
 
 __all__ = ["Trajectory", "integrate", "basin_of_cooperation"]
@@ -47,14 +45,10 @@ class Trajectory:
 
 
 def _equilibria(model: Model) -> list[float]:
-    points = [0.0, 1.0]
     try:
-        regime = classify_regime(model)
-    except KnifeEdgeError:
-        return points
-    if regime.kind is RegimeKind.BISTABLE:
-        points.append(regime.x_star)
-    return points
+        return [0.0, 1.0, interior_root(model)]
+    except ValueError:  # not bistable, or on a knife edge; the thresholds are finite
+        return [0.0, 1.0]
 
 
 def integrate(
@@ -63,17 +57,16 @@ def integrate(
     step: float = DEFAULT_STEP,
     t_max: float = DEFAULT_T_MAX,
     conv_tol: float = DEFAULT_CONV_TOL,
-    record_every: int = 1,
 ) -> Trajectory:
     """Integrate dx/dt = x(1-x)Q(x) from ``x0`` with fixed step ``step``.
 
     Stops early once |G(x)| < ``conv_tol`` and labels ``converged_to``
     with the nearest equilibrium among {0, x*, 1}; ``converged_to`` is
-    None when ``t_max`` is exhausted first.  ``record_every`` thins the
-    stored series without affecting the integration itself.  Each step
-    reuses the G(x) of the convergence test as its k1, so it costs four
-    evaluations of G.  Raises ``ValueError`` when ``t_max / step`` exceeds
-    ``MAX_STEPS``.
+    None when ``t_max`` is exhausted first.  Every step is recorded, at
+    time ``k * step``.  Each step reuses the G(x) of the convergence test
+    as its k1, so it costs four evaluations of G.  Raises ``ValueError``
+    when ``t_max / step`` exceeds ``MAX_STEPS``, and when a step leaves
+    [0, 1] (or gives NaN), naming the step and its time.
     """
     if not 0 <= x0 <= 1:
         raise ValueError(f"x0 must be in [0, 1], got {x0}")
@@ -85,38 +78,29 @@ def integrate(
         raise ValueError(f"t_max/step = {t_max / step:g} exceeds the limit of {MAX_STEPS} steps")
     if not conv_tol > 0:
         raise ValueError(f"conv_tol must be > 0, got {conv_tol}")
-    if record_every < 1:
-        raise ValueError(f"record_every must be >= 1, got {record_every}")
 
     g = _g_of(_finite_coefficients(model))
     x = float(x0)
-    times = [0.0]
-    states = [x]
+    states = array("d", [x])
     k1 = g(x)
     converged = abs(k1) < conv_tol
     max_steps = math.ceil(t_max / step)
     half_step = 0.5 * step  # 0.5 * step * k is (0.5 * step) * k
-    steps_taken = 0
-    while not converged and steps_taken < max_steps:
+    while not converged and len(states) <= max_steps:  # states holds x0 and one state per step
         k2 = g(x + half_step * k1)
         k3 = g(x + half_step * k2)
         k4 = g(x + step * k3)
         x += step * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-        x = 0.0 if not x > 0.0 else 1.0 if x > 1.0 else x
-        steps_taken += 1
-        if steps_taken % record_every == 0:
-            times.append(steps_taken * step)
-            states.append(x)
+        if not 0.0 <= x <= 1.0:
+            raise ValueError(f"step {len(states)} (t = {len(states) * step:g}) left [0, 1]: x = {x!r}")
+        states.append(x)
         k1 = g(x)
         converged = abs(k1) < conv_tol
-    if times[-1] != steps_taken * step:
-        times.append(steps_taken * step)
-        states.append(x)
 
     converged_to = None
     if converged:
         converged_to = min(_equilibria(model), key=lambda e: abs(e - x))
-    return Trajectory(times, states, converged_to, step)
+    return Trajectory(np.arange(len(states)) * step, states, converged_to, step)
 
 
 def basin_of_cooperation(model: Model) -> float:

@@ -97,13 +97,15 @@ def write_csv(path, header: list[str], rows, meta: list[str]) -> None:
     """Write ``meta`` as ``#`` lines, then ``header`` and ``rows``.
 
     ``rows`` is a :class:`ColumnRows` or a sequence of equal-length rows,
-    which is first transposed into one.  Every cell is written as
-    :func:`fmt_cell` writes it.  Each chunk of ``CHUNK`` rows is one
-    ``%`` operation: the row format repeated once per row, applied to the
-    chunk's cells flattened in row order.
+    which is first transposed into one; its width must be the header's.
+    Every cell is written as :func:`fmt_cell` writes it.  Each chunk of
+    ``CHUNK`` rows is one ``%`` operation: the row format repeated once
+    per row, applied to the chunk's cells flattened in row order.
     """
     if not isinstance(rows, ColumnRows):
         rows = ColumnRows(*zip(*rows, strict=True))
+    if rows.columns and len(rows.columns) != len(header):
+        raise ValueError(f"{path}: {len(header)} header fields for {len(rows.columns)} columns")
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         for line in meta:
             handle.write(f"# {line}\n")

@@ -1,5 +1,6 @@
 """Replicator integration and basin-of-attraction values."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -20,6 +21,8 @@ from pgg_bribery import (
     with_parameter,
 )
 from pgg_bribery.analysis import q_callable
+from pgg_bribery.cli import main
+from pgg_bribery.config import RunConfig
 from pgg_bribery.dynamics import DEFAULT_CONV_TOL, DEFAULT_STEP, DEFAULT_T_MAX
 from pgg_bribery.montecarlo import generator
 from pgg_bribery.presets import (
@@ -46,7 +49,7 @@ def rk4_update(g, x, step):
     return x + step * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
 
 
-def reference_integrate(model, x0, record_every, step=DEFAULT_STEP):
+def reference_integrate(model, x0, step=DEFAULT_STEP):
     """Classical RK4 with five evaluations of G per step and a min/max clamp."""
     g = reference_g(model)
     x = float(x0)
@@ -56,13 +59,9 @@ def reference_integrate(model, x0, record_every, step=DEFAULT_STEP):
     while not converged and steps_taken < int(np.ceil(DEFAULT_T_MAX / step)):
         x = min(1.0, max(0.0, rk4_update(g, x, step)))
         steps_taken += 1
-        if steps_taken % record_every == 0:
-            times.append(steps_taken * step)
-            states.append(x)
-        converged = abs(g(x)) < DEFAULT_CONV_TOL
-    if times[-1] != steps_taken * step:
         times.append(steps_taken * step)
         states.append(x)
+        converged = abs(g(x)) < DEFAULT_CONV_TOL
     converged_to = None
     if converged:
         try:
@@ -119,8 +118,8 @@ class TestIntegrate:
         rng = generator(RngSeed(314, 0))
         for case in range(20):
             model, x_star = draw_bistable_instance(rng, bribery=case % 2 == 1)
-            up = integrate(model, x_star + 0.01, step=0.05, t_max=2e4, record_every=20)
-            down = integrate(model, x_star - 0.01, step=0.05, t_max=2e4, record_every=20)
+            up = integrate(model, x_star + 0.01, step=0.05, t_max=2e4)
+            down = integrate(model, x_star - 0.01, step=0.05, t_max=2e4)
             assert up.converged_to == 1.0
             assert down.converged_to == 0.0
             assert np.all(np.diff(up.states) >= 0)
@@ -128,20 +127,40 @@ class TestIntegrate:
             assert np.all(up.states > x_star)
             assert np.all(down.states < x_star)
 
-    def test_record_every_thins_without_changing_the_endpoint(self):
-        dense = integrate(IPGG_BISTABLE, 0.9)
-        thin = integrate(IPGG_BISTABLE, 0.9, record_every=50)
-        assert len(thin.states) < len(dense.states)
-        assert thin.final_state == pytest.approx(dense.final_state, abs=1e-12)
-        assert thin.converged_to == dense.converged_to
-
     def test_times_strictly_increase(self):
-        trajectory = integrate(IPGG_BISTABLE, 0.9, record_every=7)
+        trajectory = integrate(IPGG_BISTABLE, 0.9)
         assert np.all(np.diff(trajectory.times) > 0)
 
     def test_unconverged_run_has_no_label(self):
         trajectory = integrate(IPGG_BISTABLE, 0.5, t_max=0.1)
         assert trajectory.converged_to is None
+
+    @pytest.mark.parametrize("name, x0", [("ipgg_rich_pool", 0.95), ("bg_bistable", 0.05)])
+    def test_a_step_that_leaves_the_unit_interval_is_refused(self, name, x0, tmp_path, capsys):
+        model, step = REGIMES[name], 2.0
+        # the first update overshoots [0, 1]: a clamp would make it a boundary equilibrium
+        assert not 0.0 <= rk4_update(reference_g(model), x0, step) <= 1.0
+        with pytest.raises(ValueError, match=r"^step 1 \(t = 2\) left \[0, 1\]"):
+            integrate(model, x0, step=step)
+        argv = ["integrate", "--x0", repr(x0), "--out", str(tmp_path)]
+        for key, value in RunConfig(model, step=step).metadata_items():
+            argv += ["--set", f"{key}={value}"]
+        assert main(argv) == 1
+        assert "step 1 (t = 2) left [0, 1]" in capsys.readouterr().err
+        assert not (tmp_path / "trajectory.csv").exists()
+
+    def test_an_unconverged_run_holds_under_40_bytes_per_step(self):
+        # Q is constant at beta = 0, and no |G| falls below 1e-300 within t_max
+        model = replace(IPGG_WEAK_POOL, beta=0.0)
+        tracemalloc.start()
+        try:
+            trajectory = integrate(model, 0.5, step=1e-4, t_max=2.0, conv_tol=1e-300)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        steps = len(trajectory.states) - 1
+        assert trajectory.converged_to is None and steps >= 20_000
+        assert peak / steps < 40
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -153,26 +172,13 @@ class TestIntegrate:
 
 
 class TestReferenceLoop:
-    @pytest.mark.parametrize("record_every", [1, 7])
     @pytest.mark.parametrize("name, model, x0", RK4_CASES, ids=[f"{c[0]}-{c[2]:.3g}" for c in RK4_CASES])
-    def test_integrate_is_bit_identical_to_the_five_evaluation_loop(self, name, model, x0, record_every):
-        times, states, converged_to = reference_integrate(model, x0, record_every)
-        trajectory = integrate(model, x0, record_every=record_every)
+    def test_integrate_is_bit_identical_to_the_five_evaluation_loop(self, name, model, x0):
+        times, states, converged_to = reference_integrate(model, x0)
+        trajectory = integrate(model, x0)
         assert trajectory.times.tobytes() == np.array(times).tobytes()
         assert trajectory.states.tobytes() == np.array(states).tobytes()
         assert trajectory.converged_to == converged_to
-
-    @pytest.mark.parametrize("name, x0", [("ipgg_rich_pool", 0.95), ("bg_bistable", 0.05)])
-    def test_integrate_is_bit_identical_where_the_clamp_fires(self, name, x0):
-        model, step = REGIMES[name], 2.0
-        times, states, converged_to = reference_integrate(model, x0, 1, step=step)
-        trajectory = integrate(model, x0, step=step)
-        assert trajectory.times.tobytes() == np.array(times).tobytes()
-        assert trajectory.states.tobytes() == np.array(states).tobytes()
-        assert trajectory.converged_to == converged_to
-        # some update overshot [0, 1], so the clamp set the next state
-        g = reference_g(model)
-        assert any(not 0.0 <= rk4_update(g, x, step) <= 1.0 for x in states[:2000])
 
 
 class TestBasin:

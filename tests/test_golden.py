@@ -19,10 +19,12 @@ GOLDEN = json.loads((ROOT / "perfbench" / "golden.json").read_text(encoding="utf
 sys.path.insert(0, str(ROOT / "perfbench"))
 import workloads  # noqa: E402
 
-# the atlas CLI jobs with pinned outputs; one integrate run stands for the five, to keep this short
-ATLAS_JOBS = ["gradient", "grid_bg", "grid_ipgg", "integrate_0.7"] + [
-    f"sweep_{name}_{param}" for name in ("bg", "bg_coop", "ipgg") for param in ("f", "r_p")
-]
+# the atlas CLI jobs with pinned outputs
+ATLAS_JOBS = (
+    ["gradient", "grid_bg", "grid_ipgg"]
+    + [f"integrate_{x0}" for x0 in (0.7, 0.75, 0.78, 0.79, 0.82)]
+    + [f"sweep_{name}_{param}" for name in ("bg", "bg_coop", "ipgg") for param in ("f", "r_p")]
+)
 
 
 def _digests(directory: Path) -> dict[str, str]:

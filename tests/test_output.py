@@ -83,3 +83,13 @@ def test_ragged_rows_are_refused_before_writing(tmp_path):
     with pytest.raises(ValueError):
         write_csv(tmp_path / "out.csv", ["a", "b"], [(1.0, 2.0), (3.0,)], [])
     assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("header, rows", [
+    (["a", "b", "c"], ColumnRows([1.0, 2.0], [3.0, 4.0])),
+    (["a"], [(1.0, 2.0)]),
+], ids=["wide_header", "narrow_header"])
+def test_a_header_of_another_width_is_refused_before_writing(tmp_path, header, rows):
+    with pytest.raises(ValueError, match=f"{len(header)} header fields for 2 columns"):
+        write_csv(tmp_path / "out.csv", header, rows, [])
+    assert not (tmp_path / "out.csv").exists()

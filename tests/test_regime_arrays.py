@@ -95,6 +95,21 @@ def test_classification_refuses_non_finite_thresholds():
         classify_regimes(IPGG_WEAK_POOL, r_p=np.array([1.0, 1e308]))
 
 
+@pytest.mark.parametrize("model, overrides, name, index", [
+    (IPGG_WEAK_POOL, dict(f=np.array([np.nan])), "f", 0),
+    (IPGG_WEAK_POOL, dict(f=-1.0), "f", 0),
+    (IPGG_WEAK_POOL, dict(r_p=-2.0), "r_p", 0),
+    (BG_DEFECTOR_BRIBES_BASE, dict(f=np.array([[2.0], [np.inf], [-1.0]]), r_p=np.array([[1.0, 2.0]])), "f", 1),
+    (BG_DEFECTOR_BRIBES_BASE, dict(r_p=np.array([0.0, -0.0, -1e-300, np.nan])), "r_p", 2),
+], ids=["nan_f", "negative_f", "negative_r_p", "grid_inf_f", "sweep_negative_r_p"])
+def test_overrides_that_the_record_refuses_are_refused(model, overrides, name, index):
+    with pytest.raises(ParameterError) as record:
+        with_parameter(model, name, float(np.asarray(overrides[name]).flat[index]))
+    with pytest.raises(ParameterError) as arrays:
+        classify_regimes(model, **overrides)
+    assert str(arrays.value) == f"{record.value} (index {index} of {name})"
+
+
 @pytest.mark.parametrize("record, name, message", [
     *[(IPGG_WEAK_POOL, name, f"{name} must be finite") for name in ("b", "c", "tau", "f", "r_p")],
     (IPGG_WEAK_POOL, "n", "n must be an integer"),

@@ -172,10 +172,11 @@ class TestIntegrate:
 
 
 class TestReferenceLoop:
+    @pytest.mark.parametrize("step", [DEFAULT_STEP, 0.05])
     @pytest.mark.parametrize("name, model, x0", RK4_CASES, ids=[f"{c[0]}-{c[2]:.3g}" for c in RK4_CASES])
-    def test_integrate_is_bit_identical_to_the_five_evaluation_loop(self, name, model, x0):
-        times, states, converged_to = reference_integrate(model, x0)
-        trajectory = integrate(model, x0)
+    def test_integrate_is_bit_identical_to_the_five_evaluation_loop(self, name, model, x0, step):
+        times, states, converged_to = reference_integrate(model, x0, step=step)
+        trajectory = integrate(model, x0, step=step)
         assert trajectory.times.tobytes() == np.array(times).tobytes()
         assert trajectory.states.tobytes() == np.array(states).tobytes()
         assert trajectory.converged_to == converged_to

@@ -379,6 +379,18 @@ def _bisect(co: Coefficients):
     return 0.5 * (lo + hi)
 
 
+def _on_threshold(f, threshold):
+    return abs(f - threshold) <= KNIFE_EDGE_TOL  # floats, or arrays elementwise
+
+
+def _knife_edge(f: float, f_min: float, f_max: float) -> KnifeEdgeError | None:
+    """The knife-edge rule of both classifiers: the error for ``f`` on ``f_min``, else ``f_max``, else None."""
+    for threshold, name in ((f_min, "f_min"), (f_max, "f_max")):
+        if _on_threshold(f, threshold):
+            return KnifeEdgeError(f, threshold, name)
+    return None
+
+
 def classify_regime(model: Model) -> Regime:
     """Three-way phase-line classification of the model.
 
@@ -389,10 +401,9 @@ def classify_regime(model: Model) -> Regime:
     """
     co = _finite_coefficients(model)
     f, f_min, f_max = co.f, co.f_min, co.f_max
-    if abs(f - f_min) <= KNIFE_EDGE_TOL:
-        raise KnifeEdgeError(f, f_min, "f_min")
-    if abs(f - f_max) <= KNIFE_EDGE_TOL:
-        raise KnifeEdgeError(f, f_max, "f_max")
+    edge = _knife_edge(f, f_min, f_max)
+    if edge is not None:
+        raise edge
     degenerate = co.pressure == 0.0
     if f < f_min:
         return Regime(RegimeKind.DEFECTION_DOMINANT, degenerate=degenerate)
@@ -406,12 +417,14 @@ class Regimes(NamedTuple):
 
     ``token`` holds the regime token, or ``KNIFE_EDGE`` where
     :func:`classify_regime` raises :class:`KnifeEdgeError`; ``x_star`` is
-    NaN unless bistable and ``basin`` is NaN on a knife edge.
+    NaN unless bistable and ``basin`` is NaN on a knife edge.  ``notes``
+    maps each knife-edge cell's index tuple to that error's text.
     """
 
     token: np.ndarray
     x_star: np.ndarray
     basin: np.ndarray
+    notes: dict[tuple[int, ...], str]
 
 
 def classify_regimes(model: Model, f=None, r_p=None) -> Regimes:
@@ -444,7 +457,10 @@ def classify_regimes(model: Model, f=None, r_p=None) -> Regimes:
         RegimeKind.DEFECTION_DOMINANT.value,
         np.where(f > f_max, RegimeKind.COOPERATION_DOMINANT.value, RegimeKind.BISTABLE.value),
     )
-    token[(np.abs(f - f_min) <= KNIFE_EDGE_TOL) | (np.abs(f - f_max) <= KNIFE_EDGE_TOL)] = KNIFE_EDGE
+    knife_edge = _on_threshold(f, f_min) | _on_threshold(f, f_max)
+    token[knife_edge] = KNIFE_EDGE
+    cells = [tuple(map(int, index)) for index in np.argwhere(knife_edge)]  # nonzero refuses a 0-d mask
+    notes = {cell: str(_knife_edge(f.item(cell), f_min.item(cell), f_max.item(cell))) for cell in cells}
     bistable = token == RegimeKind.BISTABLE.value
     # only bistable cells have a root: bisect those lanes, each independent of the others
     x_star = np.full(bistable.shape, np.nan)
@@ -458,7 +474,7 @@ def classify_regimes(model: Model, f=None, r_p=None) -> Regimes:
         0.0,
         np.where(token == RegimeKind.COOPERATION_DOMINANT.value, 1.0, 1.0 - x_star),
     )
-    return Regimes(token, x_star, basin)
+    return Regimes(token, x_star, basin, notes)
 
 
 def interior_root(model: Model) -> float:

@@ -40,7 +40,7 @@ from .dynamics import basin_of_cooperation, integrate
 from .games import ParameterError, _payoff_tables, core_of
 from .montecarlo import RngSeed, _avg_request, _estimate_all
 from .output import ColumnRows, fmt_float, fmt_quantity, write_csv, write_plot
-from .sweeps import DEFAULT_STEPS, SWEEP_DEFAULTS, RegimeGrid, SweepResult, regime_grid, sweep_root
+from .sweeps import DEFAULT_STEPS, SWEEP_DEFAULTS, RegimeGrid, SweepResult, _check_cells, regime_grid, sweep_root
 from .verify import run_battery
 
 EXIT_OK = 0
@@ -87,7 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("sweep", help="classify and locate x* along a parameter sweep")
     common(sp)
-    sp.add_argument("--param", choices=("f", "r_p"), required=True)
+    sp.add_argument("--param", choices=tuple(SWEEP_DEFAULTS), required=True)
     sp.add_argument("--lo", type=float)
     sp.add_argument("--hi", type=float)
     sp.add_argument("--steps", type=int, default=DEFAULT_STEPS)
@@ -199,6 +199,7 @@ def grid_rows(grid: RegimeGrid) -> ColumnRows:
 def _cmd_gradient(config: RunConfig, args) -> int:
     if args.points < 2:
         raise ConfigError(f"--points must be >= 2, got {args.points}")
+    _check_cells("gradient", args.points)
     rows = gradient_rows(config.model, args.points)
     return _emit(config, args, "gradient.csv", ["x", "q", "g"], rows, [("points", str(args.points))])
 

@@ -1,10 +1,10 @@
 """Parameter sweeps and regime grids over the pool and punishment multipliers.
 
 Both are thin wrappers over :func:`~pgg_bribery.analysis.classify_regimes`:
-every point is classified in one array evaluation, so the results are
-deterministic and equal, bit for bit, to classifying each point on its
-own.  A point that lands on a classification knife edge gets the token
-``knife_edge`` and a report in ``notes`` instead of aborting the sweep.
+every point is classified once, in one array evaluation, so the results
+are equal, bit for bit, to classifying each point on its own.  A knife-edge
+point gets the token ``knife_edge`` and, in ``notes``, the report of that
+same pass, instead of aborting the sweep.  ``MAX_CELLS`` bounds their size.
 """
 
 from __future__ import annotations
@@ -13,7 +13,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analysis import KNIFE_EDGE, KnifeEdgeError, classify_regime, classify_regimes
+# unused here, classify_regime stays as sweeps.classify_regime for perfbench's tracer test
+from .analysis import classify_regime, classify_regimes  # noqa: F401
 from .games import BriberyParams, Model
 
 __all__ = [
@@ -25,9 +26,12 @@ __all__ = [
     "regime_grid",
 ]
 
-# default sweep windows, recorded in emitted metadata
+# default sweep windows, recorded in emitted metadata; the keys are the sweepable names
 SWEEP_DEFAULTS = {"f": (1.05, 8.0), "r_p": (0.1, 6.0)}
 DEFAULT_STEPS = 200
+# cells one sweep, grid or gradient may ask for: at the cap, a grid takes
+# ~4.6 s and ~200 MB peak on a 2-vCPU VM; a larger one could exhaust memory
+MAX_CELLS = 10**6
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,11 +67,17 @@ class RegimeGrid:
 
 def with_parameter(model: Model, name: str, value: float) -> Model:
     """Copy of the model with the swept parameter replaced."""
-    if name not in ("f", "r_p"):
-        raise ValueError(f"swept parameter must be 'f' or 'r_p', got {name!r}")
+    if name not in SWEEP_DEFAULTS:
+        raise ValueError(f"swept parameter must be {' or '.join(map(repr, SWEEP_DEFAULTS))}, got {name!r}")
     if isinstance(model, BriberyParams):
         return replace(model, core=replace(model.core, **{name: value}))
     return replace(model, **{name: value})
+
+
+def _check_cells(what: str, cells: int) -> None:
+    """Refuse a job of more than ``MAX_CELLS`` cells, before its arrays are built."""
+    if cells > MAX_CELLS:
+        raise ValueError(f"{what} asks for {cells} cells, above the limit of {MAX_CELLS}")
 
 
 def _axis(model: Model, name: str, lo: float, hi: float, steps: int) -> np.ndarray:
@@ -75,19 +85,16 @@ def _axis(model: Model, name: str, lo: float, hi: float, steps: int) -> np.ndarr
         raise ValueError(f"{name} bounds must satisfy lo < hi, got [{lo}, {hi}]")
     if steps < 2:
         raise ValueError(f"{name} needs at least 2 steps, got {steps}")
-    # every parameter constraint is an interval, so valid ends make a valid axis
+    _check_cells(f"{name} axis", steps)
+    # every parameter constraint is an interval, so valid ends make a valid
+    # axis; checking the ends here also refuses an infinite end with the
+    # record's message, before linspace turns it into NaN cells
     with_parameter(model, name, lo)
     with_parameter(model, name, hi)
-    return np.linspace(lo, hi, steps)
-
-
-def _knife_edge_note(model: Model) -> str:
-    """The report for a point on a threshold, worded by the scalar classifier."""
-    try:
-        classify_regime(model)
-    except KnifeEdgeError as err:
-        return str(err)
-    raise RuntimeError(f"array and scalar classification disagree at {model}")
+    # near the largest double, (steps - 1) * step may round past it inside
+    # linspace, which then sets that last point to hi: no point overflows
+    with np.errstate(over="ignore"):
+        return np.linspace(lo, hi, steps)
 
 
 def sweep_root(
@@ -95,12 +102,8 @@ def sweep_root(
 ) -> SweepResult:
     """Classify the model and locate x* along a 1-D parameter grid."""
     values = _axis(model, parameter, lo, hi, steps)
-    regimes = classify_regimes(model, **{parameter: values})
-    notes = {
-        int(i): _knife_edge_note(with_parameter(model, parameter, float(values[i])))
-        for i in np.flatnonzero(regimes.token == KNIFE_EDGE)
-    }
-    return SweepResult(parameter, values, *regimes, notes)
+    token, x_star, basin, notes = classify_regimes(model, **{parameter: values})
+    return SweepResult(parameter, values, token, x_star, basin, {i: note for (i,), note in notes.items()})
 
 
 def regime_grid(
@@ -115,11 +118,5 @@ def regime_grid(
     """Basin of full cooperation over an (f, r_p) grid."""
     f_values = _axis(model, "f", f_lo, f_hi, f_steps)
     rp_values = _axis(model, "r_p", rp_lo, rp_hi, rp_steps)
-    regimes = classify_regimes(model, f=f_values[:, None], r_p=rp_values[None, :])
-    notes = {
-        (int(i), int(j)): _knife_edge_note(
-            with_parameter(with_parameter(model, "f", float(f_values[i])), "r_p", float(rp_values[j]))
-        )
-        for i, j in zip(*np.nonzero(regimes.token == KNIFE_EDGE))
-    }
-    return RegimeGrid(f_values, rp_values, *regimes, notes)
+    _check_cells("(f, r_p) grid", f_steps * rp_steps)
+    return RegimeGrid(f_values, rp_values, *classify_regimes(model, f=f_values[:, None], r_p=rp_values[None, :]))

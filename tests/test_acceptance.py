@@ -251,22 +251,23 @@ def test_criterion_10_verify_is_byte_deterministic(tmp_path, capsys):
         "model = ipgg\nn = 5\nb = 12\nc = 1\ntau = 1\nf = 2\n"
         "alpha = 0.5\nbeta = 0.2\nr_p = 1.4\nsamples = 400000\n"
     )
-    contents = []
-    codes = []
+    # the four runs start at once and are then waited on one by one
+    runs = []
     for label, workers in (("a", None), ("b", None), ("w1", "1"), ("w2", "2")):
         out = tmp_path / f"out_{label}"
         env = dict(os.environ)
         env.pop("PGG_BRIBERY_WORKERS", None)
         if workers is not None:
             env["PGG_BRIBERY_WORKERS"] = workers
-        proc = subprocess.run(
+        proc = subprocess.Popen(
             [sys.executable, "-m", "pgg_bribery", "verify", "--config", str(config), "--out", str(out)],
-            capture_output=True,
-            text=True,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
             env=env,
         )
-        codes.append(proc.returncode)
-        contents.append((out / "verify_checks.csv").read_bytes())
+        runs.append((proc, out))
+    codes = [proc.wait() for proc, _ in runs]
+    contents = [(out / "verify_checks.csv").read_bytes() for _, out in runs]
     identical = all(blob == contents[0] for blob in contents)
     ok = identical and codes == [0, 0, 0, 0]
     with capsys.disabled():

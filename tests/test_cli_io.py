@@ -254,6 +254,20 @@ class TestSubcommands:
         assert main(["plot", str(tmp_path / "missing.csv")]) == 3
         assert main(["thresholds", "--config", str(tmp_path / "missing.cfg")]) == 3
 
+    @pytest.mark.parametrize("command", [
+        ["gradient", "--points", "{over}"],
+        ["sweep", "--param", "r_p", "--steps", "{over}"],
+        ["grid", "--f-steps", "{side}", "--rp-steps", "{side}"],
+    ], ids=["gradient", "sweep", "grid"])
+    def test_jobs_over_the_cell_cap_exit_1_naming_the_limit(self, weak_cfg, tmp_path, capsys, command):
+        from pgg_bribery.sweeps import MAX_CELLS  # imported here: a tree without the cap fails at once
+
+        sizes = {"over": str(MAX_CELLS + 1), "side": str(int(MAX_CELLS**0.5) + 1)}
+        argv = [arg.format(**sizes) for arg in command] + ["--config", weak_cfg, "--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        assert f"above the limit of {MAX_CELLS}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_invalid_worker_env(self, weak_cfg, monkeypatch, capsys):
         monkeypatch.setenv("PGG_BRIBERY_WORKERS", "many")
         assert main(["simulate", "--config", weak_cfg, "--set", "samples=100"]) == 1

@@ -16,6 +16,7 @@ from pgg_bribery import (
     basin_of_cooperation,
     classify_regime,
     classify_regimes,
+    core_of,
     gradient_of_selection,
     q_function,
     regime_grid,
@@ -42,12 +43,15 @@ def undefined_as_none(value):
     return None if np.isnan(value) else float(value)
 
 
-def assert_cells_match(model, f_values, rp_values, token, x_star, basin):
+def assert_cells_match(model, f_values, rp_values, token, x_star, basin, notes):
     for i, f in enumerate(f_values):
         for j, r_p in enumerate(rp_values):
-            expected = scalar_cell(model, f, r_p)[:3]
-            actual = (str(token[i, j]), undefined_as_none(x_star[i, j]), undefined_as_none(basin[i, j]))
+            expected = scalar_cell(model, f, r_p)
+            actual = (
+                str(token[i, j]), undefined_as_none(x_star[i, j]), undefined_as_none(basin[i, j]), notes.get((i, j)),
+            )
             assert actual == expected, (f, r_p)
+    assert len(notes) == np.count_nonzero(token == "knife_edge")
 
 
 @settings(deadline=None, max_examples=60)
@@ -72,7 +76,7 @@ def test_grid_and_sweep_knife_edges_match_the_scalar_reports(model):
     rp_lo = 1.0
     th = thresholds(with_parameter(model, "r_p", rp_lo))
     grid = regime_grid(model, th.f_min, th.f_max, rp_lo, 3.0, 7, 5)
-    assert_cells_match(model, grid.f_values, grid.rp_values, grid.token, grid.x_star, grid.basin)
+    assert_cells_match(model, grid.f_values, grid.rp_values, grid.token, grid.x_star, grid.basin, grid.notes)
     assert set(grid.notes) == {(0, 0), (6, 0)}
     for (i, j), note in grid.notes.items():
         assert note == scalar_cell(model, grid.f_values[i], grid.rp_values[j])[3]
@@ -85,6 +89,22 @@ def test_grid_and_sweep_knife_edges_match_the_scalar_reports(model):
             token, x_star, basin,
         )
         assert sweep.notes.get(i) == note
+
+
+# with r_p = 0 the thresholds coincide, and the rule names f_min first
+@pytest.mark.parametrize("model", [IPGG_WEAK_POOL, BG_DEFECTOR_BRIBES_BASE, with_parameter(IPGG_WEAK_POOL, "r_p", 0.0)])
+@pytest.mark.parametrize("edge", ["f_min", "f_max", None])
+def test_a_lone_model_equals_the_scalar_classifier(model, edge):
+    if edge is not None:
+        model = with_parameter(model, "f", getattr(thresholds(model), edge))
+    token, x_star, basin, notes = classify_regimes(model)
+    assert token.shape == x_star.shape == basin.shape == ()
+    core = core_of(model)
+    expected = scalar_cell(model, core.f, core.r_p)
+    assert (str(token), undefined_as_none(x_star), undefined_as_none(basin), notes.get(())) == expected
+    assert (expected[0] == "knife_edge") == (edge is not None) == (set(notes) == {()})
+    if edge is not None:
+        assert ("f_min" if core_of(model).r_p == 0.0 else edge) in notes[()]
 
 
 def test_classification_refuses_non_finite_thresholds():

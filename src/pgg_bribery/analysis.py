@@ -35,6 +35,7 @@ regimes and roots against exact rational arithmetic.
 from __future__ import annotations
 
 import enum
+import sys
 from dataclasses import dataclass, replace
 from math import ceil, comb, exp, isfinite, lgamma, log, log1p, log2
 from typing import Callable, NamedTuple
@@ -319,6 +320,20 @@ def _log_space_weight(k: int, j: int, x: float) -> float:
     return exp(lgamma(k + 1) - lgamma(j + 1) - lgamma(k - j + 1) + j * log(x) + (k - j) * log1p(-x))
 
 
+# a log binomial coefficient above this exceeds a float, whatever lgamma's rounding
+_LOG_COMB_OVERFLOWS = log(sys.float_info.max) + 1.0
+
+
+def _weight(k: int, j: int, x: float) -> float:
+    """P(Binomial(k, x) = j): the exact coefficient times the powers, or in log space past a float."""
+    if lgamma(k + 1) - lgamma(j + 1) - lgamma(k - j + 1) > _LOG_COMB_OVERFLOWS:
+        return _log_space_weight(k, j, x)  # comb would raise, after building a huge integer
+    try:
+        return comb(k, j) * x**j * (1.0 - x) ** (k - j)
+    except OverflowError:  # the binomial coefficient exceeds a float
+        return _log_space_weight(k, j, x)
+
+
 def binomial_avg_payoff(model: Model, x: float, strategy: str) -> float:
     """Average payoff as an explicit binomial sum over compositions.
 
@@ -329,10 +344,7 @@ def binomial_avg_payoff(model: Model, x: float, strategy: str) -> float:
     n = core_of(model).n
     total = 0.0
     for n_c in range(n):
-        try:
-            weight = comb(n - 1, n_c) * x**n_c * (1.0 - x) ** (n - 1 - n_c)
-        except OverflowError:  # the binomial coefficient exceeds a float
-            weight = _log_space_weight(n - 1, n_c, x)
+        weight = _weight(n - 1, n_c, x)
         total += weight * group_payoff(model, strategy, GroupComposition(n_c, n - 1 - n_c))
     return total
 

@@ -5,7 +5,8 @@ case-insensitive.  ``model`` selects ``ipgg`` or ``bg``; the game keys are
 the fields of :class:`CoreParams` and, for ``bg`` only, of
 :class:`BriberyParams` (h, gamma, p, q).  Numeric controls (step, t_max,
 conv_tol, samples, seed) are optional; the integration defaults are
-:mod:`pgg_bribery.dynamics`' own.  ``RunConfig.model`` is the validated
+:mod:`pgg_bribery.dynamics`' own, and ``samples`` is at most
+``MAX_SAMPLES``.  ``RunConfig.model`` is the validated
 parameter record, so every game invariant is checked on load; a pool
 multiplier outside (1, n) is recorded in its ``validation_warnings``, not
 raised.
@@ -20,6 +21,9 @@ from .dynamics import DEFAULT_CONV_TOL, DEFAULT_STEP, DEFAULT_T_MAX
 from .games import BriberyParams, CoreParams, Model, ParameterError, core_of
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "parse_pairs", "config_from_pairs"]
+
+# the most Monte Carlo samples per estimate: 4,000 chunks, minutes of sampling
+MAX_SAMPLES = 10**9
 
 CORE_KEYS = tuple(f.name for f in fields(CoreParams) if f.init)
 BG_KEYS = tuple(f.name for f in fields(BriberyParams) if f.name != "core")
@@ -142,6 +146,8 @@ def config_from_pairs(pairs: dict[str, tuple[str, int | None]]) -> RunConfig:
             raise ConfigError(f"{key} must be finite and > 0, got {controls[key]}")
     if controls["samples"] < 2:
         raise ConfigError(f"samples must be >= 2, got {controls['samples']}")
+    if controls["samples"] > MAX_SAMPLES:
+        raise ConfigError(f"samples must be <= MAX_SAMPLES = {MAX_SAMPLES}, got {controls['samples']}")
     if controls["seed"] < 0:
         raise ConfigError(f"seed must be >= 0, got {controls['seed']}")
     try:

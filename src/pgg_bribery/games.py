@@ -48,6 +48,11 @@ class ParameterError(ValueError):
     """A parameter record or group composition violates an invariant."""
 
 
+# the largest group size: the closed forms sum O(n) terms per evaluation,
+# and every analysis command stays well under a second at n = MAX_N
+MAX_N = 10**4
+
+
 def _as_int(value, name: str) -> int:
     try:
         whole = int(value)
@@ -69,7 +74,7 @@ def _check_finite(record, names: tuple[str, ...]) -> None:
 class CoreParams:
     """Constants of the institutional-punishment public goods game.
 
-    n      group size, at least 2
+    n      group size, at least 2 and at most ``MAX_N``
     b      initial endowment per player
     c      cost of contributing to the common pool
     tau    per-player tax funding the punishment institution
@@ -99,6 +104,8 @@ class CoreParams:
         object.__setattr__(self, "n", _as_int(self.n, "n"))
         if self.n < 2:
             raise ParameterError(f"group size n must be >= 2, got {self.n}")
+        if self.n > MAX_N:
+            raise ParameterError(f"group size n must be <= MAX_N = {MAX_N}, got {self.n}")
         _check_finite(self, ("b", "c", "tau", "f", "r_p"))
         if not self.c > 0:
             raise ParameterError(f"contribution cost c must be > 0, got {self.c}")

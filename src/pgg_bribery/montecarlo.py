@@ -36,6 +36,12 @@ lookup.  The entries use the operations of one realized event in their
 order, so the payoffs are bit-identical to evaluating every term per
 sample.
 
+The draws are numpy's, value for value and state for state.  The
+binomial counts are read from cut points where numpy draws by inversion
+(:func:`_binomial`), with numpy's own call as the fallback, and the bribe
+counts are looked up only where a focal leader accepts, the only samples
+that receive them.
+
 Reproducibility: every estimator takes an :class:`RngSeed`; identical
 (master_seed, stream_id) pairs reproduce identical results regardless of
 scheduling, and distinct stream ids yield independent streams (numpy
@@ -57,6 +63,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -198,6 +205,138 @@ def realize_event(
 
 
 # ---------------------------------------------------------------------------
+# numpy's binomial draws, read from cut points
+
+# numpy draws Binomial(n, p) by inversion when n * min(p, 1 - p) <= 30;
+# up to this n those draws are read from cut tables (see _binomial), and
+# the table of every n up to it builds in a few milliseconds
+INVERSION_MAX_N = 40
+_GRID = 2.0**53  # a uniform of next_double is a multiple of 1 / _GRID in [0, 1)
+_NEVER = 1 << 53  # a cut that no uniform reaches
+
+
+def _inversion_count(u: float, px: list[float]) -> int:
+    """numpy's inversion loop on the uniform ``u``: its X, or ``len(px)`` where it rejects ``u``."""
+    x = 0
+    while x < len(px) and u > px[x]:
+        u -= px[x]
+        x += 1
+    return x
+
+
+def _cut(px: list[float], k: int) -> int:
+    """The lowest grid index m at which the inversion loop on m / 2**53 reaches X = k."""
+    # the loop reaches k when u_j > px[j] for j < k, with u_0 = u and
+    # u_(j+1) = u_j - px[j]; each rounded step is monotone in u, so walk
+    # back the lowest u_j that still works, then settle on the grid
+    low = math.nextafter(px[k - 1], math.inf)
+    for a in reversed(px[: k - 1]):
+        y = low + a
+        while y - a < low:
+            y = math.nextafter(y, math.inf)
+        while (below := math.nextafter(y, -math.inf)) - a >= low:
+            y = below
+        low = y
+    m = min(math.ceil(low * _GRID), _NEVER)
+    # the exact cut, checked with the loop itself: a rounding slip only costs steps
+    while m < _NEVER and _inversion_count(m / _GRID, px) < k:
+        m += 1
+    while m > 0 and _inversion_count((m - 1) / _GRID, px) >= k:
+        m -= 1
+    return m
+
+
+@lru_cache(maxsize=1024)
+def _cut_row(n: int, p: float) -> tuple[int, ...]:
+    """Cuts of numpy's inversion for Binomial(n, p), p <= 0.5: where X reaches 1, ..., bound + 1.
+
+    The set-up is numpy's, in its order and on the same doubles; the last
+    cut is where the loop passes ``bound`` and numpy redraws.
+    """
+    q = 1.0 - p
+    qn = math.exp(n * math.log1p(-p))
+    mean = n * p
+    bound = int(min(n, mean + 10.0 * math.sqrt(mean * q + 1)))
+    px = [qn]
+    for x in range(1, bound + 1):
+        px.append((n - x + 1) * p * px[-1] / (x * q))
+    return tuple(_cut(px, k) for k in range(1, bound + 2))
+
+
+@lru_cache(maxsize=256)
+def _cut_table(n_max: int, p: float) -> tuple[np.ndarray, float]:
+    """The cuts of every n <= ``n_max`` as uniforms, one row per n, and the lowest rejection cut.
+
+    Row n holds the reachable cuts of :func:`_cut_row` padded with 1.0,
+    which no uniform reaches; row 0 has none.  A draw at n is the number
+    of row n's entries at or below its uniform.
+    """
+    rows = [_cut_row(n, p) for n in range(1, n_max + 1)]
+    cuts = [[m / _GRID for m in row[:-1] if m < _NEVER] for row in rows]
+    table = np.ones((n_max + 1, max(map(len, cuts))))
+    for n, row in enumerate(cuts, 1):
+        table[n, : len(row)] = row
+    table.flags.writeable = False  # the cache hands the same table to every caller
+    return table, min(row[-1] for row in rows) / _GRID
+
+
+def _at(values: np.ndarray, lanes: np.ndarray | None) -> np.ndarray:
+    return values if lanes is None else values[lanes]
+
+
+def _binomial(rng: np.random.Generator, n, p: float, size: int, lanes: np.ndarray | None = None) -> np.ndarray:
+    """``rng.binomial(n, p, size)``, or its ``[lanes]``, leaving ``rng`` as that call would.
+
+    ``n`` is an int or an int array of ``size`` counts, and ``lanes`` a
+    mask or an index array over the ``size`` lanes.  Where numpy draws
+    by inversion, each lane with n > 0 takes one uniform, the same
+    ``next_double`` that ``rng.random`` returns, and its value is the
+    number of cuts of :func:`_cut_row` at or below that uniform (n minus
+    it for p > 0.5, numpy's flip).  Every lane's uniform is drawn, but
+    only the ``lanes`` are looked up.  If a uniform may reach numpy's
+    rejection branch, the generator is rewound and numpy's own call is
+    returned, as it is for BTPE, for n above :data:`INVERSION_MAX_N` and
+    for a p or an n that numpy refuses.
+    """
+    n_arr = np.asarray(n)
+    p_inv = 1.0 - p if p > 0.5 else p
+    if not (
+        0.0 <= p <= 1.0
+        and n_arr.dtype.kind == "i"
+        and n_arr.shape in ((), (size,))
+        and (n_arr >= 0).all()
+        and (n_max := int(n_arr.max(initial=0))) <= INVERSION_MAX_N
+        and p_inv * n_max <= 30.0
+    ):
+        return _at(rng.binomial(n, p, size), lanes)
+    if p == 0.0 or n_max == 0:  # numpy draws nothing
+        return _at(np.zeros(size, np.int64), lanes)
+
+    state = rng.bit_generator.state
+    table, reject = _cut_table(n_max, p_inv)
+    drawn = n_arr > 0
+    u = rng.random(size if n_arr.ndim == 0 else np.count_nonzero(drawn))
+    if u.max(initial=0.0) >= reject:  # a uniform may reach numpy's rejection branch
+        rng.bit_generator.state = state
+        return _at(rng.binomial(n, p, size), lanes)
+    if n_arr.ndim == 0:
+        rows = n_max
+        if lanes is not None:
+            u = u[lanes]
+    else:
+        # a lane's uniform is the one at its rank among the drawing lanes; a
+        # lane with n = 0 takes a neighbour's, which its row, without cuts, ignores
+        rank = np.cumsum(drawn, dtype=np.int32)  # a chunk has far fewer than 2**31 lanes
+        rows, rank = (n_arr, rank) if lanes is None else (n_arr[lanes], rank[lanes])
+        u = u[rank - 1]
+    x = np.zeros(len(u), np.int8)  # n <= INVERSION_MAX_N fits
+    for column in table.T:
+        x += u >= column[rows]
+    x = x.astype(np.int64)
+    return rows - x if p > 0.5 else x
+
+
+# ---------------------------------------------------------------------------
 # vectorized chunk evaluation for the estimators
 
 
@@ -274,28 +413,27 @@ def _event_payoffs(model, focal_c, n_c, rng, size) -> np.ndarray:
     is_bg = isinstance(model, BriberyParams)
 
     lead = rng.integers(0, n, size)
-    u_action = rng.random(size)
-    if is_bg:
-        u_offer = rng.random(size)
-        recv_c = rng.binomial(n_c, model.p, size)
-        recv_d = rng.binomial(n - 1 - n_c, model.q, size)
-
+    u = rng.random(size)  # the action uniforms
     # outcome: 0 untouched, 1 fined by an own-type leader, 2 fined by an other-type leader, 3 pays a bribe
     led = lead != 0  # a co-player leads
-    fined = (u_action < core.beta) & led
+    fined = (u < core.beta) & led
     other_leads = (lead > n_c) if focal_c else (lead <= n_c)
     outcome = np.add(fined, fined & other_leads, dtype=np.int8)
     if is_bg:
-        accepts = (u_action >= core.beta) & (u_action < core.beta + model.gamma)
-        outcome += np.int8(3) * (led & accepts & (u_offer < (model.p if focal_c else model.q)))
-    # the leader and action draws are spent: their buffers take the index and the income
+        accepts = (u >= core.beta) & (u < core.beta + model.gamma)
+        rng.random(out=u)  # the offer uniforms
+        outcome += np.int8(3) * (led & accepts & (u < (model.p if focal_c else model.q)))
+        # the bribe counts are drawn at every lane, but only a focal leader who accepts receives them
+        takes = np.flatnonzero(~led & accepts)
+        offers = _binomial(rng, n_c, model.p, size, takes) + _binomial(rng, n - 1 - n_c, model.q, size, takes)
+        received = np.zeros(size, np.int64)
+        received[takes] = offers
+    # the leader draws are spent: their buffer takes the index
     index = np.multiply(n_c, 4, out=lead)
     index += outcome
     payoff = _payoff_table(model, focal_c).ravel().take(index)
     if is_bg:
-        recv_c += recv_d
-        recv_c *= ~led & accepts  # bribes received by a focal leader who accepts
-        payoff += np.multiply(model.h, recv_c, out=u_action)
+        payoff += np.multiply(model.h, received, out=u)
     return payoff
 
 
@@ -304,7 +442,7 @@ def _chunk_task(args) -> tuple[int, float, float]:
     model, focal_c, n_c, x, seed, index, size = args
     rng = generator(seed, index)
     if n_c is None:
-        n_c = rng.binomial(core_of(model).n - 1, x, size)
+        n_c = _binomial(rng, core_of(model).n - 1, x, size)
     return _summarize(_event_payoffs(model, focal_c, n_c, rng, size))
 
 

@@ -1,6 +1,7 @@
 """Closed-form averages, the selection polynomial, thresholds and regimes."""
 
 from dataclasses import replace
+from math import comb
 
 import hypothesis.strategies as st
 import numpy as np
@@ -28,6 +29,7 @@ from pgg_bribery import (
     thresholds,
     with_parameter,
 )
+from pgg_bribery.analysis import _log_space_weight
 from pgg_bribery.presets import (
     BG_COOP_BRIBES,
     BG_DEFECTOR_BRIBES,
@@ -77,6 +79,28 @@ class TestAveragePayoffs:
         for strategy in ("C", "D"):
             oracle = binomial_avg_payoff(large, x, strategy)
             assert abs(oracle - avg_payoff(large, x, strategy)) < 1e-10
+
+    @pytest.mark.parametrize("n", [1100, 2000])
+    def test_binomial_oracle_bits_are_those_of_comb_then_log_space(self, n):
+        # the weights as they were when every coefficient was first tried as an exact integer
+        coefficients = [comb(n - 1, n_c) for n_c in range(n)]
+        weights = {}
+        for x in (0.0, 0.3, 0.77, 1.0):
+            weights[x] = []
+            for n_c, coefficient in enumerate(coefficients):
+                try:
+                    weights[x].append(coefficient * x**n_c * (1.0 - x) ** (n - 1 - n_c))
+                except OverflowError:
+                    weights[x].append(_log_space_weight(n - 1, n_c, x))
+        bg = replace(BG_DEFECTOR_BRIBES, core=replace(BG_DEFECTOR_BRIBES.core, n=n))
+        for model in (replace(IPGG_BISTABLE, n=n), bg):
+            for strategy in ("C", "D"):
+                payoffs = [group_payoff(model, strategy, GroupComposition(n_c, n - 1 - n_c)) for n_c in range(n)]
+                for x, by_n_c in weights.items():
+                    total = 0.0
+                    for weight, payoff in zip(by_n_c, payoffs):
+                        total += weight * payoff
+                    assert binomial_avg_payoff(model, x, strategy).hex() == total.hex(), (x, strategy)
 
     def test_domain_checked(self):
         with pytest.raises(ValueError):

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 
 from pgg_bribery.cli import main
 from pgg_bribery.config import BG_KEYS, CONTROL_DEFAULTS, CORE_KEYS
+from pgg_bribery.games import MAX_N
 from pgg_bribery.sweeps import MAX_CELLS
 
 BASE = {
@@ -16,11 +17,12 @@ BASE = {
     "beta": "0.2", "r_p": "2", "h": "1", "gamma": "0.6", "p": "0.3", "q": "0.8",
 }
 KEYS = st.sampled_from(["model", *CORE_KEYS, *BG_KEYS, *CONTROL_DEFAULTS]) | st.text(max_size=8)
-# integers stay small: a large n has no work bound yet, and each Q evaluation is O(n)
 VALUES = (
     st.text(max_size=12)
     | st.floats().map(repr)
     | st.integers(-3, 60).map(str)
+    | st.integers(MAX_N - 1, MAX_N + 1).map(str)
+    | st.integers(MAX_N + 2, 2**70).map(str)
     | st.sampled_from(["ipgg", "bg", "inf", "-inf", "nan", "1e308", "-0", "0", "1", "1e-320", ""])
 )
 COMMANDS = st.sampled_from([["thresholds"], ["roots"], ["basins"], ["payoffs"], ["gradient", "--points", "5"]])

@@ -366,6 +366,31 @@ class TestInputContract:
         assert main(argv) == 1
         assert f"exceeds the limit of {dynamics.MAX_STEPS} steps" in capsys.readouterr().err
 
+    def test_samples_above_the_cap_exit_1_naming_the_limit(self, weak_cfg, tmp_path, capsys, monkeypatch):
+        from pgg_bribery import montecarlo
+        from pgg_bribery.config import MAX_SAMPLES  # imported here: a tree without the cap fails at once
+
+        def no_sampling(n):
+            raise AssertionError("the sampling started instead of being refused")
+
+        monkeypatch.setattr(montecarlo, "_chunk_sizes", no_sampling)
+        assert MAX_SAMPLES >= 100 * 10**7  # far above the largest golden run
+        assert parse_config(WEAK_POOL_DOC + f"samples = {MAX_SAMPLES}\n").samples == MAX_SAMPLES
+        for samples in (MAX_SAMPLES + 1, 10**18):
+            for command in (["simulate", "--x", "0.5"], ["verify"]):
+                argv = command + ["--config", weak_cfg, "--set", f"samples={samples}", "--out", str(tmp_path / "out")]
+                assert main(argv) == 1
+                assert f"samples must be <= MAX_SAMPLES = {MAX_SAMPLES}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", [["thresholds"], ["payoffs"], ["gradient", "--points", "5"]])
+    def test_a_group_above_max_n_exits_1_naming_the_limit(self, weak_cfg, tmp_path, capsys, command):
+        from pgg_bribery.games import MAX_N  # imported here: a tree without the cap fails at once
+
+        argv = command + ["--config", weak_cfg, "--set", f"n={MAX_N + 1}", "--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        assert f"group size n must be <= MAX_N = {MAX_N}" in capsys.readouterr().err
+
     def test_plot_names_the_ragged_line(self, tmp_path, capsys):
         path = tmp_path / "ragged.csv"
         path.write_text("# note\nx,q,g\n0,1,2\n0.5,1\n")

@@ -1,7 +1,8 @@
 """The table-driven event kernel against the per-sample body it replaced
-and against :func:`realize_event`, and its payoff table against the
-closed-form group payoff."""
+and against :func:`realize_event`, its payoff table against the
+closed-form group payoff, and its binomial draws against numpy's."""
 
+import math
 from dataclasses import replace
 
 import hypothesis.strategies as st
@@ -20,7 +21,17 @@ from pgg_bribery import (
     group_payoff,
     realize_event,
 )
-from pgg_bribery.montecarlo import _event_payoffs, _payoff_table, generator
+from pgg_bribery import montecarlo
+from pgg_bribery.montecarlo import (
+    INVERSION_MAX_N,
+    _binomial,
+    _chunk_task,
+    _cut_row,
+    _event_payoffs,
+    _payoff_table,
+    _summarize,
+    generator,
+)
 from pgg_bribery.presets import BG_DEFECTOR_BRIBES, IPGG_BISTABLE, REGIMES
 
 
@@ -151,6 +162,121 @@ class TestReferenceKernel:
                 got = _payoffs(_event_payoffs, model, focal_c, where, 4097, index)
                 want = _payoffs(reference_event_payoffs, model, focal_c, where, 4097, index)
                 assert got.tobytes() == want.tobytes()
+
+
+def assert_binomial_is_numpys(n, p, size, lanes, seed):
+    """``_binomial`` returns numpy's values and leaves the generator where numpy's call does."""
+    ours, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = _binomial(ours, n, p, size, lanes)
+    want = numpys.binomial(n, p, size)
+    if lanes is not None:
+        want = want[lanes]
+    assert got.dtype == want.dtype and got.shape == want.shape, (n, p, size)
+    assert got.tobytes() == want.tobytes(), (n, p, size)
+    assert ours.bit_generator.state == numpys.bit_generator.state, (n, p, size)
+
+
+def _untemper(y: int) -> int:
+    """The MT19937 state word whose tempered output is ``y``."""
+    y ^= y >> 18
+    y ^= (y << 15) & 0xEFC60000
+    x = y
+    for _ in range(4):
+        x = y ^ ((x << 7) & 0x9D2C5680)
+    x &= 0xFFFFFFFF
+    y = x
+    for _ in range(2):
+        x = y ^ (x >> 11)
+    return x
+
+
+def generator_at(grid: list[int]) -> np.random.Generator:
+    """A generator whose next uniforms are ``m / 2**53`` for each m of ``grid``, then 0.0."""
+    words = np.zeros(624, np.uint32)
+    for i, m in enumerate(grid):  # MT19937 makes a double of 27 + 26 bits from two words
+        words[2 * i] = _untemper((m >> 26) << 5)
+        words[2 * i + 1] = _untemper((m & (2**26 - 1)) << 6)
+    bitgen = np.random.MT19937(0)
+    bitgen.state = {"bit_generator": "MT19937", "state": {"key": words, "pos": 0}}
+    return np.random.Generator(bitgen)
+
+
+PROBABILITIES = [0.0, 1e-12, 0.3, 0.5, math.nextafter(0.5, 1.0), 0.8, 1.0 - 1e-12, 1.0]
+
+
+def refuse_cut_tables(*args):
+    raise AssertionError("read from cut points")
+
+
+class TestBinomialDraws:
+    """numpy's binomial draws, read from cut points: the same values and the same generator state."""
+
+    def test_uniforms_can_be_placed(self):
+        grid = [0, 1, 2**52, 2**53 - 1, 123456789]
+        assert generator_at(grid).random(len(grid)).tolist() == [m / 2**53 for m in grid]
+
+    @pytest.mark.parametrize("size", SIZES)
+    @pytest.mark.parametrize("p", PROBABILITIES)
+    def test_values_and_state_are_numpys(self, p, size):
+        cases = np.random.default_rng(size)
+        for n_max in (0, 1, 4, 17, INVERSION_MAX_N):
+            counts = cases.integers(0, n_max + 1, size)
+            counts[0] = 0  # a lane that draws nothing
+            masks = (None, cases.random(size) < 0.3, np.flatnonzero(cases.random(size) < 0.3))
+            for n in (n_max, counts):
+                for lanes in masks:
+                    assert_binomial_is_numpys(n, p, size, lanes, seed=n_max)
+
+    @pytest.mark.parametrize("n, p", [
+        (1, 0.3), (4, 0.3), (4, 0.8), (17, 0.5), (INVERSION_MAX_N, 0.45), (INVERSION_MAX_N, 1e-12), (3, 1.0 - 1e-12),
+    ])
+    def test_every_cut_is_where_numpys_draw_steps(self, n, p):
+        # the uniform at each cut and one grid step below it; after a rejection numpy draws the 0.0 next
+        for cut in _cut_row(n, 1.0 - p if p > 0.5 else p):
+            for m in (cut - 1, cut):
+                if m < 2**53:
+                    ours, numpys = generator_at([m]), generator_at([m])
+                    assert _binomial(ours, n, p, 1).tolist() == numpys.binomial(n, p, 1).tolist(), (m, cut)
+                    assert ours.bit_generator.state["state"]["pos"] == numpys.bit_generator.state["state"]["pos"]
+
+    def test_n_above_the_constant_is_numpys_own_call(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_cut_table", refuse_cut_tables)
+        big = INVERSION_MAX_N + 1
+        for n in (big, np.arange(big + 1)):
+            assert_binomial_is_numpys(n, 0.2, big + 1, None, seed=3)
+
+    def test_btpe_is_numpys_own_call(self, monkeypatch):
+        # with room for larger n, n * min(p, 1 - p) > 30 still goes to numpy, which draws by BTPE there
+        monkeypatch.setattr(montecarlo, "INVERSION_MAX_N", 100)
+        for n, p in ((61, 0.5), (80, 0.45), (80, 0.55)):
+            assert_binomial_is_numpys(n, p, 4097, None, seed=4)
+            assert_binomial_is_numpys(np.full(7, n), p, 7, None, seed=4)
+
+    def test_a_rejected_uniform_rewinds_to_numpys_own_call(self, monkeypatch):
+        # with the reject cut at 0.5, about half the uniforms reach it; a table of zero cuts
+        # would count every cut at every lane, so only numpy's own call can match
+        cut_table = montecarlo._cut_table
+        monkeypatch.setattr(montecarlo, "_cut_table", lambda n_max, p: (0.0 * cut_table(n_max, p)[0], 0.5))
+        counts = np.random.default_rng(5).integers(0, 5, 4097)
+        for p in (0.3, 0.8):
+            for n in (4, counts):
+                assert_binomial_is_numpys(n, p, 4097, None, seed=5)
+                assert_binomial_is_numpys(n, p, 4097, counts > 2, seed=5)
+
+    @pytest.mark.parametrize("n, p", [(-1, 0.3), (np.array([1, -1]), 0.3), (3, 1.5), (3, -0.1), (3, math.nan)])
+    def test_numpys_refusals_are_kept(self, n, p):
+        with pytest.raises(ValueError):
+            _binomial(np.random.default_rng(0), n, p, 2)
+
+    @pytest.mark.parametrize("name", sorted(REGIMES))
+    def test_chunk_summaries_are_those_of_numpys_draws(self, name):
+        model = REGIMES[name]
+        for focal_c in (True, False):
+            for index, where in enumerate((1, 0.37)):  # a fixed composition, then drawn ones
+                n_c, x = (where, None) if isinstance(where, int) else (None, where)
+                got = _chunk_task((model, focal_c, n_c, x, RngSeed(2024), index, 4097))
+                want = _summarize(_payoffs(reference_event_payoffs, model, focal_c, where, 4097, index))
+                assert [float(v).hex() for v in got] == [float(v).hex() for v in want], (focal_c, where)
 
 
 def assert_event_is_the_kernel_sample(model, strategy, n_c, index):

@@ -136,6 +136,15 @@ class TestInvariants:
         with pytest.raises(ParameterError):
             CoreParams(n=1, b=12, c=1, tau=1, f=2, alpha=0.5, beta=0.2, r_p=1.4)
 
+    def test_group_size_is_at_most_max_n(self):
+        from pgg_bribery.games import MAX_N  # imported here: a tree without the cap fails at once
+
+        assert MAX_N > 3000  # the largest group the tests sample
+        assert replace(IPGG_WEAK_POOL, n=MAX_N).n == MAX_N
+        for n in (MAX_N + 1, 10**18):
+            with pytest.raises(ParameterError, match=f"n must be <= MAX_N = {MAX_N}, got {n}"):
+                replace(IPGG_WEAK_POOL, n=n)
+
     def test_cost_must_be_positive(self):
         with pytest.raises(ParameterError):
             CoreParams(n=5, b=12, c=0, tau=1, f=2, alpha=0.5, beta=0.2, r_p=1.4)

@@ -5,12 +5,15 @@ and/or repeated ``--set key=value`` overrides) and emits deterministic
 CSV files into ``--out``.  Exit codes: 0 success, 1 configuration or
 validation failure, 2 verification failure, 3 I/O failure.
 
-The optional environment variable ``PGG_BRIBERY_WORKERS`` sets the
-worker-pool size for Monte Carlo subcommands: one pool, of at most that
-many workers and never more than there are sample chunks, serves all the
-estimates of ``simulate`` (of both Monte Carlo suites of ``verify``) and
-is shut down before the command returns.  Leaving it unset runs them
-serially in this process, and no setting changes any emitted value.
+The optional environment variable ``PGG_BRIBERY_WORKERS``, an integer
+from 1 to :data:`MAX_WORKERS`, sets the worker-pool size for Monte Carlo
+subcommands.  One pool, of at most that many workers and never more
+than it has tasks, serves all the estimates of ``simulate``, and the
+whole battery of ``verify``: its eight deterministic suites go in first,
+longest first, then the chunks of both Monte Carlo suites.  The pool is
+shut down before the command returns.  Leaving the variable unset runs
+everything serially in this process, and no setting changes any emitted
+value.
 
 :func:`gradient_rows`, :func:`sweep_rows` and :func:`grid_rows` build the
 CSV rows of the ``gradient``, ``sweep`` and ``grid`` subcommands; the
@@ -49,6 +52,8 @@ EXIT_VERIFY = 2
 EXIT_IO = 3
 
 WORKERS_ENV = "PGG_BRIBERY_WORKERS"
+# the largest PGG_BRIBERY_WORKERS: a pool forks all of its workers at once
+MAX_WORKERS = 64
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -148,6 +153,8 @@ def _workers() -> int | None:
         raise ConfigError(f"{WORKERS_ENV} must be an integer, got {raw!r}") from None
     if workers < 1:
         raise ConfigError(f"{WORKERS_ENV} must be >= 1, got {workers}")
+    if workers > MAX_WORKERS:
+        raise ConfigError(f"{WORKERS_ENV} must be <= MAX_WORKERS = {MAX_WORKERS}, got {workers}")
     return workers
 
 

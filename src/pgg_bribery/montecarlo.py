@@ -52,10 +52,13 @@ other estimates share the same batch.
 
 Worker pool: with ``workers`` > 1, the chunks of all the estimates one
 caller batches (both ``simulate`` strategies, both Monte Carlo suites of
-``verify``) go through a single process pool, started for that call with
-at most one worker per chunk and shut down, its workers joined, before
-the call returns.  No pool outlives the call that started it, and each
-command starts at most one.
+``verify``) go through a single process pool, started for that call and
+shut down, its workers joined, before the call returns.  A caller may
+hand the same pool zero-argument calls, which go in ahead of the chunks:
+``verify`` sends its eight deterministic suites, longest first.  The
+pool has at most as many workers as it has tasks, chunks plus calls.  No
+pool outlives the call that started it, and each command starts at most
+one.
 """
 
 from __future__ import annotations
@@ -446,14 +449,22 @@ def _chunk_task(args) -> tuple[int, float, float]:
     return _summarize(_event_payoffs(model, focal_c, n_c, rng, size))
 
 
-def _map_chunks(task, arglist, workers):
+def _map_chunks(task, arglist, workers, calls=()):
+    """The results of ``calls``, then ``task`` over ``arglist``, both in order.
+
+    ``calls`` are zero-argument picklable callables.  In a pool they are
+    submitted first, so its workers take them before any chunk.
+    """
     if workers is not None and workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    if workers is None or workers == 1 or len(arglist) <= 1:
-        return [task(args) for args in arglist]
-    # a fork-context pool starts all of its workers at once: never more than there are chunks
-    with ProcessPoolExecutor(max_workers=min(workers, len(arglist))) as pool:
-        return list(pool.map(task, arglist))
+    tasks = len(calls) + len(arglist)
+    if workers is None or workers == 1 or tasks <= 1:
+        return [call() for call in calls] + [task(args) for args in arglist]
+    # a fork-context pool starts all of its workers at once: never more than there are tasks
+    with ProcessPoolExecutor(max_workers=min(workers, tasks)) as pool:
+        futures = [pool.submit(call) for call in calls]
+        parts = list(pool.map(task, arglist))
+        return [future.result() for future in futures] + parts
 
 
 @dataclass(frozen=True)
@@ -487,11 +498,13 @@ def _avg_request(model: Model, x: float, strategy: str, n: int, seed: RngSeed) -
     return _Request(model, focal_c, None, x, n, seed)
 
 
-def _estimate_all(requests: list[_Request], workers: int | None) -> list[Estimate]:
-    """Every request's estimate, all chunks through one :func:`_map_chunks` call.
+def _estimate_all(requests: list[_Request], workers: int | None, calls=()) -> list:
+    """The results of ``calls``, then every request's estimate, all through one :func:`_map_chunks` call.
 
     Each request is merged from its own chunk slice in chunk order, so the
     values equal those of one call per request, at any ``workers``.
+    ``calls`` are zero-argument picklable callables that share the pool
+    ahead of the chunks, or run first in this process without one.
     """
     args, slices = [], []
     for req in requests:
@@ -503,8 +516,9 @@ def _estimate_all(requests: list[_Request], workers: int | None) -> list[Estimat
             for i, size in enumerate(_chunk_sizes(req.n))
         ]
         slices.append(slice(start, len(args)))
-    parts = _map_chunks(_chunk_task, args, workers)
-    return [_merge(parts[part]) for part in slices]
+    results = _map_chunks(_chunk_task, args, workers, calls)
+    parts = results[len(calls):]
+    return results[: len(calls)] + [_merge(parts[part]) for part in slices]
 
 
 def estimate_expected_payoff(

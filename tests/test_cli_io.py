@@ -383,6 +383,22 @@ class TestInputContract:
                 assert f"samples must be <= MAX_SAMPLES = {MAX_SAMPLES}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_workers_above_the_cap_exit_1_naming_the_limit(self, weak_cfg, tmp_path, capsys, monkeypatch):
+        from pgg_bribery import montecarlo
+        from pgg_bribery.cli import MAX_WORKERS  # imported here: a tree without the cap fails at once
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool started instead of being refused")
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", no_pool)
+        for workers in (MAX_WORKERS + 1, 10**6):
+            monkeypatch.setenv("PGG_BRIBERY_WORKERS", str(workers))
+            for command in (["simulate", "--x", "0.5"], ["verify"]):
+                argv = command + ["--config", weak_cfg, "--set", "samples=100", "--out", str(tmp_path / "out")]
+                assert main(argv) == 1
+                assert f"PGG_BRIBERY_WORKERS must be <= MAX_WORKERS = {MAX_WORKERS}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", [["thresholds"], ["payoffs"], ["gradient", "--points", "5"]])
     def test_a_group_above_max_n_exits_1_naming_the_limit(self, weak_cfg, tmp_path, capsys, command):
         from pgg_bribery.games import MAX_N  # imported here: a tree without the cap fails at once

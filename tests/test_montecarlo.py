@@ -2,7 +2,9 @@
 and the finite-population imitation walk."""
 
 import math
+from concurrent.futures import Future
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ from pgg_bribery import (
 from pgg_bribery import montecarlo
 from pgg_bribery.montecarlo import _avg_request, _estimate_all, _payoff_request, generator
 from pgg_bribery.presets import BG_DEFECTOR_BRIBES, IPGG_BISTABLE, IPGG_WEAK_POOL
-from pgg_bribery.verify import draw_bribery_params, run_battery
+from pgg_bribery.verify import _check_monte_carlo, _deviation, draw_bribery_params, run_battery
 
 SAMPLES = 200_000
 
@@ -98,7 +100,12 @@ class TestBatchedEstimates:
             _estimate_all(requests, 2)
 
     @pytest.fixture
-    def pool_sizes(self, monkeypatch):
+    def pool_tasks(self):
+        """Every task handed to a pool, in order: a call's function name, or "chunk"."""
+        return []
+
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch, pool_tasks):
         """The ``max_workers`` of every pool started, each run in process."""
         sizes = []
 
@@ -112,8 +119,16 @@ class TestBatchedEstimates:
             def __exit__(self, *exc):
                 return False
 
+            def submit(self, fn):
+                pool_tasks.append(fn.func.__name__)
+                future = Future()
+                future.set_result(fn())
+                return future
+
             def map(self, fn, iterable):
-                return map(fn, iterable)
+                arglist = list(iterable)
+                pool_tasks.extend("chunk" for _ in arglist)
+                return map(fn, arglist)
 
         monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InProcessPool)
         return sizes
@@ -126,10 +141,49 @@ class TestBatchedEstimates:
         estimate_expected_payoff(IPGG_WEAK_POOL, "C", comp, 600_000, RngSeed(5), workers=2)
         assert pool_sizes == [3, 2]
 
-    def test_verify_runs_both_monte_carlo_suites_in_one_pool(self, pool_sizes):
+    def test_verify_runs_its_whole_battery_in_one_pool(self, pool_sizes, pool_tasks):
         suites = {suite.name: suite for suite in run_battery(samples=1000, workers=2)}
         assert pool_sizes == [2]
         assert len(suites["mc_event_payoffs"].rows) == 24 and len(suites["mc_average_payoffs"].rows) == 8
+        # the deterministic suites go in ahead of every chunk, longest first
+        assert pool_tasks == [
+            "_check_regime_signs",
+            "_check_conservation",
+            "_check_bribery_offset",
+            "_check_closed_vs_binomial",
+            "_check_threshold_gap",
+            "_check_reductions",
+            "_check_root_bracketing",
+            "_check_streams",
+        ] + ["chunk"] * 32
+
+    def test_calls_come_back_in_order_ahead_of_the_estimates(self, pool_sizes, pool_tasks):
+        calls = [partial(math.sqrt, 4.0), partial(math.floor, 2.5)]
+        request = _payoff_request(IPGG_WEAK_POOL, "C", GroupComposition(2, 2), 600_000, RngSeed(5))
+        assert _estimate_all([request], 50, calls) == [2.0, 2, _estimate_all([request], None)[0]]
+        assert pool_sizes == [5] and pool_tasks == ["sqrt", "floor", "chunk", "chunk", "chunk"]
+        assert _estimate_all([request], None, calls)[:2] == [2.0, 2]
+        assert pool_sizes == [5]
+
+    def test_a_real_pool_runs_the_battery_as_this_process_does(self):
+        assert run_battery(samples=20_000, workers=2) == run_battery(samples=20_000)
+
+
+class TestMonteCarloSuites:
+    """verify scores an estimate by its distance from the closed form in standard errors."""
+
+    def test_a_zero_standard_error_scores_zero_only_at_the_closed_form(self):
+        assert _deviation(Estimate(2.5, 0.0, 2), 2.5) == 0.0
+        assert _deviation(Estimate(2.5, 0.0, 2), 2.25) == math.inf
+        assert _deviation(Estimate(2.5, 0.5, 2), 2.25) == 0.5
+
+    def test_two_samples_do_not_pass(self):
+        # two equal samples have a zero standard error, whatever their mean
+        _, suites = _check_monte_carlo(42, 2, None)
+        assert not any(suite.passed for suite in suites)
+        rows = [row for suite in suites for row in suite.rows]
+        assert len(rows) == 32 and not any(row.value == 0.0 for row in rows)
+        assert sum(row.value == math.inf for row in rows) == 15
 
 
 class TestPinnedStreams:

@@ -7,13 +7,9 @@ validation failure, 2 verification failure, 3 I/O failure.
 
 The optional environment variable ``PGG_BRIBERY_WORKERS``, an integer
 from 1 to :data:`MAX_WORKERS`, sets the worker-pool size for Monte Carlo
-subcommands.  One pool, of at most that many workers and never more
-than it has tasks, serves all the estimates of ``simulate``, and the
-whole battery of ``verify``: its eight deterministic suites go in first,
-longest first, then the chunks of both Monte Carlo suites.  The pool is
-shut down before the command returns.  Leaving the variable unset runs
-everything serially in this process, and no setting changes any emitted
-value.
+subcommands; the pool policy is in :mod:`pgg_bribery.montecarlo`.
+Leaving it unset runs everything serially in this process, and no
+setting changes any emitted value.
 
 :func:`gradient_rows`, :func:`sweep_rows` and :func:`grid_rows` build the
 CSV rows of the ``gradient``, ``sweep`` and ``grid`` subcommands; the
@@ -41,7 +37,7 @@ from .analysis import (
 from .config import ConfigError, RunConfig, config_from_pairs, parse_pairs
 from .dynamics import basin_of_cooperation, integrate
 from .games import ParameterError, _payoff_tables, core_of
-from .montecarlo import RngSeed, _avg_request, _estimate_all
+from .montecarlo import RngSeed, _avg_request, _estimate_all, _run_tasks
 from .output import ColumnRows, fmt_float, fmt_quantity, write_csv, write_plot
 from .sweeps import DEFAULT_STEPS, SWEEP_DEFAULTS, RegimeGrid, SweepResult, _check_cells, regime_grid, sweep_root
 from .verify import run_battery
@@ -291,8 +287,9 @@ def _cmd_simulate(config: RunConfig, args) -> int:
         _avg_request(model, args.x, strategy, config.samples, RngSeed(config.seed, stream))
         for stream, strategy in enumerate(strategies)
     ]
+    estimates = _estimate_all(requests, _run_tasks([task for request in requests for task in request], _workers()))
     rows = []
-    for strategy, estimate in zip(strategies, _estimate_all(requests, _workers())):
+    for strategy, estimate in zip(strategies, estimates):
         closed = avg_payoff(model, args.x, strategy)
         rows.append((strategy, args.x, estimate.mean, estimate.std_error, estimate.n_samples, closed))
         print(

@@ -23,7 +23,7 @@ __all__ = ["Trajectory", "integrate", "basin_of_cooperation"]
 DEFAULT_STEP = 0.01
 DEFAULT_T_MAX = 1e4
 DEFAULT_CONV_TOL = 1e-10
-MAX_STEPS = 10**8  # bound on t_max / step, so every accepted run ends
+MAX_STEPS = 10**7  # bound on t_max / step: a run at the cap records ~160 MB of times and states
 
 
 @dataclass

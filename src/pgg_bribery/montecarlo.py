@@ -50,15 +50,16 @@ chunks, one substream per chunk, merged in chunk order, so the values do
 not depend on how many worker processes execute the chunks, nor on which
 other estimates share the same batch.
 
-Worker pool: with ``workers`` > 1, the chunks of all the estimates one
-caller batches (both ``simulate`` strategies, both Monte Carlo suites of
-``verify``) go through a single process pool, started for that call and
-shut down, its workers joined, before the call returns.  A caller may
-hand the same pool zero-argument calls, which go in ahead of the chunks:
-``verify`` sends its eight deterministic suites, longest first.  The
-pool has at most as many workers as it has tasks, chunks plus calls.  No
-pool outlives the call that started it, and each command starts at most
-one.
+Worker pool: an estimate is the list of its zero-argument chunk tasks,
+and each command hands all of its tasks to one :func:`_run_tasks` call:
+``simulate`` the chunks of both strategies' estimates, ``verify`` its
+eight deterministic suites, longest first, then the chunks of its 32
+estimates.  With ``workers`` > 1 the tasks go into one process pool in
+that order, through one submission path; the pool has at most as many
+workers as there are tasks, and it is shut down, its workers joined,
+before the call returns.  Without ``workers`` the tasks run in the
+calling process.  So each command starts at most one pool, and no pool
+outlives it.
 """
 
 from __future__ import annotations
@@ -66,7 +67,8 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
+from itertools import islice
 
 import numpy as np
 
@@ -440,85 +442,62 @@ def _event_payoffs(model, focal_c, n_c, rng, size) -> np.ndarray:
     return payoff
 
 
-def _chunk_task(args) -> tuple[int, float, float]:
+def _chunk_task(model, focal_c, n_c, x, seed, index, size) -> tuple[int, float, float]:
+    """Size, mean and squared deviations of chunk ``index`` of an estimate: ``size`` focal payoffs."""
     # n_c is None for Binomial(n-1, x) compositions, drawn first from the chunk's stream
-    model, focal_c, n_c, x, seed, index, size = args
     rng = generator(seed, index)
     if n_c is None:
         n_c = _binomial(rng, core_of(model).n - 1, x, size)
     return _summarize(_event_payoffs(model, focal_c, n_c, rng, size))
 
 
-def _map_chunks(task, arglist, workers, calls=()):
-    """The results of ``calls``, then ``task`` over ``arglist``, both in order.
-
-    ``calls`` are zero-argument picklable callables.  In a pool they are
-    submitted first, so its workers take them before any chunk.
-    """
-    if workers is not None and workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    tasks = len(calls) + len(arglist)
-    if workers is None or workers == 1 or tasks <= 1:
-        return [call() for call in calls] + [task(args) for args in arglist]
-    # a fork-context pool starts all of its workers at once: never more than there are tasks
-    with ProcessPoolExecutor(max_workers=min(workers, tasks)) as pool:
-        futures = [pool.submit(call) for call in calls]
-        parts = list(pool.map(task, arglist))
-        return [future.result() for future in futures] + parts
+def _chunk_tasks(model, focal_c, n_c, x, n: int, seed: RngSeed) -> list[partial]:
+    """One estimate as its zero-argument chunk tasks: ``n`` focal payoffs from the ``seed`` substreams."""
+    if n < 2:
+        raise ValueError(f"need n >= 2 samples, got {n}")
+    return [partial(_chunk_task, model, focal_c, n_c, x, seed, i, size) for i, size in enumerate(_chunk_sizes(n))]
 
 
-@dataclass(frozen=True)
-class _Request:
-    """One estimate: ``n`` focal payoffs drawn from the ``seed`` substreams.
-
-    ``n_c`` is the fixed cooperator co-player count, or None for
-    compositions drawn Binomial(n-1, x).
-    """
-
-    model: Model
-    focal_c: bool
-    n_c: int | None
-    x: float | None
-    n: int
-    seed: RngSeed
-
-
-def _payoff_request(model: Model, focal: str, comp: GroupComposition, n: int, seed: RngSeed) -> _Request:
-    """Request for :func:`estimate_expected_payoff`; checks the strategy and the composition."""
+def _payoff_request(model: Model, focal: str, comp: GroupComposition, n: int, seed: RngSeed) -> list[partial]:
+    """Chunk tasks of :func:`estimate_expected_payoff`; checks the strategy, the composition and ``n``."""
     focal_c = is_cooperator(focal)
     _check_group(core_of(model), comp)
-    return _Request(model, focal_c, comp.n_c, None, n, seed)
+    return _chunk_tasks(model, focal_c, comp.n_c, None, n, seed)
 
 
-def _avg_request(model: Model, x: float, strategy: str, n: int, seed: RngSeed) -> _Request:
-    """Request for :func:`estimate_avg_payoff`; checks the strategy and ``x``."""
+def _avg_request(model: Model, x: float, strategy: str, n: int, seed: RngSeed) -> list[partial]:
+    """Chunk tasks of :func:`estimate_avg_payoff`; checks the strategy, ``x`` and ``n``."""
     focal_c = is_cooperator(strategy)
     if not 0 <= x <= 1:
         raise ValueError(f"x must be in [0, 1], got {x}")
-    return _Request(model, focal_c, None, x, n, seed)
+    return _chunk_tasks(model, focal_c, None, x, n, seed)
 
 
-def _estimate_all(requests: list[_Request], workers: int | None, calls=()) -> list:
-    """The results of ``calls``, then every request's estimate, all through one :func:`_map_chunks` call.
+def _run_tasks(tasks: list, workers: int | None) -> list:
+    """The result of every zero-argument picklable task, in order.
 
-    Each request is merged from its own chunk slice in chunk order, so the
-    values equal those of one call per request, at any ``workers``.
-    ``calls`` are zero-argument picklable callables that share the pool
-    ahead of the chunks, or run first in this process without one.
+    With ``workers`` > 1 and more than one task they go into one pool, in
+    order, under the pool policy of the module docstring; otherwise they
+    run in this process.
     """
-    args, slices = [], []
-    for req in requests:
-        if req.n < 2:
-            raise ValueError(f"need n >= 2 samples, got {req.n}")
-        start = len(args)
-        args += [
-            (req.model, req.focal_c, req.n_c, req.x, req.seed, i, size)
-            for i, size in enumerate(_chunk_sizes(req.n))
-        ]
-        slices.append(slice(start, len(args)))
-    results = _map_chunks(_chunk_task, args, workers, calls)
-    parts = results[len(calls):]
-    return results[: len(calls)] + [_merge(parts[part]) for part in slices]
+    if workers is not None and workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    if workers is None or workers == 1 or len(tasks) <= 1:
+        return [task() for task in tasks]
+    # a fork-context pool starts all of its workers at once: never more than there are tasks
+    with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+        futures = [pool.submit(task) for task in tasks]
+        return [future.result() for future in futures]
+
+
+def _estimate_all(requests: list[list], results) -> list[Estimate]:
+    """Every request's estimate, merged in chunk order from its slice of ``results``.
+
+    ``results`` are those of the requests' chunk tasks, request after
+    request, so the values equal those of one call per request.
+    """
+    results = iter(results)
+    return [_merge(islice(results, len(tasks))) for tasks in requests]
 
 
 def estimate_expected_payoff(
@@ -530,7 +509,7 @@ def estimate_expected_payoff(
     workers: int | None = None,
 ) -> Estimate:
     """Mean and standard error of ``n`` event payoffs at a fixed composition."""
-    return _estimate_all([_payoff_request(model, focal, comp, n, seed)], workers)[0]
+    return _merge(_run_tasks(_payoff_request(model, focal, comp, n, seed), workers))
 
 
 def estimate_avg_payoff(
@@ -542,7 +521,7 @@ def estimate_avg_payoff(
     workers: int | None = None,
 ) -> Estimate:
     """Monte Carlo estimate of the population-average payoff at fraction x."""
-    return _estimate_all([_avg_request(model, x, strategy, n, seed)], workers)[0]
+    return _merge(_run_tasks(_avg_request(model, x, strategy, n, seed), workers))
 
 
 # ---------------------------------------------------------------------------

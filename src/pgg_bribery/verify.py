@@ -15,11 +15,9 @@ Suites (one summary line each from the CLI):
 
 Every random draw is seeded, so repeated runs produce byte-identical
 reports; Monte Carlo work is chunked by fixed substreams, so worker-pool
-size cannot change any value.  The two Monte Carlo suites send all of
-their estimates through one chunk map, so one worker pool serves the
-whole battery: the eight deterministic suites go into it first, longest
-first, and the chunks follow.  The pool has at most as many workers as
-it has tasks, and without one the suites run in this process.
+size cannot change any value.  :func:`run_battery` runs the whole
+battery as one task list, under the pool policy of
+:mod:`pgg_bribery.montecarlo`.
 """
 
 from __future__ import annotations
@@ -53,6 +51,7 @@ from .montecarlo import (
     _avg_request,
     _estimate_all,
     _payoff_request,
+    _run_tasks,
     estimate_expected_payoff,
     generator,
     realize_event,
@@ -120,26 +119,26 @@ def _suite(name: str, rows: list[CheckRow], detail: str) -> SuiteResult:
     return SuiteResult(name, all(row.ok for row in rows), detail, tuple(rows))
 
 
-def _check_closed_vs_binomial(seed: int, cases: int = 1000) -> SuiteResult:
+def _check_closed_vs_binomial(seed: int) -> SuiteResult:
     rng = generator(RngSeed(seed, 101))
     worst = 0.0
-    for i in range(cases):
+    for i in range(1000):
         model = _draw_model(rng, i)
         x = rng.uniform(0.0, 1.0)
         strategy = "C" if i % 4 < 2 else "D"
         worst = max(worst, abs(avg_payoff(model, x, strategy) - binomial_avg_payoff(model, x, strategy)))
     rows = [CheckRow("closed_form_vs_binomial", "max_abs_diff", worst, 1e-10)]
-    return _suite("closed_form_vs_binomial", rows, f"max |closed - binomial| = {worst:.3e} over {cases} cases")
+    return _suite("closed_form_vs_binomial", rows, f"max |closed - binomial| = {worst:.3e} over 1000 cases")
 
 
-def _check_reductions(seed: int, cases: int = 300) -> SuiteResult:
+def _check_reductions(seed: int) -> SuiteResult:
     rng = generator(RngSeed(seed, 102))
     rows = []
     worst_beta0 = 0.0
     exact_bg = True
     worst_pq = 0.0
     finite = True
-    for i in range(cases):
+    for i in range(300):
         bg = draw_bribery_params(rng, positive_punishment=True)
         core = bg.core
         n = core.n
@@ -174,15 +173,15 @@ def _check_reductions(seed: int, cases: int = 300) -> SuiteResult:
     rows.append(CheckRow("reduction_identities", "bg_gamma0_h0_bit_equal", 0.0 if exact_bg else 1.0, 0.5))
     rows.append(CheckRow("reduction_identities", "p_equals_q_gap", worst_pq, 1e-12))
     rows.append(CheckRow("reduction_identities", "zero_count_finite", 0.0 if finite else 1.0, 0.5))
-    return _suite("reduction_identities", rows, f"{cases} random models, worst offsets "
+    return _suite("reduction_identities", rows, f"300 random models, worst offsets "
                   f"{worst_beta0:.1e} / {worst_pq:.1e}")
 
 
-def _check_bribery_offset(seed: int, cases: int = 1000) -> SuiteResult:
+def _check_bribery_offset(seed: int) -> SuiteResult:
     rng = generator(RngSeed(seed, 103))
     grid = np.linspace(0.0, 1.0, 11)
     worst = 0.0
-    for _ in range(cases):
+    for _ in range(1000):
         bg = draw_bribery_params(rng)
         expected = bribery_offset(bg)
         q_bg, q_core = q_callable(bg), q_callable(bg.core)
@@ -190,27 +189,27 @@ def _check_bribery_offset(seed: int, cases: int = 1000) -> SuiteResult:
             observed = q_bg(float(x)) - q_core(float(x))
             worst = max(worst, abs(observed - expected))
     rows = [CheckRow("bribery_offset", "max_abs_dev", worst, 1e-12)]
-    return _suite("bribery_offset", rows, f"max |Q_bg - Q_ipgg - offset| = {worst:.3e} over {cases} x 11 points")
+    return _suite("bribery_offset", rows, f"max |Q_bg - Q_ipgg - offset| = {worst:.3e} over 1000 x 11 points")
 
 
-def _check_threshold_gap(seed: int, cases: int = 1000) -> SuiteResult:
+def _check_threshold_gap(seed: int) -> SuiteResult:
     rng = generator(RngSeed(seed, 104))
     worst = 0.0
-    for i in range(cases):
+    for i in range(1000):
         model = _draw_model(rng, i)
         core = core_of(model)
         th = thresholds(model)
         expected = core.n * (core.n - 1) * core.beta * core.tau * core.r_p / core.c
         worst = max(worst, abs(th.f_max - th.f_min - expected))
     rows = [CheckRow("threshold_gap", "max_abs_dev", worst, 1e-12)]
-    return _suite("threshold_gap", rows, f"max gap deviation = {worst:.3e} over {cases} cases")
+    return _suite("threshold_gap", rows, f"max gap deviation = {worst:.3e} over 1000 cases")
 
 
-def _check_regime_signs(seed: int, cases: int = 10_000) -> SuiteResult:
+def _check_regime_signs(seed: int) -> SuiteResult:
     rng = generator(RngSeed(seed, 105))
     disagreements = 0
     classified = 0
-    for i in range(cases):
+    for i in range(10_000):
         model = _draw_model(rng, i)
         try:
             regime = classify_regime(model)
@@ -234,11 +233,11 @@ def _check_regime_signs(seed: int, cases: int = 10_000) -> SuiteResult:
     )
 
 
-def _check_root_bracketing(seed: int, cases: int = 200) -> SuiteResult:
+def _check_root_bracketing(seed: int) -> SuiteResult:
     rng = generator(RngSeed(seed, 106))
     checked = 0
     failures = 0
-    while checked < cases:
+    while checked < 200:
         model = _draw_model(rng, checked, positive_punishment=True)
         th = thresholds(model)
         f = th.f_min + rng.uniform(0.1, 0.9) * (th.f_max - th.f_min)
@@ -254,7 +253,7 @@ def _check_root_bracketing(seed: int, cases: int = 200) -> SuiteResult:
         if not below < 0.0 < above:
             failures += 1
     rows = [CheckRow("root_bracketing", "sign_failures", float(failures), 0.5)]
-    return _suite("root_bracketing", rows, f"{failures} bracket failures over {cases} bistable roots")
+    return _suite("root_bracketing", rows, f"{failures} bracket failures over 200 bistable roots")
 
 
 def mc_battery_cases() -> list[tuple[str, object, str, GroupComposition]]:
@@ -277,14 +276,10 @@ def _deviation(estimate, expected: float) -> float:
     return 0.0 if estimate.mean == expected else math.inf
 
 
-def _check_monte_carlo(seed: int, samples: int, workers, calls=()) -> tuple[list, list[SuiteResult]]:
-    """The results of ``calls``, and the mc_event_payoffs and mc_average_payoffs suites.
-
-    Every estimate goes through one :func:`_estimate_all` batch, and
-    ``calls`` share its pool ahead of the chunks.
-    """
+def _monte_carlo_checks(seed: int, samples: int) -> list[tuple[str, str, list, float]]:
+    """The 32 Monte Carlo checks: suite, case, the estimate's chunk tasks and its closed form."""
     events = [
-        (case, _payoff_request(model, strategy, comp, samples, RngSeed(seed, 200 + index)),
+        ("mc_event_payoffs", case, _payoff_request(model, strategy, comp, samples, RngSeed(seed, 200 + index)),
          group_payoff(model, strategy, comp))
         for index, (case, model, strategy, comp) in enumerate(mc_battery_cases())
     ]
@@ -292,32 +287,32 @@ def _check_monte_carlo(seed: int, samples: int, workers, calls=()) -> tuple[list
             ("bg", BG_DEFECTOR_BRIBES, 0.3), ("bg", BG_DEFECTOR_BRIBES, 0.5)]
     cases = [(name, model, x, strategy) for name, model, x in sets for strategy in ("C", "D")]
     averages = [
-        (f"{name}/x{x}/{strategy}", _avg_request(model, x, strategy, samples, RngSeed(seed, 300 + index)),
-         avg_payoff(model, x, strategy))
+        ("mc_average_payoffs", f"{name}/x{x}/{strategy}",
+         _avg_request(model, x, strategy, samples, RngSeed(seed, 300 + index)), avg_payoff(model, x, strategy))
         for index, (name, model, x, strategy) in enumerate(cases)
     ]
-    suites = [("mc_event_payoffs", events), ("mc_average_payoffs", averages)]
-    requests = [request for _, checks in suites for _, request, _ in checks]
-    done = _estimate_all(requests, workers, calls)
-    estimates = iter(done[len(calls):])
+    return events + averages
+
+
+def _check_monte_carlo(checks, estimates, samples: int) -> list[SuiteResult]:
+    """The mc_event_payoffs and mc_average_payoffs suites: each check's estimate against its closed form."""
     results = []
-    for name, checks in suites:
-        rows = []
-        worst = 0.0
-        for case, _, expected in checks:
-            estimate = next(estimates)
-            sigmas = _deviation(estimate, expected)
-            worst = max(worst, sigmas)
-            rows.append(CheckRow(name, case, sigmas, 4.0))
+    for name in ("mc_event_payoffs", "mc_average_payoffs"):
+        rows = [
+            CheckRow(name, case, _deviation(estimate, expected), 4.0)
+            for (suite, case, _, expected), estimate in zip(checks, estimates)
+            if suite == name
+        ]
+        worst = max(row.value for row in rows)
         results.append(_suite(name, rows, f"{len(rows)} cases x {samples} samples, "
                               f"worst deviation {worst:.2f} standard errors"))
-    return done[: len(calls)], results
+    return results
 
 
-def _check_conservation(seed: int, events: int = 4000) -> SuiteResult:
+def _check_conservation(seed: int) -> SuiteResult:
     rng = generator(RngSeed(seed, 107))
     violations = 0
-    for i in range(events):
+    for i in range(4000):
         model = _draw_model(rng, i, positive_punishment=True)
         core = core_of(model)
         n = core.n
@@ -344,7 +339,7 @@ def _check_conservation(seed: int, events: int = 4000) -> SuiteResult:
         if outcome.action != "accept" and (outcome.bribes_paid or outcome.bribes_received):
             violations += 1
     rows = [CheckRow("mc_conservation", "violations", float(violations), 0.5)]
-    return _suite("mc_conservation", rows, f"{violations} accounting violations over {events} events")
+    return _suite("mc_conservation", rows, f"{violations} accounting violations over 4000 events")
 
 
 def _check_streams(seed: int) -> SuiteResult:
@@ -379,13 +374,16 @@ _LONGEST_FIRST = (
 def run_battery(samples: int = 1_000_000, seed: int = 42, workers: int | None = None) -> list[SuiteResult]:
     """Run every verification suite; deterministic for a fixed seed.
 
-    The deterministic suites go into the Monte Carlo suites' pool ahead
-    of their chunks, longest first; the suites come back in the order of
-    the module docstring.
+    One task list holds the eight deterministic suites, longest first,
+    then the chunks of the 32 Monte Carlo estimates; the suites come back
+    in the order of the module docstring.
     """
-    calls = [partial(check, seed) for check in _LONGEST_FIRST]
-    done, monte_carlo = _check_monte_carlo(seed, samples, workers, calls)
-    suite = dict(zip(_LONGEST_FIRST, done))
+    checks = _monte_carlo_checks(seed, samples)
+    requests = [request for _, _, request, _ in checks]
+    tasks = [partial(check, seed) for check in _LONGEST_FIRST] + [task for request in requests for task in request]
+    results = _run_tasks(tasks, workers)
+    suite = dict(zip(_LONGEST_FIRST, results))
+    monte_carlo = _check_monte_carlo(checks, _estimate_all(requests, results[len(_LONGEST_FIRST):]), samples)
     return [
         suite[_check_closed_vs_binomial],
         suite[_check_reductions],

@@ -25,13 +25,18 @@ VALUES = (
     | st.integers(MAX_N + 2, 2**70).map(str)
     | st.sampled_from(["ipgg", "bg", "inf", "-inf", "nan", "1e308", "-0", "0", "1", "1e-320", ""])
 )
-COMMANDS = st.sampled_from([["thresholds"], ["roots"], ["basins"], ["payoffs"], ["gradient", "--points", "5"]])
+COMMANDS = st.sampled_from(
+    [["thresholds"], ["roots"], ["basins"], ["payoffs"], ["gradient", "--points", "5"], ["integrate", "--x0", "0.9"]]
+)
+# set after the drawn overrides, so that an integrate example runs at most t_max / step = 50 steps
+LAST = {"integrate": [("step", "0.1"), ("t_max", "5")]}
 
 
 @settings(max_examples=80, deadline=None)
 @given(COMMANDS, st.lists(st.tuples(KEYS, VALUES), max_size=3), st.booleans())
 @example(["thresholds"], [("n", "1")], False)
 @example(["payoffs"], [("model", "ipgg")], True)
+@example(["integrate", "--x0", "0.9"], [("f", "1e308")], False)
 def test_arbitrary_overrides_exit_0_or_1_without_a_traceback(tmp_path_factory, command, overrides, drop_bg_keys):
     pairs = dict(BASE)
     if drop_bg_keys:  # leave the model an IPGG one unless an override says otherwise
@@ -39,7 +44,7 @@ def test_arbitrary_overrides_exit_0_or_1_without_a_traceback(tmp_path_factory, c
         for key in BG_KEYS:
             del pairs[key]
     argv = command + ["--out", str(tmp_path_factory.mktemp("fuzz"))]
-    for key, value in [*pairs.items(), *overrides]:
+    for key, value in [*pairs.items(), *overrides, *LAST.get(command[0], [])]:
         argv.append(f"--set={key}={value}")
     assert_exit_0_or_1(argv)
 

@@ -354,7 +354,7 @@ class TestInputContract:
         assert main(argv + ["--set", "t_max=1e300", "--set", "step=1e-300"]) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
-    @pytest.mark.parametrize("overrides", [["step=1e-300"], ["t_max=1e4", "step=9.9e-5"]])
+    @pytest.mark.parametrize("overrides", [["step=1e-300"], ["t_max=1e4", "step=9.9e-5"], ["t_max=1e4", "step=9.9e-4"]])
     def test_integrate_refuses_more_than_max_steps(self, bistable_cfg, tmp_path, capsys, monkeypatch, overrides):
         def no_integration(model):
             raise AssertionError("the run started instead of being refused")

@@ -274,7 +274,7 @@ class TestBinomialDraws:
         for focal_c in (True, False):
             for index, where in enumerate((1, 0.37)):  # a fixed composition, then drawn ones
                 n_c, x = (where, None) if isinstance(where, int) else (None, where)
-                got = _chunk_task((model, focal_c, n_c, x, RngSeed(2024), index, 4097))
+                got = _chunk_task(model, focal_c, n_c, x, RngSeed(2024), index, 4097)
                 want = _summarize(_payoffs(reference_event_payoffs, model, focal_c, where, 4097, index))
                 assert [float(v).hex() for v in got] == [float(v).hex() for v in want], (focal_c, where)
 

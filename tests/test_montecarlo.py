@@ -22,9 +22,15 @@ from pgg_bribery import (
     realize_event,
 )
 from pgg_bribery import montecarlo
-from pgg_bribery.montecarlo import _avg_request, _estimate_all, _payoff_request, generator
+from pgg_bribery.montecarlo import _avg_request, _estimate_all, _payoff_request, _run_tasks, generator
 from pgg_bribery.presets import BG_DEFECTOR_BRIBES, IPGG_BISTABLE, IPGG_WEAK_POOL
-from pgg_bribery.verify import _check_monte_carlo, _deviation, draw_bribery_params, run_battery
+from pgg_bribery.verify import (
+    _check_monte_carlo,
+    _deviation,
+    _monte_carlo_checks,
+    draw_bribery_params,
+    run_battery,
+)
 
 SAMPLES = 200_000
 
@@ -62,7 +68,7 @@ class TestReproducibility:
 
 
 class TestBatchedEstimates:
-    """All estimates of a command go through one chunk map; no value may move."""
+    """All the tasks of a command go through one task list; no value may move."""
 
     # fixed and mixed compositions, IPGG and BG, one and two chunks per request
     REQUESTS = [
@@ -90,23 +96,21 @@ class TestBatchedEstimates:
 
     @pytest.mark.parametrize("workers", [None, 1, 2])
     def test_batch_equals_one_estimate_at_a_time(self, separate, workers):
-        batch = _estimate_all([self._request(*request) for request in self.REQUESTS], workers)
-        assert batch == separate
-
-    def test_a_short_request_fails_the_batch(self):
         requests = [self._request(*request) for request in self.REQUESTS]
-        requests.insert(2, _payoff_request(IPGG_WEAK_POOL, "C", GroupComposition(2, 2), 1, RngSeed(0)))
-        with pytest.raises(ValueError, match="n >= 2"):
-            _estimate_all(requests, 2)
+        results = _run_tasks([task for request in requests for task in request], workers)
+        assert _estimate_all(requests, results) == separate
 
     @pytest.fixture
     def pool_tasks(self):
-        """Every task handed to a pool, in order: a call's function name, or "chunk"."""
+        """Every task handed to a pool, in order, by its function's name."""
         return []
 
     @pytest.fixture
     def pool_sizes(self, monkeypatch, pool_tasks):
-        """The ``max_workers`` of every pool started, each run in process."""
+        """The ``max_workers`` of every pool started, each run in process.
+
+        The pool has no ``map``: ``submit`` is the one way in.
+        """
         sizes = []
 
         class InProcessPool:
@@ -125,18 +129,31 @@ class TestBatchedEstimates:
                 future.set_result(fn())
                 return future
 
-            def map(self, fn, iterable):
-                arglist = list(iterable)
-                pool_tasks.extend("chunk" for _ in arglist)
-                return map(fn, arglist)
-
         monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InProcessPool)
         return sizes
 
-    def test_pool_never_outnumbers_the_chunks(self, pool_sizes):
+    def test_a_short_request_fails_before_any_pool_starts(self, pool_sizes):
+        comp = GroupComposition(2, 2)
+        for n in (1, 0, -5):
+            with pytest.raises(ValueError, match="n >= 2"):
+                _payoff_request(IPGG_WEAK_POOL, "C", comp, n, RngSeed(0))
+            with pytest.raises(ValueError, match="n >= 2"):
+                _avg_request(IPGG_BISTABLE, 0.5, "D", n, RngSeed(0))
+            with pytest.raises(ValueError, match="n >= 2"):
+                estimate_expected_payoff(IPGG_WEAK_POOL, "C", comp, n, RngSeed(0), workers=2)
+            with pytest.raises(ValueError, match="n >= 2"):
+                estimate_avg_payoff(IPGG_BISTABLE, 0.5, "D", n, RngSeed(0), workers=2)
+        assert pool_sizes == []
+
+    def test_workers_below_one_are_refused_before_any_pool_starts(self, pool_sizes):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            estimate_expected_payoff(IPGG_WEAK_POOL, "C", GroupComposition(2, 2), 600_000, RngSeed(5), workers=0)
+        assert pool_sizes == []
+
+    def test_pool_never_outnumbers_the_chunks(self, pool_sizes, pool_tasks):
         comp = GroupComposition(2, 2)
         three_chunks = estimate_expected_payoff(IPGG_WEAK_POOL, "C", comp, 600_000, RngSeed(5), workers=5000)
-        assert pool_sizes == [3]
+        assert pool_sizes == [3] and pool_tasks == ["_chunk_task"] * 3
         assert three_chunks == estimate_expected_payoff(IPGG_WEAK_POOL, "C", comp, 600_000, RngSeed(5))
         estimate_expected_payoff(IPGG_WEAK_POOL, "C", comp, 600_000, RngSeed(5), workers=2)
         assert pool_sizes == [3, 2]
@@ -155,14 +172,19 @@ class TestBatchedEstimates:
             "_check_reductions",
             "_check_root_bracketing",
             "_check_streams",
-        ] + ["chunk"] * 32
+        ] + ["_chunk_task"] * 32
 
-    def test_calls_come_back_in_order_ahead_of_the_estimates(self, pool_sizes, pool_tasks):
+    def test_tasks_come_back_in_order(self, pool_sizes, pool_tasks):
+        comp = GroupComposition(2, 2)
         calls = [partial(math.sqrt, 4.0), partial(math.floor, 2.5)]
-        request = _payoff_request(IPGG_WEAK_POOL, "C", GroupComposition(2, 2), 600_000, RngSeed(5))
-        assert _estimate_all([request], 50, calls) == [2.0, 2, _estimate_all([request], None)[0]]
-        assert pool_sizes == [5] and pool_tasks == ["sqrt", "floor", "chunk", "chunk", "chunk"]
-        assert _estimate_all([request], None, calls)[:2] == [2.0, 2]
+        request = _payoff_request(IPGG_WEAK_POOL, "C", comp, 600_000, RngSeed(5))
+        results = _run_tasks(calls + request, 50)
+        assert results[:2] == [2.0, 2]
+        assert _estimate_all([request], results[2:]) == [
+            estimate_expected_payoff(IPGG_WEAK_POOL, "C", comp, 600_000, RngSeed(5))
+        ]
+        assert pool_sizes == [5] and pool_tasks == ["sqrt", "floor"] + ["_chunk_task"] * 3
+        assert _run_tasks(calls + request, None) == results
         assert pool_sizes == [5]
 
     def test_a_real_pool_runs_the_battery_as_this_process_does(self):
@@ -179,7 +201,10 @@ class TestMonteCarloSuites:
 
     def test_two_samples_do_not_pass(self):
         # two equal samples have a zero standard error, whatever their mean
-        _, suites = _check_monte_carlo(42, 2, None)
+        checks = _monte_carlo_checks(42, 2)
+        requests = [request for _, _, request, _ in checks]
+        results = _run_tasks([task for request in requests for task in request], None)
+        suites = _check_monte_carlo(checks, _estimate_all(requests, results), 2)
         assert not any(suite.passed for suite in suites)
         rows = [row for suite in suites for row in suite.rows]
         assert len(rows) == 32 and not any(row.value == 0.0 for row in rows)

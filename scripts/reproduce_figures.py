@@ -22,7 +22,6 @@ import sys
 from pgg_bribery import (
     basin_of_cooperation,
     classify_regime,
-    core_of,
     regime_grid,
     sweep_root,
     thresholds,
@@ -44,7 +43,7 @@ def describe(name, model, lines):
     regime = classify_regime(model)
     root = f" x*={regime.x_star:.6f}" if regime.x_star is not None else ""
     lines.append(
-        f"{name}: f={core_of(model).f} "
+        f"{name}: f={model.f} "
         f"f_min={th.f_min:.6f} f_max={th.f_max:.6f} regime={regime.token}{root}"
     )
 

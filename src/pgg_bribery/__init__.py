@@ -35,7 +35,6 @@ from .games import (
     GroupComposition,
     Model,
     ParameterError,
-    core_of,
     group_payoff,
 )
 from .montecarlo import (
@@ -79,7 +78,6 @@ __all__ = [
     "classify_regime",
     "classify_regimes",
     "coefficients",
-    "core_of",
     "estimate_avg_payoff",
     "estimate_expected_payoff",
     "evolve_finite_population",

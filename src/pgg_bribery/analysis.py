@@ -42,7 +42,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .games import BriberyParams, GroupComposition, Model, ParameterError, core_of, group_payoff, is_cooperator
+from .games import BriberyParams, GroupComposition, Model, ParameterError, group_payoff, is_cooperator
 
 __all__ = [
     "KnifeEdgeError",
@@ -167,7 +167,7 @@ def _geom_sum_derivative(y: float, terms: int) -> float:
 def bribery_offset(model: Model) -> float:
     """Constant added to Q by bribery: (n-1) gamma h (q - p) / n, else 0."""
     if isinstance(model, BriberyParams):
-        n = model.core.n
+        n = model.n
         return (n - 1) * model.gamma * model.h * (model.q - model.p) / n
     return 0.0
 
@@ -196,18 +196,17 @@ def coefficients(model: Model, f=None, r_p=None) -> Coefficients:
     numpy arrays, and the fields then broadcast elementwise with the same
     floating-point operations, in the same order, as for scalars.
     """
-    core = core_of(model)
-    n = core.n
-    f = core.f if f is None else f
-    r_p = core.r_p if r_p is None else r_p
+    n = model.n
+    f = model.f if f is None else f
+    r_p = model.r_p if r_p is None else r_p
     offset = bribery_offset(model)
-    pressure = core.beta * core.tau * r_p
-    fine_c = core.alpha * pressure
-    fine_d = (1.0 - core.alpha) * pressure
-    constant = f * core.c / n - core.c + offset + pressure - 2.0 * fine_c
-    base = core.c - offset - pressure
-    f_min = n * (base + 2.0 * fine_c - fine_d * (n - 1)) / core.c
-    f_max = n * (base + fine_c * (n + 1)) / core.c
+    pressure = model.beta * model.tau * r_p
+    fine_c = model.alpha * pressure
+    fine_d = (1.0 - model.alpha) * pressure
+    constant = f * model.c / n - model.c + offset + pressure - 2.0 * fine_c
+    base = model.c - offset - pressure
+    f_min = n * (base + 2.0 * fine_c - fine_d * (n - 1)) / model.c
+    f_max = n * (base + fine_c * (n + 1)) / model.c
     return Coefficients(n, f, pressure, constant, fine_c, fine_d, f_min, f_max)
 
 
@@ -288,23 +287,22 @@ def avg_payoff(model: Model, x: float, strategy: str) -> float:
     """
     _check_x(x)
     cooperator = is_cooperator(strategy)
-    core = core_of(model)
-    n = core.n
+    n = model.n
     co = coefficients(model)
     if cooperator:
         # own-type leader share requires a cooperator co-player to exist,
         # hence the missing (1-x)^(n-1) mass
         fines = co.fine_c * (1.0 - (1.0 - x) ** (n - 1) + _geom_sum(1.0 - x, n - 1))
         value = (
-            core.b
-            + core.f * core.c * ((n - 1) * x + 1.0) / n
-            - core.c
-            - core.tau
+            model.b
+            + model.f * model.c * ((n - 1) * x + 1.0) / n
+            - model.c
+            - model.tau
             - fines
         )
     else:
         fines = co.fine_d * (1.0 - x ** (n - 1) + _geom_sum(x, n - 1))
-        value = core.b + core.f * core.c * (n - 1) * x / n - core.tau - fines
+        value = model.b + model.f * model.c * (n - 1) * x / n - model.tau - fines
     if isinstance(model, BriberyParams):
         accepted = model.gamma * model.h
         income = (n - 1) * accepted * (model.p * x + model.q * (1.0 - x)) / n
@@ -341,7 +339,7 @@ def binomial_avg_payoff(model: Model, x: float, strategy: str) -> float:
     co-players is Binomial(n - 1, x).
     """
     _check_x(x)
-    n = core_of(model).n
+    n = model.n
     total = 0.0
     for n_c in range(n):
         weight = _weight(n - 1, n_c, x)
@@ -454,7 +452,7 @@ def classify_regimes(model: Model, f=None, r_p=None) -> Regimes:
         if np.any(bad):
             index = int(np.argmax(bad))
             try:
-                replace(core_of(model), **{name: float(np.ravel(values)[index])})
+                replace(model, **{name: float(np.ravel(values)[index])})
             except ParameterError as err:
                 raise ParameterError(f"{err} (index {index} of {name})") from None
     with np.errstate(over="ignore", invalid="ignore"):

@@ -36,7 +36,7 @@ from .analysis import (
 )
 from .config import ConfigError, RunConfig, config_from_pairs, parse_pairs
 from .dynamics import basin_of_cooperation, integrate
-from .games import ParameterError, _payoff_tables, core_of
+from .games import ParameterError, _payoff_tables
 from .montecarlo import RngSeed, _avg_request, _estimate_all, _run_tasks
 from .output import ColumnRows, fmt_float, fmt_quantity, write_csv, write_plot
 from .sweeps import DEFAULT_STEPS, SWEEP_DEFAULTS, RegimeGrid, SweepResult, _check_cells, regime_grid, sweep_root
@@ -208,7 +208,7 @@ def _cmd_gradient(config: RunConfig, args) -> int:
 
 
 def _cmd_payoffs(config: RunConfig, args) -> int:
-    n = core_of(config.model).n
+    n = config.model.n
     rows = ColumnRows(range(n), range(n - 1, -1, -1), *_payoff_tables(config.model))
     return _emit(config, args, "payoffs.csv", ["n_c", "n_d", "pi_c", "pi_d"], rows)
 

@@ -2,14 +2,15 @@
 
 Format: one ``key = value`` per line, ``#`` starts a comment, keys are
 case-insensitive.  ``model`` selects ``ipgg`` or ``bg``; the game keys are
-the fields of :class:`CoreParams` and, for ``bg`` only, of
-:class:`BriberyParams` (h, gamma, p, q).  Numeric controls (step, t_max,
-conv_tol, samples, seed) are optional; the integration defaults are
-:mod:`pgg_bribery.dynamics`' own, and ``samples`` is at most
-``MAX_SAMPLES``.  ``RunConfig.model`` is the validated
-parameter record, so every game invariant is checked on load; a pool
-multiplier outside (1, n) is recorded in its ``validation_warnings``, not
-raised.
+the fields of the one flat model record: ``games.CORE_FIELDS`` for both,
+plus ``games.BRIBERY_FIELDS`` (h, gamma, p, q) for ``bg`` only, which
+builds a :class:`BriberyParams`, a :class:`CoreParams` with those four
+more.  Numeric controls (step, t_max, conv_tol, samples, seed) are
+optional; the integration defaults are :mod:`pgg_bribery.dynamics`' own,
+and ``samples`` is at most ``MAX_SAMPLES``.  ``RunConfig.model`` is the
+validated parameter record, so every game invariant is checked on load; a
+pool multiplier outside (1, n) is reported by its
+``validation_warnings``, not raised.
 """
 
 from __future__ import annotations
@@ -18,15 +19,12 @@ import math
 from dataclasses import dataclass, fields
 
 from .dynamics import DEFAULT_CONV_TOL, DEFAULT_STEP, DEFAULT_T_MAX
-from .games import BriberyParams, CoreParams, Model, ParameterError, core_of
+from .games import BRIBERY_FIELDS, CORE_FIELDS, BriberyParams, CoreParams, Model, ParameterError
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "parse_pairs", "config_from_pairs"]
 
 # the most Monte Carlo samples per estimate: 4,000 chunks, minutes of sampling
 MAX_SAMPLES = 10**9
-
-CORE_KEYS = tuple(f.name for f in fields(CoreParams) if f.init)
-BG_KEYS = tuple(f.name for f in fields(BriberyParams) if f.name != "core")
 
 
 class ConfigError(ValueError):
@@ -54,11 +52,8 @@ class RunConfig:
 
     def metadata_items(self) -> list[tuple[str, str]]:
         """Deterministic key/value echo for emitted-file headers."""
-        core = core_of(self.model)
-        items = [("model", "ipgg" if core is self.model else "bg")]
-        items += [(key, repr(getattr(core, key))) for key in CORE_KEYS]
-        if core is not self.model:
-            items += [(key, repr(getattr(self.model, key))) for key in BG_KEYS]
+        items = [("model", "bg" if isinstance(self.model, BriberyParams) else "ipgg")]
+        items += [(key, repr(value)) for key, value in vars(self.model).items()]
         items += [(key, repr(getattr(self, key))) for key in CONTROL_DEFAULTS]
         return items
 
@@ -112,20 +107,20 @@ def config_from_pairs(pairs: dict[str, tuple[str, int | None]]) -> RunConfig:
     if model not in ("ipgg", "bg"):
         raise ConfigError(f"model must be 'ipgg' or 'bg', got {model_raw!r}", model_line)
 
-    known = set(CORE_KEYS) | set(BG_KEYS) | set(CONTROL_DEFAULTS)
+    known = set(CORE_FIELDS) | set(BRIBERY_FIELDS) | set(CONTROL_DEFAULTS)
     for key, (_, line) in pairs.items():
         if key != "model" and key not in known:
             raise ConfigError(f"unknown key {key!r}", line)
 
     values: dict[str, float | int] = {}
-    for key in CORE_KEYS:
+    for key in CORE_FIELDS:
         if key not in remaining:
             raise ConfigError(f"missing required key {key!r}")
         raw, line = remaining.pop(key)
         values[key] = _parse_int(key, raw, line) if key == "n" else _parse_float(key, raw, line)
 
     bg_values: dict[str, float] = {}
-    for key in BG_KEYS:
+    for key in BRIBERY_FIELDS:
         if key in remaining:
             raw, line = remaining.pop(key)
             if model != "bg":
@@ -151,8 +146,7 @@ def config_from_pairs(pairs: dict[str, tuple[str, int | None]]) -> RunConfig:
     if controls["seed"] < 0:
         raise ConfigError(f"seed must be >= 0, got {controls['seed']}")
     try:
-        core = CoreParams(**values)
-        built = BriberyParams(core, **bg_values) if model == "bg" else core
+        built = BriberyParams(**values, **bg_values) if model == "bg" else CoreParams(**values)
     except ParameterError as err:
         raise ConfigError(str(err)) from None
     return RunConfig(built, **controls)

@@ -16,6 +16,13 @@ Two N-player games played by cooperators (C) and defectors (D):
   instead of punishing.  Punishing, accepting and doing nothing are
   mutually exclusive leader actions, so ``beta + gamma <= 1``.
 
+One flat record holds a model.  :class:`CoreParams` holds the IPGG's
+fields (``CORE_FIELDS``); :class:`BriberyParams` is a ``CoreParams`` with
+four more (``BRIBERY_FIELDS``), so every module reads ``n``, ``f`` or
+``beta`` off either model the same way, and ``isinstance(model,
+BriberyParams)`` tells the games apart.  ``bg.core`` is the IPGG
+restriction of a BG, built from its core fields.
+
 The per-group entry point is ``group_payoff(model, strategy, comp)``: the
 conditional expectation, over the leader draw and the leader's action, of
 a C or D player's payoff for a fixed co-player composition.  A bribe
@@ -28,9 +35,8 @@ never be drawn).  Averaging over compositions lives in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from math import isfinite
-from typing import Union
 
 __all__ = [
     "ParameterError",
@@ -38,7 +44,6 @@ __all__ = [
     "BriberyParams",
     "GroupComposition",
     "Model",
-    "core_of",
     "is_cooperator",
     "group_payoff",
 ]
@@ -84,7 +89,7 @@ class CoreParams:
     r_p    punishment multiplier scaling the leader's budget
 
     Every value must be finite.  Any ``f > 0`` is accepted; values outside
-    the classical dilemma range ``(1, n)`` are legal but recorded in
+    the classical dilemma range ``(1, n)`` are legal but reported by
     ``validation_warnings``.
     """
 
@@ -96,9 +101,6 @@ class CoreParams:
     alpha: float
     beta: float
     r_p: float
-    validation_warnings: tuple[str, ...] = field(
-        init=False, default=(), compare=False, repr=False
-    )
 
     def __post_init__(self):
         object.__setattr__(self, "n", _as_int(self.n, "n"))
@@ -121,31 +123,38 @@ class CoreParams:
             raise ParameterError(f"beta must be in [0, 1], got {self.beta}")
         if not self.f > 0:
             raise ParameterError(f"pool multiplier f must be > 0, got {self.f}")
-        if not 1 < self.f < self.n:
-            object.__setattr__(
-                self,
-                "validation_warnings",
-                (f"pool multiplier f={self.f} lies outside the dilemma range (1, {self.n})",),
-            )
+
+    @property
+    def validation_warnings(self) -> tuple[str, ...]:
+        """Legal but unusual values: a pool multiplier outside (1, n)."""
+        if 1 < self.f < self.n:
+            return ()
+        return (f"pool multiplier f={self.f} lies outside the dilemma range (1, {self.n})",)
+
+
+CORE_FIELDS = tuple(field.name for field in fields(CoreParams))
 
 
 @dataclass(frozen=True)
-class BriberyParams:
+class BriberyParams(CoreParams):
     """IPGG constants plus the bribery-game extension.
 
     h      bribe amount offered to the leader
     gamma  probability that the leader accepts bribes
     p      probability that a non-leader cooperator offers a bribe
     q      probability that a non-leader defector offers a bribe
+
+    ``BriberyParams(**vars(ipgg), h=..., gamma=..., p=..., q=...)`` extends
+    an IPGG record; the IPGG checks run first.
     """
 
-    core: CoreParams
     h: float
     gamma: float
     p: float
     q: float
 
     def __post_init__(self):
+        super().__post_init__()
         _check_finite(self, ("h",))
         if not self.h >= 0:
             raise ParameterError(f"bribe h must be >= 0, got {self.h}")
@@ -153,23 +162,22 @@ class BriberyParams:
             value = getattr(self, name)
             if not 0 <= value <= 1:
                 raise ParameterError(f"{name} must be in [0, 1], got {value}")
-        if self.core.beta + self.gamma > 1:
+        if self.beta + self.gamma > 1:
             raise ParameterError(
                 f"beta + gamma must be <= 1 (the leader's idle action has "
-                f"probability 1 - beta - gamma), got {self.core.beta + self.gamma}"
+                f"probability 1 - beta - gamma), got {self.beta + self.gamma}"
             )
 
     @property
-    def validation_warnings(self) -> tuple[str, ...]:
-        return self.core.validation_warnings
+    def core(self) -> CoreParams:
+        """The IPGG restriction: the same constants without bribery."""
+        return CoreParams(**{name: getattr(self, name) for name in CORE_FIELDS})
 
 
-Model = Union[CoreParams, BriberyParams]
+BRIBERY_FIELDS = tuple(field.name for field in fields(BriberyParams))[len(CORE_FIELDS):]
 
-
-def core_of(model: Model) -> CoreParams:
-    """The IPGG constants shared by both model variants."""
-    return model.core if isinstance(model, BriberyParams) else model
+# every model is a CoreParams; a BriberyParams adds the bribery constants
+Model = CoreParams
 
 
 @dataclass(frozen=True)
@@ -210,19 +218,18 @@ def group_payoff(model: Model, strategy: str, comp: GroupComposition) -> float:
     (gamma = 0 or h = 0) the BG value equals the IPGG value bit for bit.
     """
     cooperator = is_cooperator(strategy)
-    core = core_of(model)
-    _check_group(core, comp)
-    n = core.n
+    _check_group(model, comp)
+    n = model.n
     n_own, n_other = (comp.n_c, comp.n_d) if cooperator else (comp.n_d, comp.n_c)
-    budget = core.beta * (core.alpha if cooperator else 1.0 - core.alpha) * n * core.tau * core.r_p
+    budget = model.beta * (model.alpha if cooperator else 1.0 - model.alpha) * n * model.tau * model.r_p
     # An own-type co-player can lead only if one exists; the n_own/(n-1)
     # draw odds then cancel against the n_own own-type non-leaders
     # sharing the budget.
     own_type_leads = budget / (n - 1) if n_own > 0 else 0.0
     other_type_leads = (n_other / (n - 1)) * budget / (n_own + 1)
     fine = (1.0 - 1.0 / n) * (own_type_leads + other_type_leads)
-    share = core.f * core.c * (comp.n_c + cooperator) / n
-    value = core.b + share - (core.c if cooperator else 0.0) - core.tau - fine
+    share = model.f * model.c * (comp.n_c + cooperator) / n
+    value = model.b + share - (model.c if cooperator else 0.0) - model.tau - fine
     if isinstance(model, BriberyParams):
         # bribe income when leading, expected bribe payment when not
         accepted_bribe = model.gamma * model.h
@@ -234,7 +241,7 @@ def group_payoff(model: Model, strategy: str, comp: GroupComposition) -> float:
 
 def _payoff_tables(model: Model) -> tuple[list[float], list[float]]:
     """:func:`group_payoff` of each strategy against 0..n-1 cooperator co-players."""
-    n = core_of(model).n
+    n = model.n
     comps = [GroupComposition(k, n - 1 - k) for k in range(n)]
     pay_c = [group_payoff(model, "C", comp) for comp in comps]
     pay_d = [group_payoff(model, "D", comp) for comp in comps]

@@ -73,7 +73,7 @@ from itertools import islice
 import numpy as np
 
 from .dynamics import Trajectory
-from .games import BriberyParams, GroupComposition, Model, core_of, is_cooperator
+from .games import BriberyParams, GroupComposition, Model, is_cooperator
 from .games import _check_group, _payoff_tables
 
 __all__ = [
@@ -146,16 +146,15 @@ def realize_event(
     generator its ``focal_payoff`` equals that sample's payoff bit for bit.
     """
     focal_c = is_cooperator(focal)
-    core = core_of(model)
-    _check_group(core, comp)
-    n, n_c, n_d = core.n, comp.n_c, comp.n_d
+    _check_group(model, comp)
+    n, n_c, n_d = model.n, comp.n_c, comp.n_d
     is_bg = isinstance(model, BriberyParams)
 
     lead = int(rng.integers(0, n))
     u_action = rng.random()
-    if u_action < core.beta:
+    if u_action < model.beta:
         action = "punish"
-    elif is_bg and u_action < core.beta + model.gamma:
+    elif is_bg and u_action < model.beta + model.gamma:
         action = "accept"
     else:
         action = "none"
@@ -171,17 +170,17 @@ def realize_event(
         leader_c = False
 
     total_c = n_c + (1 if focal_c else 0)
-    payoff = core.b + core.f * core.c * total_c / n - core.tau
+    payoff = model.b + model.f * model.c * total_c / n - model.tau
     if focal_c:
-        payoff -= core.c
+        payoff -= model.c
 
     fines_c = fines_d = 0.0
     if action == "punish":
         # the n-1 non-leaders partition into the two classes
         nl_c = total_c - (1 if leader_c else 0)
         nl_d = n - 1 - nl_c
-        budget_c = core.alpha * n * core.tau * core.r_p
-        budget_d = (1.0 - core.alpha) * n * core.tau * core.r_p
+        budget_c = model.alpha * n * model.tau * model.r_p
+        budget_d = (1.0 - model.alpha) * n * model.tau * model.r_p
         if nl_c > 0:
             fines_c = budget_c
             if lead != 0 and focal_c:
@@ -389,13 +388,12 @@ def _payoff_table(model: Model, focal_c: bool) -> np.ndarray:
     event applies, in their order.  Bribe income is not in the table, as
     it depends on the bribes offered, not on the row alone.
     """
-    core = core_of(model)
-    n = core.n
+    n = model.n
     n_c = np.arange(n)
     n_own = n_c if focal_c else n - 1 - n_c
     total_c = n_c + (1 if focal_c else 0)
-    base = core.b + core.f * core.c * total_c / n - core.tau - (core.c if focal_c else 0.0)
-    budget = (core.alpha if focal_c else 1.0 - core.alpha) * n * core.tau * core.r_p
+    base = model.b + model.f * model.c * total_c / n - model.tau - (model.c if focal_c else 0.0)
+    budget = (model.alpha if focal_c else 1.0 - model.alpha) * n * model.tau * model.r_p
     own_share = np.where(n_own > 0, budget / np.maximum(n_own, 1), 0.0)
     other_share = budget / (n_own + 1)
     zero = np.zeros(n)
@@ -413,19 +411,18 @@ def _event_payoffs(model, focal_c, n_c, rng, size) -> np.ndarray:
     :func:`_payoff_table`; a leading focal player's bribe income is added
     after the lookup.
     """
-    core = core_of(model)
-    n = core.n
+    n = model.n
     is_bg = isinstance(model, BriberyParams)
 
     lead = rng.integers(0, n, size)
     u = rng.random(size)  # the action uniforms
     # outcome: 0 untouched, 1 fined by an own-type leader, 2 fined by an other-type leader, 3 pays a bribe
     led = lead != 0  # a co-player leads
-    fined = (u < core.beta) & led
+    fined = (u < model.beta) & led
     other_leads = (lead > n_c) if focal_c else (lead <= n_c)
     outcome = np.add(fined, fined & other_leads, dtype=np.int8)
     if is_bg:
-        accepts = (u >= core.beta) & (u < core.beta + model.gamma)
+        accepts = (u >= model.beta) & (u < model.beta + model.gamma)
         rng.random(out=u)  # the offer uniforms
         outcome += np.int8(3) * (led & accepts & (u < (model.p if focal_c else model.q)))
         # the bribe counts are drawn at every lane, but only a focal leader who accepts receives them
@@ -447,7 +444,7 @@ def _chunk_task(model, focal_c, n_c, x, seed, index, size) -> tuple[int, float, 
     # n_c is None for Binomial(n-1, x) compositions, drawn first from the chunk's stream
     rng = generator(seed, index)
     if n_c is None:
-        n_c = _binomial(rng, core_of(model).n - 1, x, size)
+        n_c = _binomial(rng, model.n - 1, x, size)
     return _summarize(_event_payoffs(model, focal_c, n_c, rng, size))
 
 
@@ -461,7 +458,7 @@ def _chunk_tasks(model, focal_c, n_c, x, n: int, seed: RngSeed) -> list[partial]
 def _payoff_request(model: Model, focal: str, comp: GroupComposition, n: int, seed: RngSeed) -> list[partial]:
     """Chunk tasks of :func:`estimate_expected_payoff`; checks the strategy, the composition and ``n``."""
     focal_c = is_cooperator(focal)
-    _check_group(core_of(model), comp)
+    _check_group(model, comp)
     return _chunk_tasks(model, focal_c, comp.n_c, None, n, seed)
 
 
@@ -575,10 +572,9 @@ def evolve_finite_population(
     The uniforms come from the ``seed`` stream in blocks of
     :data:`UNIFORM_BLOCK`, as Python floats, consumed in order.
     """
-    core = core_of(model)
-    if population_size < 2 * core.n:
+    if population_size < 2 * model.n:
         raise ValueError(
-            f"population_size must be >= 2n = {2 * core.n}, got {population_size}"
+            f"population_size must be >= 2n = {2 * model.n}, got {population_size}"
         )
     if not 0 <= x0 <= 1:
         raise ValueError(f"x0 must be in [0, 1], got {x0}")
@@ -589,7 +585,7 @@ def evolve_finite_population(
 
     z = population_size
     k = min(z, max(0, int(round(x0 * z))))
-    n = core.n
+    n = model.n
     pay = _payoff_tables(model)[::-1]  # indexed by "is a cooperator"
     # per focal strategy, Fermi probabilities keyed by the focal and partner
     # co-player cooperator counts (focal * n + partner), computed on first use

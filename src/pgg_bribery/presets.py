@@ -14,7 +14,7 @@ def _core(f: float, alpha: float, r_p: float) -> CoreParams:
 
 
 def _bribery(core: CoreParams, p: float, q: float) -> BriberyParams:
-    return BriberyParams(core, h=1, gamma=0.6, p=p, q=q)
+    return BriberyParams(**vars(core), h=1, gamma=0.6, p=p, q=q)
 
 
 # institutional punishment: defection dominant, bistable, cooperation dominant

@@ -15,7 +15,7 @@ import numpy as np
 
 # unused here, classify_regime stays as sweeps.classify_regime for perfbench's tracer test
 from .analysis import classify_regime, classify_regimes  # noqa: F401
-from .games import BriberyParams, Model
+from .games import Model
 
 __all__ = [
     "SweepResult",
@@ -69,8 +69,6 @@ def with_parameter(model: Model, name: str, value: float) -> Model:
     """Copy of the model with the swept parameter replaced."""
     if name not in SWEEP_DEFAULTS:
         raise ValueError(f"swept parameter must be {' or '.join(map(repr, SWEEP_DEFAULTS))}, got {name!r}")
-    if isinstance(model, BriberyParams):
-        return replace(model, core=replace(model.core, **{name: value}))
     return replace(model, **{name: value})
 
 

@@ -27,7 +27,7 @@ def bribery_params_strategy(draw, min_beta: float = 0.0, min_rp: float = 0.0):
     core = draw(core_params_strategy(min_beta, min_rp))
     gamma = draw(st.floats(min_value=0.0, max_value=1.0)) * (1.0 - core.beta)
     return BriberyParams(
-        core,
+        **vars(core),
         h=draw(st.floats(min_value=0.0, max_value=2.0)),
         gamma=gamma,
         p=draw(st.floats(min_value=0.0, max_value=1.0)),

@@ -35,7 +35,7 @@ def draw_bistable_instance(rng: np.random.Generator, bribery: bool):
         )
         if bribery:
             model = BriberyParams(
-                core,
+                **vars(core),
                 h=rng.uniform(0.0, 1.5),
                 gamma=rng.uniform(0.0, 1.0 - core.beta),
                 p=rng.uniform(0.0, 1.0),

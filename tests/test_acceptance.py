@@ -21,7 +21,6 @@ from pgg_bribery import (
     binomial_avg_payoff,
     bribery_offset,
     classify_regime,
-    core_of,
     estimate_expected_payoff,
     group_payoff,
     integrate,
@@ -90,13 +89,7 @@ def test_criterion_2_bribery_defection_dominance(tmp_path, capsys):
     regime = classify_regime(BG_DEFECTOR_BRIBES)
     out = str(tmp_path / "gradient_run")
     argv = ["gradient", "--out", out, "--set", "model=bg"]
-    core = BG_DEFECTOR_BRIBES.core
-    for key, value in (
-        ("n", core.n), ("b", core.b), ("c", core.c), ("tau", core.tau), ("f", core.f),
-        ("alpha", core.alpha), ("beta", core.beta), ("r_p", core.r_p),
-        ("h", BG_DEFECTOR_BRIBES.h), ("gamma", BG_DEFECTOR_BRIBES.gamma),
-        ("p", BG_DEFECTOR_BRIBES.p), ("q", BG_DEFECTOR_BRIBES.q),
-    ):
+    for key, value in vars(BG_DEFECTOR_BRIBES).items():
         argv += ["--set", f"{key}={value}"]
     code = main(argv)
     from pgg_bribery.output import read_csv
@@ -219,9 +212,8 @@ def test_criterion_8_threshold_gap_identity(capsys):
     worst = 0.0
     for _ in range(1000):
         for model in (draw_core_params(rng), draw_bribery_params(rng)):
-            core = core_of(model)
             th = thresholds(model)
-            expected = core.n * (core.n - 1) * core.beta * core.tau * core.r_p / core.c
+            expected = model.n * (model.n - 1) * model.beta * model.tau * model.r_p / model.c
             worst = max(worst, abs(th.f_max - th.f_min - expected))
     elapsed = time.perf_counter() - started
     ok = worst < 1e-12

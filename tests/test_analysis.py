@@ -11,7 +11,6 @@ from hypothesis import assume, example, given, settings
 from conftest import bribery_params_strategy, model_strategy
 
 from pgg_bribery import (
-    BriberyParams,
     CoreParams,
     KnifeEdgeError,
     RegimeKind,
@@ -19,7 +18,6 @@ from pgg_bribery import (
     binomial_avg_payoff,
     bribery_offset,
     classify_regime,
-    core_of,
     gradient_of_selection,
     group_payoff,
     GroupComposition,
@@ -55,7 +53,7 @@ class TestAveragePayoffs:
             assert abs(closed - oracle) < 1e-10
 
     def test_binomial_degenerates_to_corner_payoffs(self):
-        n = core_of(BG_DEFECTOR_BRIBES).n
+        n = BG_DEFECTOR_BRIBES.n
         assert binomial_avg_payoff(BG_DEFECTOR_BRIBES, 0.0, "C") == pytest.approx(
             group_payoff(BG_DEFECTOR_BRIBES, "C", GroupComposition(0, n - 1)), abs=1e-12
         )
@@ -72,10 +70,7 @@ class TestAveragePayoffs:
     @pytest.mark.parametrize("model", [IPGG_BISTABLE, BG_DEFECTOR_BRIBES], ids=["ipgg", "bg"])
     def test_binomial_oracle_survives_coefficients_beyond_a_float(self, model, x):
         # comb(1099, 549) is about 2**1095, past the largest double
-        if isinstance(model, BriberyParams):
-            large = replace(model, core=replace(model.core, n=1100))
-        else:
-            large = replace(model, n=1100)
+        large = replace(model, n=1100)
         for strategy in ("C", "D"):
             oracle = binomial_avg_payoff(large, x, strategy)
             assert abs(oracle - avg_payoff(large, x, strategy)) < 1e-10
@@ -92,7 +87,7 @@ class TestAveragePayoffs:
                     weights[x].append(coefficient * x**n_c * (1.0 - x) ** (n - 1 - n_c))
                 except OverflowError:
                     weights[x].append(_log_space_weight(n - 1, n_c, x))
-        bg = replace(BG_DEFECTOR_BRIBES, core=replace(BG_DEFECTOR_BRIBES.core, n=n))
+        bg = replace(BG_DEFECTOR_BRIBES, n=n)
         for model in (replace(IPGG_BISTABLE, n=n), bg):
             for strategy in ("C", "D"):
                 payoffs = [group_payoff(model, strategy, GroupComposition(n_c, n - 1 - n_c)) for n_c in range(n)]
@@ -162,10 +157,7 @@ class TestSelectionPolynomial:
 
     @given(model_strategy(), st.floats(0.0, 1.0), st.floats(0.1, 20.0))
     def test_endowment_never_enters(self, model, x, b):
-        if isinstance(model, BriberyParams):
-            shifted = replace(model, core=replace(model.core, b=b))
-        else:
-            shifted = replace(model, b=b)
+        shifted = replace(model, b=b)
         assert q_function(shifted, x) == q_function(model, x)
 
 
@@ -190,9 +182,8 @@ class TestThresholds:
     @settings(deadline=None)
     @given(model_strategy())
     def test_gap_identity(self, model):
-        core = core_of(model)
         th = thresholds(model)
-        expected = core.n * (core.n - 1) * core.beta * core.tau * core.r_p / core.c
+        expected = model.n * (model.n - 1) * model.beta * model.tau * model.r_p / model.c
         assert abs(th.f_max - th.f_min - expected) < 1e-12
         assert th.f_min <= th.f_max
 

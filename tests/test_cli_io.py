@@ -383,6 +383,21 @@ class TestInputContract:
                 assert f"samples must be <= MAX_SAMPLES = {MAX_SAMPLES}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_verify_below_min_samples_exits_1_naming_the_floor(self, weak_cfg, tmp_path, capsys, monkeypatch):
+        from pgg_bribery import montecarlo
+        from pgg_bribery.verify import MIN_SAMPLES  # imported here: a tree without the floor fails at once
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool started instead of being refused")
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setenv("PGG_BRIBERY_WORKERS", "2")
+        for samples in (MIN_SAMPLES - 1, 2):
+            argv = ["verify", "--config", weak_cfg, "--set", f"samples={samples}", "--out", str(tmp_path / "out")]
+            assert main(argv) == 1
+            assert f"samples >= MIN_SAMPLES = {MIN_SAMPLES}, got {samples}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_workers_above_the_cap_exit_1_naming_the_limit(self, weak_cfg, tmp_path, capsys, monkeypatch):
         from pgg_bribery import montecarlo
         from pgg_bribery.cli import MAX_WORKERS  # imported here: a tree without the cap fails at once

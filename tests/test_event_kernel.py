@@ -17,7 +17,6 @@ from pgg_bribery import (
     CoreParams,
     GroupComposition,
     RngSeed,
-    core_of,
     group_payoff,
     realize_event,
 )
@@ -37,8 +36,7 @@ from pgg_bribery.presets import BG_DEFECTOR_BRIBES, IPGG_BISTABLE, REGIMES
 
 def reference_event_payoffs(model, focal_c, n_c, rng, size) -> np.ndarray:
     """The per-sample event body: every term computed for every sample, then selected."""
-    core = core_of(model)
-    n = core.n
+    n = model.n
     n_d = n - 1 - n_c
     is_bg = isinstance(model, BriberyParams)
 
@@ -50,15 +48,15 @@ def reference_event_payoffs(model, focal_c, n_c, rng, size) -> np.ndarray:
         recv_d = rng.binomial(n_d, model.q, size)
 
     total_c = n_c + (1 if focal_c else 0)
-    payoff = core.b + core.f * core.c * total_c / n - core.tau - (core.c if focal_c else 0.0)
+    payoff = model.b + model.f * model.c * total_c / n - model.tau - (model.c if focal_c else 0.0)
 
-    punished = (u_action < core.beta) & (lead != 0)
+    punished = (u_action < model.beta) & (lead != 0)
     if focal_c:
-        budget = core.alpha * n * core.tau * core.r_p
+        budget = model.alpha * n * model.tau * model.r_p
         n_own = n_c
         own_leads = lead <= n_c  # a cooperator co-player leads (lead >= 1 here)
     else:
-        budget = (1.0 - core.alpha) * n * core.tau * core.r_p
+        budget = (1.0 - model.alpha) * n * model.tau * model.r_p
         n_own = n_d
         own_leads = lead > n_c
     own_share = np.where(n_own > 0, budget / np.maximum(n_own, 1), 0.0)
@@ -67,7 +65,7 @@ def reference_event_payoffs(model, focal_c, n_c, rng, size) -> np.ndarray:
     payoff -= np.where(punished & ~own_leads, other_share, 0.0)
 
     if is_bg:
-        accepts = (u_action >= core.beta) & (u_action < core.beta + model.gamma)
+        accepts = (u_action >= model.beta) & (u_action < model.beta + model.gamma)
         offer_prob = model.p if focal_c else model.q
         payoff -= model.h * ((lead != 0) & accepts & (u_offer < offer_prob))
         payoff += model.h * np.where((lead == 0) & accepts, recv_c + recv_d, 0)
@@ -80,13 +78,13 @@ SIZES = (1, 7, 4097)
 def _payoffs(kernel, model, focal_c, where, size, index):
     """One chunk as the estimators draw it: ``where`` is a fixed n_c, or x for compositions drawn first."""
     rng = generator(RngSeed(2024), index)
-    n_c = where if isinstance(where, int) else rng.binomial(core_of(model).n - 1, where, size)
+    n_c = where if isinstance(where, int) else rng.binomial(model.n - 1, where, size)
     return kernel(model, focal_c, n_c, rng, size)
 
 
 def assert_kernel_matches_reference(model, x_random):
     """Both strategies, every fixed n_c and drawn compositions at x in {0, 1, x_random}, at every size."""
-    places = list(range(core_of(model).n)) + [0.0, 1.0, x_random]
+    places = list(range(model.n)) + [0.0, 1.0, x_random]
     index = 0
     for focal_c in (True, False):
         for size in SIZES:
@@ -107,18 +105,18 @@ EDGE_MODELS = {
     "ipgg_alpha=1": replace(IPGG_BISTABLE, alpha=1.0),
     "ipgg_n=2": replace(IPGG_BISTABLE, n=2, f=1.5),
     "bg": _BG,
-    "bg_beta=0": replace(_BG, core=replace(_BG.core, beta=0.0)),
-    "bg_beta+gamma=1": replace(_BG, gamma=1.0 - _BG.core.beta),
-    "bg_beta=0_gamma=1": replace(_BG, core=replace(_BG.core, beta=0.0), gamma=1.0),
+    "bg_beta=0": replace(_BG, beta=0.0),
+    "bg_beta+gamma=1": replace(_BG, gamma=1.0 - _BG.beta),
+    "bg_beta=0_gamma=1": replace(_BG, beta=0.0, gamma=1.0),
     "bg_gamma=0": replace(_BG, gamma=0.0),
     "bg_h=0": replace(_BG, h=0.0),
-    "bg_alpha=0": replace(_BG, core=replace(_BG.core, alpha=0.0)),
-    "bg_alpha=1": replace(_BG, core=replace(_BG.core, alpha=1.0)),
+    "bg_alpha=0": replace(_BG, alpha=0.0),
+    "bg_alpha=1": replace(_BG, alpha=1.0),
     "bg_p=0_q=0": replace(_BG, p=0.0, q=0.0),
     "bg_p=1_q=1": replace(_BG, p=1.0, q=1.0),
     "bg_p=0_q=1": replace(_BG, p=0.0, q=1.0),
     "bg_p=1_q=0": replace(_BG, p=1.0, q=0.0),
-    "bg_n=2": replace(_BG, core=replace(_BG.core, n=2, f=1.5)),
+    "bg_n=2": replace(_BG, n=2, f=1.5),
 }
 
 
@@ -139,14 +137,14 @@ class TestReferenceKernel:
         # the model's probability equals one sample's uniform, so "<" and "<=" differ there
         size, index, n_c = 64, 7, 2
         rng = generator(RngSeed(2024), index)
-        lead = rng.integers(0, _BG.core.n, size)
+        lead = rng.integers(0, _BG.n, size)
         u_action, u_offer = rng.random(size), rng.random(size)
         j = int(np.argmax(lead != 0))
         models = {
             "beta": [replace(IPGG_BISTABLE, beta=u_action[j]),
-                     replace(_BG, core=replace(_BG.core, beta=u_action[j]), gamma=1.0 - u_action[j])],
-            "beta+gamma": [replace(_BG, core=replace(_BG.core, beta=0.0), gamma=u_action[j])],
-            "offer": [replace(_BG, core=replace(_BG.core, beta=0.0), gamma=1.0, p=u_offer[j], q=u_offer[j])],
+                     replace(_BG, beta=u_action[j], gamma=1.0 - u_action[j])],
+            "beta+gamma": [replace(_BG, beta=0.0, gamma=u_action[j])],
+            "offer": [replace(_BG, beta=0.0, gamma=1.0, p=u_offer[j], q=u_offer[j])],
         }[boundary]
         for model in models:
             for focal_c in (True, False):
@@ -155,7 +153,7 @@ class TestReferenceKernel:
                 assert got.tobytes() == want.tobytes()
 
     def test_a_large_group_keeps_the_table_linear_in_n(self):
-        model = replace(_BG, core=replace(_BG.core, n=3000, f=2.0))
+        model = replace(_BG, n=3000, f=2.0)
         assert _payoff_table(model, True).shape == _payoff_table(model, False).shape == (3000, 4)
         for focal_c in (True, False):
             for index, where in enumerate((1234, 0.4)):
@@ -281,7 +279,7 @@ class TestBinomialDraws:
 
 def assert_event_is_the_kernel_sample(model, strategy, n_c, index):
     """``realize_event`` and a one-sample chunk on the same generator give the same focal payoff bits."""
-    comp = GroupComposition(n_c, core_of(model).n - 1 - n_c)
+    comp = GroupComposition(n_c, model.n - 1 - n_c)
     event = realize_event(model, strategy, comp, generator(RngSeed(2024), index))
     sample = _event_payoffs(model, strategy == "C", n_c, generator(RngSeed(2024), index), 1)
     assert event.focal_payoff.hex() == float(sample[0]).hex(), (strategy, n_c, index)
@@ -291,7 +289,7 @@ def assert_events_are_kernel_samples(model, events=20):
     """Both strategies, every co-player composition, ``events`` generators each."""
     index = 0
     for strategy in ("C", "D"):
-        for n_c in range(core_of(model).n):
+        for n_c in range(model.n):
             for _ in range(events):
                 assert_event_is_the_kernel_sample(model, strategy, n_c, index)
                 index += 1
@@ -318,24 +316,24 @@ class TestOneEventProcess:
         # the model's probability equals the event's uniform, so "<" and "<=" differ there
         for index in range(100):  # the first event led by a co-player
             rng = generator(RngSeed(2024), index)
-            if rng.integers(0, _BG.core.n) != 0:
+            if rng.integers(0, _BG.n) != 0:
                 break
         u_action, u_offer = rng.random(), rng.random()
         models = {
             "beta": [replace(IPGG_BISTABLE, beta=u_action),
-                     replace(_BG, core=replace(_BG.core, beta=u_action), gamma=1.0 - u_action)],
-            "beta+gamma": [replace(_BG, core=replace(_BG.core, beta=0.0), gamma=u_action)],
-            "offer": [replace(_BG, core=replace(_BG.core, beta=0.0), gamma=1.0, p=u_offer, q=u_offer)],
+                     replace(_BG, beta=u_action, gamma=1.0 - u_action)],
+            "beta+gamma": [replace(_BG, beta=0.0, gamma=u_action)],
+            "offer": [replace(_BG, beta=0.0, gamma=1.0, p=u_offer, q=u_offer)],
         }[boundary]
         for model in models:
             for strategy in ("C", "D"):
-                for n_c in range(core_of(model).n):
+                for n_c in range(model.n):
                     assert_event_is_the_kernel_sample(model, strategy, n_c, index)
 
     def test_certain_bribes_count_every_non_leader_once(self):
         # with p = q = 1 and gamma = 1 each of the n - 1 non-leaders offers, whoever leads
-        model = replace(_BG, core=replace(_BG.core, beta=0.0), gamma=1.0, p=1.0, q=1.0)
-        n = model.core.n
+        model = replace(_BG, beta=0.0, gamma=1.0, p=1.0, q=1.0)
+        n = model.n
         leaders = set()
         for strategy in ("C", "D"):
             for n_c in range(n):
@@ -356,8 +354,7 @@ def assert_table_expectation_is_the_group_payoff(model):
     accepts with gamma; a non-leading focal player offers with p (C) or q
     (D), and a leading one receives p*n_c + q*n_d bribes on average.
     """
-    core = core_of(model)
-    n = core.n
+    n = model.n
     is_bg = isinstance(model, BriberyParams)
     gamma, h = (model.gamma, model.h) if is_bg else (0.0, 0.0)
     for strategy in ("C", "D"):
@@ -366,8 +363,8 @@ def assert_table_expectation_is_the_group_payoff(model):
         for n_c in range(n):
             n_d = n - 1 - n_c
             n_own, n_other = (n_c, n_d) if focal_c else (n_d, n_c)
-            fined_own = core.beta * n_own / n
-            fined_other = core.beta * n_other / n
+            fined_own = model.beta * n_own / n
+            fined_other = model.beta * n_other / n
             pays = gamma * (n - 1) / n * ((model.p if focal_c else model.q) if is_bg else 0.0)
             odds = [1.0 - fined_own - fined_other - pays, fined_own, fined_other, pays]
             income = h * gamma / n * ((model.p * n_c + model.q * n_d) if is_bg else 0.0)
@@ -391,4 +388,4 @@ class TestTableExpectation:
 
     def test_a_large_group(self):
         model = CoreParams(n=3000, b=12, c=1, tau=1, f=2.0, alpha=0.6, beta=0.2, r_p=2.5)
-        assert_table_expectation_is_the_group_payoff(BriberyParams(model, h=1, gamma=0.6, p=0.3, q=0.8))
+        assert_table_expectation_is_the_group_payoff(BriberyParams(**vars(model), h=1, gamma=0.6, p=0.3, q=0.8))

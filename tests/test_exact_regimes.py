@@ -19,7 +19,6 @@ from pgg_bribery import (
     RegimeKind,
     classify_regime,
     classify_regimes,
-    core_of,
     with_parameter,
 )
 from pgg_bribery.analysis import BISECTION_STEPS, BRACKET, KNIFE_EDGE, KNIFE_EDGE_TOL, ROOT_TOL
@@ -41,16 +40,15 @@ class ExactQ:
     """
 
     def __init__(self, model):
-        core = core_of(model)
-        self.n = n = core.n
-        c, tau, alpha, beta, r_p = map(Fraction, (core.c, core.tau, core.alpha, core.beta, core.r_p))
+        self.n = n = model.n
+        c, tau, alpha, beta, r_p = map(Fraction, (model.c, model.tau, model.alpha, model.beta, model.r_p))
         offset = Fraction(0)
         if isinstance(model, BriberyParams):
             offset = (n - 1) * Fraction(model.gamma) * Fraction(model.h) * (Fraction(model.q) - Fraction(model.p)) / n
         self.pressure = beta * tau * r_p
         self.fine_c = alpha * self.pressure
         self.fine_d = self.pressure - self.fine_c
-        self.f = Fraction(core.f)
+        self.f = Fraction(model.f)
         self.per_f = c / n
         self.rest = offset - c + self.pressure - 2 * self.fine_c
         # S(1) = n - 1 and S(0) = 0

@@ -1,8 +1,10 @@
 """Per-group payoff formulas and parameter invariants."""
 
 import hashlib
+import importlib
 import math
-from dataclasses import replace
+import pkgutil
+from dataclasses import fields, replace
 
 import hypothesis.strategies as st
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import given
 
 from conftest import bribery_params_strategy, core_params_strategy
 
+import pgg_bribery
 from pgg_bribery import (
     BriberyParams,
     CoreParams,
@@ -22,6 +25,7 @@ from pgg_bribery import (
     group_payoff,
     realize_event,
 )
+from pgg_bribery.games import BRIBERY_FIELDS, CORE_FIELDS, MAX_N
 from pgg_bribery.montecarlo import generator
 from pgg_bribery.presets import BG_DEFECTOR_BRIBES, IPGG_WEAK_POOL, REGIMES
 
@@ -108,23 +112,23 @@ class TestReductions:
     @given(bribery_params_strategy(), st.integers(0, 7), st.booleans())
     def test_bribery_off_is_bit_identical(self, params, k, zero_gamma):
         off = replace(params, gamma=0.0) if zero_gamma else replace(params, h=0.0)
-        n_c = k % params.core.n
-        comp = GroupComposition(n_c, params.core.n - 1 - n_c)
+        n_c = k % params.n
+        comp = GroupComposition(n_c, params.n - 1 - n_c)
         assert group_payoff(off, "C", comp) == group_payoff(params.core, "C", comp)
         assert group_payoff(off, "D", comp) == group_payoff(params.core, "D", comp)
 
     @given(bribery_params_strategy(), st.integers(0, 7))
     def test_symmetric_bribes_cancel_in_the_gap(self, params, k):
         symmetric = replace(params, q=params.p)
-        n_c = k % params.core.n
-        comp = GroupComposition(n_c, params.core.n - 1 - n_c)
+        n_c = k % params.n
+        comp = GroupComposition(n_c, params.n - 1 - n_c)
         gap_bg = group_payoff(symmetric, "C", comp) - group_payoff(symmetric, "D", comp)
         gap_core = group_payoff(params.core, "C", comp) - group_payoff(params.core, "D", comp)
         assert gap_bg == pytest.approx(gap_core, abs=1e-12)
 
     @given(bribery_params_strategy())
     def test_zero_count_compositions_are_finite(self, params):
-        n = params.core.n
+        n = params.n
         for comp in (GroupComposition(0, n - 1), GroupComposition(n - 1, 0)):
             for strategy in ("C", "D"):
                 assert math.isfinite(group_payoff(params, strategy, comp))
@@ -156,7 +160,7 @@ class TestInvariants:
 
     def test_leader_action_probabilities(self):
         with pytest.raises(ParameterError):
-            BriberyParams(replace(IPGG_WEAK_POOL, beta=0.5), h=1, gamma=0.6, p=0.3, q=0.8)
+            BriberyParams(**vars(replace(IPGG_WEAK_POOL, beta=0.5)), h=1, gamma=0.6, p=0.3, q=0.8)
 
     def test_composition_must_match_group_size(self):
         with pytest.raises(ParameterError):
@@ -167,7 +171,7 @@ class TestInvariants:
     def test_pool_multiplier_warning(self):
         assert replace(IPGG_WEAK_POOL, f=6.0).validation_warnings
         assert BriberyParams(
-            replace(IPGG_WEAK_POOL, f=6.0), h=1, gamma=0.3, p=0.1, q=0.2
+            **vars(replace(IPGG_WEAK_POOL, f=6.0)), h=1, gamma=0.3, p=0.1, q=0.2
         ).validation_warnings
         assert not IPGG_WEAK_POOL.validation_warnings
 
@@ -189,3 +193,71 @@ class TestInvariants:
     def test_params_are_immutable(self):
         with pytest.raises(AttributeError):
             IPGG_WEAK_POOL.f = 3.0
+
+
+BRIBERY = {"h": 1, "gamma": 0.6, "p": 0.3, "q": 0.8}
+# per IPGG field, values the record refuses; beta = 0.5 is refused only with the bribery fields
+INVALID = {
+    "n": [1, 2.5, MAX_N + 1, "5"],
+    "b": [-1.0, float("inf")],
+    "c": [0.0, float("nan")],
+    "tau": [-0.5, float("-inf")],
+    "f": [0.0, float("nan")],
+    "alpha": [-0.1, 1.5],
+    "beta": [1.2, float("nan")],
+    "r_p": [-1.0, float("inf")],
+}
+
+
+class TestRecordContract:
+    """A bribery game is the IPGG record with four more fields."""
+
+    def test_the_fields_are_the_core_ones_then_the_bribery_ones(self):
+        assert issubclass(BriberyParams, CoreParams)
+        assert CORE_FIELDS == ("n", "b", "c", "tau", "f", "alpha", "beta", "r_p")
+        assert BRIBERY_FIELDS == ("h", "gamma", "p", "q")
+        assert [field.name for field in fields(BriberyParams)] == [*CORE_FIELDS, *BRIBERY_FIELDS]
+        assert tuple(vars(IPGG_WEAK_POOL)) == CORE_FIELDS
+        assert tuple(vars(BG_DEFECTOR_BRIBES)) == CORE_FIELDS + BRIBERY_FIELDS
+
+    @pytest.mark.parametrize("name", CORE_FIELDS)
+    def test_an_invalid_core_value_has_one_message_in_both_games(self, name):
+        assert set(INVALID) == set(CORE_FIELDS)
+        for value in INVALID[name]:
+            values = dict(vars(IPGG_WEAK_POOL), **{name: value})
+            with pytest.raises(ParameterError) as ipgg:
+                CoreParams(**values)
+            with pytest.raises(ParameterError) as bg:
+                BriberyParams(**values, **BRIBERY)
+            assert str(bg.value) == str(ipgg.value), (name, value)
+
+    @given(bribery_params_strategy())
+    def test_the_core_is_the_bribery_game_without_bribery(self, bg):
+        core = bg.core
+        assert core == CoreParams(**{name: getattr(bg, name) for name in CORE_FIELDS})
+        assert type(core) is CoreParams and core != bg
+        assert BriberyParams(**vars(core), **{name: getattr(bg, name) for name in BRIBERY_FIELDS}) == bg
+        assert core.validation_warnings == bg.validation_warnings
+
+    def test_a_replaced_beta_still_meets_the_leader_action_bound(self):
+        assert BG_DEFECTOR_BRIBES.beta + BG_DEFECTOR_BRIBES.gamma == pytest.approx(0.8)
+        assert replace(BG_DEFECTOR_BRIBES, beta=0.4).beta == 0.4
+        with pytest.raises(ParameterError, match="beta \\+ gamma must be <= 1"):
+            replace(BG_DEFECTOR_BRIBES, beta=0.5)
+        with pytest.raises(ParameterError, match="beta \\+ gamma must be <= 1"):
+            BriberyParams(**vars(replace(IPGG_WEAK_POOL, beta=0.5)), **BRIBERY)
+
+
+def _modules():
+    return sorted(
+        f"pgg_bribery.{module.name}" for module in pkgutil.iter_modules(pgg_bribery.__path__)
+        if not module.name.startswith("__")  # __main__ runs the CLI on import
+    )
+
+
+@pytest.mark.parametrize("module", ["pgg_bribery", *_modules()])
+def test_every_exported_name_resolves(module):
+    exported = importlib.import_module(module)
+    # cli and presets keep no export list
+    assert [name for name in getattr(exported, "__all__", ()) if not hasattr(exported, name)] == []
+    exec(f"from {module} import *", {})

@@ -158,8 +158,19 @@ class TestBatchedEstimates:
         estimate_expected_payoff(IPGG_WEAK_POOL, "C", comp, 600_000, RngSeed(5), workers=2)
         assert pool_sizes == [3, 2]
 
+    def test_verify_refuses_fewer_than_min_samples_before_any_pool_starts(self, pool_sizes, pool_tasks):
+        from pgg_bribery.verify import MIN_SAMPLES  # imported here: a tree without the floor fails at once
+
+        for samples in (MIN_SAMPLES - 1, 10, 2):
+            with pytest.raises(ValueError, match=f"samples >= MIN_SAMPLES = {MIN_SAMPLES}, got {samples}"):
+                run_battery(samples=samples, workers=2)
+        assert pool_sizes == [] and pool_tasks == []
+
     def test_verify_runs_its_whole_battery_in_one_pool(self, pool_sizes, pool_tasks):
-        suites = {suite.name: suite for suite in run_battery(samples=1000, workers=2)}
+        from pgg_bribery.verify import MIN_SAMPLES
+
+        suites = {suite.name: suite for suite in run_battery(samples=MIN_SAMPLES, workers=2)}
+        assert all(suite.passed for suite in suites.values())  # the floor itself is accepted
         assert pool_sizes == [2]
         assert len(suites["mc_event_payoffs"].rows) == 24 and len(suites["mc_average_payoffs"].rows) == 8
         # the deterministic suites go in ahead of every chunk, longest first
@@ -306,8 +317,7 @@ class TestConservation:
         rng = generator(RngSeed(2718, 0))
         for case in range(500):
             model = draw_bribery_params(rng, positive_punishment=True)
-            core = model.core
-            n = core.n
+            n = model.n
             n_c = int(rng.integers(0, n))
             comp = GroupComposition(n_c, n - 1 - n_c)
             focal = "C" if case % 2 == 0 else "D"
@@ -323,9 +333,9 @@ class TestConservation:
                 )
                 nl_c = total_c - leader_is_c
                 nl_d = n - 1 - nl_c
-                budget = n * core.tau * core.r_p
-                want_c = core.alpha * budget if nl_c > 0 else 0.0
-                want_d = (1 - core.alpha) * budget if nl_d > 0 else 0.0
+                budget = n * model.tau * model.r_p
+                want_c = model.alpha * budget if nl_c > 0 else 0.0
+                want_d = (1 - model.alpha) * budget if nl_d > 0 else 0.0
                 assert outcome.fines_on_cooperators == pytest.approx(want_c, rel=1e-12)
                 assert outcome.fines_on_defectors == pytest.approx(want_d, rel=1e-12)
             else:

@@ -16,7 +16,6 @@ from pgg_bribery import (
     basin_of_cooperation,
     classify_regime,
     classify_regimes,
-    core_of,
     gradient_of_selection,
     q_function,
     regime_grid,
@@ -99,12 +98,11 @@ def test_a_lone_model_equals_the_scalar_classifier(model, edge):
         model = with_parameter(model, "f", getattr(thresholds(model), edge))
     token, x_star, basin, notes = classify_regimes(model)
     assert token.shape == x_star.shape == basin.shape == ()
-    core = core_of(model)
-    expected = scalar_cell(model, core.f, core.r_p)
+    expected = scalar_cell(model, model.f, model.r_p)
     assert (str(token), undefined_as_none(x_star), undefined_as_none(basin), notes.get(())) == expected
     assert (expected[0] == "knife_edge") == (edge is not None) == (set(notes) == {()})
     if edge is not None:
-        assert ("f_min" if core_of(model).r_p == 0.0 else edge) in notes[()]
+        assert ("f_min" if model.r_p == 0.0 else edge) in notes[()]
 
 
 def test_classification_refuses_non_finite_thresholds():

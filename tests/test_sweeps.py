@@ -6,7 +6,6 @@ import pytest
 from pgg_bribery import (
     RegimeKind,
     bribery_offset,
-    core_of,
     interior_root,
     regime_grid,
     sweep_root,
@@ -55,8 +54,7 @@ class TestRootSweeps:
         # f*c/n - c + bribery offset
         for model, f in ((BG_DEFECTOR_BRIBES_BASE, 2.0), (BG_DEFECTOR_BRIBES_BASE, 4.5), (BG_COOP_BRIBES, 2.0)):
             swept = with_parameter(model, "f", f)
-            core = core_of(swept)
-            constant = f * core.c / core.n - core.c + bribery_offset(swept)
+            constant = f * swept.c / swept.n - swept.c + bribery_offset(swept)
             lo = interior_root(with_parameter(swept, "r_p", 3.0))
             hi = interior_root(with_parameter(swept, "r_p", 3.0 + 1e-4))
             assert np.sign(hi - lo) == np.sign(constant)

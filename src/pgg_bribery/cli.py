@@ -37,7 +37,7 @@ from .analysis import (
 from .config import ConfigError, RunConfig, config_from_pairs, parse_pairs
 from .dynamics import basin_of_cooperation, integrate
 from .games import ParameterError, _payoff_tables
-from .montecarlo import RngSeed, _avg_request, _estimate_all, _run_tasks
+from .montecarlo import MAX_WORKERS, RngSeed, _avg_request, _estimate_all, _run_tasks
 from .output import ColumnRows, fmt_float, fmt_quantity, write_csv, write_plot
 from .sweeps import DEFAULT_STEPS, SWEEP_DEFAULTS, RegimeGrid, SweepResult, _check_cells, regime_grid, sweep_root
 from .verify import run_battery
@@ -48,8 +48,6 @@ EXIT_VERIFY = 2
 EXIT_IO = 3
 
 WORKERS_ENV = "PGG_BRIBERY_WORKERS"
-# the largest PGG_BRIBERY_WORKERS: a pool forks all of its workers at once
-MAX_WORKERS = 64
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -58,43 +56,36 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Replicator dynamics of institutional punishment and bribery games",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="path to a flat key=value configuration file")
+    common.add_argument(
+        "--set",
+        dest="overrides",
+        action="append",
+        default=[],
+        metavar="KEY=VALUE",
+        help="override or supply a configuration key (repeatable)",
+    )
+    common.add_argument("--out", default=".", help="output directory for emitted files")
 
-    def common(sp):
-        sp.add_argument("--config", help="path to a flat key=value configuration file")
-        sp.add_argument(
-            "--set",
-            dest="overrides",
-            action="append",
-            default=[],
-            metavar="KEY=VALUE",
-            help="override or supply a configuration key (repeatable)",
-        )
-        sp.add_argument("--out", default=".", help="output directory for emitted files")
-
-    sp = sub.add_parser("gradient", help="emit x, Q(x), G(x) over a uniform grid")
-    common(sp)
+    sp = sub.add_parser("gradient", help="emit x, Q(x), G(x) over a uniform grid", parents=[common])
     sp.add_argument("--points", type=int, default=1001)
 
-    sp = sub.add_parser("payoffs", help="emit per-composition payoffs of both strategies")
-    common(sp)
-
     for name, text in (
+        ("payoffs", "emit per-composition payoffs of both strategies"),
         ("thresholds", "print f_min, f_max and the regime"),
         ("roots", "print the interior root or why none exists"),
         ("basins", "print the basin of full cooperation"),
     ):
-        sp = sub.add_parser(name, help=text)
-        common(sp)
+        sub.add_parser(name, help=text, parents=[common])
 
-    sp = sub.add_parser("sweep", help="classify and locate x* along a parameter sweep")
-    common(sp)
+    sp = sub.add_parser("sweep", help="classify and locate x* along a parameter sweep", parents=[common])
     sp.add_argument("--param", choices=tuple(SWEEP_DEFAULTS), required=True)
     sp.add_argument("--lo", type=float)
     sp.add_argument("--hi", type=float)
     sp.add_argument("--steps", type=int, default=DEFAULT_STEPS)
 
-    sp = sub.add_parser("grid", help="basin of cooperation over an (f, r_p) grid")
-    common(sp)
+    sp = sub.add_parser("grid", help="basin of cooperation over an (f, r_p) grid", parents=[common])
     sp.add_argument("--f-lo", type=float, default=SWEEP_DEFAULTS["f"][0])
     sp.add_argument("--f-hi", type=float, default=SWEEP_DEFAULTS["f"][1])
     sp.add_argument("--rp-lo", type=float, default=SWEEP_DEFAULTS["r_p"][0])
@@ -102,16 +93,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--f-steps", type=int, default=41)
     sp.add_argument("--rp-steps", type=int, default=41)
 
-    sp = sub.add_parser("integrate", help="integrate the replicator equation from x0")
-    common(sp)
+    sp = sub.add_parser("integrate", help="integrate the replicator equation from x0", parents=[common])
     sp.add_argument("--x0", type=float, required=True)
 
-    sp = sub.add_parser("simulate", help="Monte Carlo estimates of the average payoffs")
-    common(sp)
+    sp = sub.add_parser("simulate", help="Monte Carlo estimates of the average payoffs", parents=[common])
     sp.add_argument("--x", type=float, default=0.5, help="cooperator fraction")
 
-    sp = sub.add_parser("verify", help="run the oracle-agreement battery")
-    common(sp)
+    sub.add_parser("verify", help="run the oracle-agreement battery", parents=[common])
 
     sp = sub.add_parser("plot", help="render an emitted CSV as a standalone SVG")
     sp.add_argument("csv_path")
@@ -306,7 +294,7 @@ def _cmd_verify(config: RunConfig, args) -> int:
     for suite in suites:
         print(f"{'ok  ' if suite.passed else 'FAIL'} {suite.name}: {suite.detail}")
         for row in suite.rows:
-            rows.append((row.suite, row.case, row.value, row.bound, "ok" if row.ok else "fail"))
+            rows.append((suite.name, row.case, row.value, row.bound, "ok" if row.ok else "fail"))
     _emit(config, args, "verify_checks.csv", ["suite", "case", "value", "bound", "status"], rows)
     if all(suite.passed for suite in suites):
         print("verify: PASS")

@@ -7,7 +7,7 @@ plus ``games.BRIBERY_FIELDS`` (h, gamma, p, q) for ``bg`` only, which
 builds a :class:`BriberyParams`, a :class:`CoreParams` with those four
 more.  Numeric controls (step, t_max, conv_tol, samples, seed) are
 optional; the integration defaults are :mod:`pgg_bribery.dynamics`' own,
-and ``samples`` is at most ``MAX_SAMPLES``.  ``RunConfig.model`` is the
+and ``samples`` is at most ``montecarlo.MAX_SAMPLES``.  ``RunConfig.model`` is the
 validated parameter record, so every game invariant is checked on load; a
 pool multiplier outside (1, n) is reported by its
 ``validation_warnings``, not raised.
@@ -20,11 +20,9 @@ from dataclasses import dataclass, fields
 
 from .dynamics import DEFAULT_CONV_TOL, DEFAULT_STEP, DEFAULT_T_MAX
 from .games import BRIBERY_FIELDS, CORE_FIELDS, BriberyParams, CoreParams, Model, ParameterError
+from .montecarlo import MAX_SAMPLES
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "parse_pairs", "config_from_pairs"]
-
-# the most Monte Carlo samples per estimate: 4,000 chunks, minutes of sampling
-MAX_SAMPLES = 10**9
 
 
 class ConfigError(ValueError):

@@ -53,18 +53,21 @@ other estimates share the same batch.
 Worker pool: an estimate is the list of its zero-argument chunk tasks,
 and each command hands all of its tasks to one :func:`_run_tasks` call:
 ``simulate`` the chunks of both strategies' estimates, ``verify`` its
-eight deterministic suites, longest first, then the chunks of its 32
+eight deterministic suites, in report order, then the chunks of its 32
 estimates.  With ``workers`` > 1 the tasks go into one process pool in
 that order, through one submission path; the pool has at most as many
 workers as there are tasks, and it is shut down, its workers joined,
 before the call returns.  Without ``workers`` the tasks run in the
 calling process.  So each command starts at most one pool, and no pool
-outlives it.
+outlives it.  ``workers`` above :data:`MAX_WORKERS` is refused with
+``ValueError`` before any pool starts, and an estimate of more than
+:data:`MAX_SAMPLES` samples before its task list is built.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache, partial
@@ -87,6 +90,10 @@ __all__ = [
 ]
 
 CHUNK_SAMPLES = 250_000
+# the most samples per estimate (~4,000 chunk tasks) and the most pool
+# workers: a fork-context pool starts all of its workers at once
+MAX_SAMPLES = 10**9
+MAX_WORKERS = 64
 
 
 @dataclass(frozen=True)
@@ -229,25 +236,10 @@ def _inversion_count(u: float, px: list[float]) -> int:
 
 
 def _cut(px: list[float], k: int) -> int:
-    """The lowest grid index m at which the inversion loop on m / 2**53 reaches X = k."""
-    # the loop reaches k when u_j > px[j] for j < k, with u_0 = u and
-    # u_(j+1) = u_j - px[j]; each rounded step is monotone in u, so walk
-    # back the lowest u_j that still works, then settle on the grid
-    low = math.nextafter(px[k - 1], math.inf)
-    for a in reversed(px[: k - 1]):
-        y = low + a
-        while y - a < low:
-            y = math.nextafter(y, math.inf)
-        while (below := math.nextafter(y, -math.inf)) - a >= low:
-            y = below
-        low = y
-    m = min(math.ceil(low * _GRID), _NEVER)
-    # the exact cut, checked with the loop itself: a rounding slip only costs steps
-    while m < _NEVER and _inversion_count(m / _GRID, px) < k:
-        m += 1
-    while m > 0 and _inversion_count((m - 1) / _GRID, px) >= k:
-        m -= 1
-    return m
+    """The lowest grid index m at which the inversion loop on m / 2**53 reaches X = k, or ``_NEVER``."""
+    # the loop's count never falls as its uniform rises (each rounded step
+    # is monotone in u), so the cut is a bisection over the grid
+    return bisect_left(range(_NEVER), k, key=lambda m: _inversion_count(m / _GRID, px))
 
 
 @lru_cache(maxsize=1024)
@@ -452,6 +444,8 @@ def _chunk_tasks(model, focal_c, n_c, x, n: int, seed: RngSeed) -> list[partial]
     """One estimate as its zero-argument chunk tasks: ``n`` focal payoffs from the ``seed`` substreams."""
     if n < 2:
         raise ValueError(f"need n >= 2 samples, got {n}")
+    if n > MAX_SAMPLES:
+        raise ValueError(f"need n <= MAX_SAMPLES = {MAX_SAMPLES} samples, got {n}")
     return [partial(_chunk_task, model, focal_c, n_c, x, seed, i, size) for i, size in enumerate(_chunk_sizes(n))]
 
 
@@ -477,8 +471,8 @@ def _run_tasks(tasks: list, workers: int | None) -> list:
     order, under the pool policy of the module docstring; otherwise they
     run in this process.
     """
-    if workers is not None and workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    if workers is not None and not 1 <= workers <= MAX_WORKERS:
+        raise ValueError(f"workers must be >= 1 and <= MAX_WORKERS = {MAX_WORKERS}, got {workers}")
     if workers is None or workers == 1 or len(tasks) <= 1:
         return [task() for task in tasks]
     # a fork-context pool starts all of its workers at once: never more than there are tasks

@@ -155,6 +155,11 @@ def _read_table(path) -> tuple[list[str], list[str], list[list[str]], list[int]]
 
 _WIDTH, _HEIGHT = 640.0, 480.0
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 64.0, 20.0, 34.0, 44.0
+_PLOT_W, _PLOT_H = _WIDTH - _MARGIN_L - _MARGIN_R, _HEIGHT - _MARGIN_T - _MARGIN_B
+_FRAME = (
+    f'<rect x="{_MARGIN_L:g}" y="{_MARGIN_T:g}" width="{_PLOT_W:g}" height="{_PLOT_H:g}" '
+    'fill="none" stroke="#333333" stroke-width="1"/>'
+)
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2")
 
 
@@ -175,14 +180,27 @@ def _is_finite_number(cell: str) -> bool:
         return False
 
 
+def _text(x, y, anchor: str, size: int, body: str, fill: str = "") -> str:
+    """One ``<text>`` element; a numeric coordinate is written with two decimals, a string as it is."""
+    x, y = (v if isinstance(v, str) else f"{v:.2f}" for v in (x, y))
+    color = f' fill="{fill}"' if fill else ""
+    return (
+        f'<text x="{x}" y="{y}" text-anchor="{anchor}" '
+        f'font-family="sans-serif" font-size="{size}"{color}>{body}</text>'
+    )
+
+
+def _x_label(body: str) -> str:
+    return _text(_MARGIN_L + _PLOT_W / 2, _HEIGHT - 8, "middle", 11, body)
+
+
 def _svg_header(title: str) -> list[str]:
     return [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{_WIDTH:g}" height="{_HEIGHT:g}" viewBox="0 0 {_WIDTH:g} {_HEIGHT:g}">',
         f'<rect width="{_WIDTH:g}" height="{_HEIGHT:g}" fill="white"/>',
-        f'<text x="{_WIDTH / 2:.1f}" y="20" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="13">{title}</text>',
+        _text(f"{_WIDTH / 2:.1f}", "20", "middle", 13, title),
     ]
 
 
@@ -200,35 +218,21 @@ def _line_plot_svg(xlabel: str, series: list[tuple[str, list[float], list[float]
         xs_all, ys_all = [0.0, 1.0], [0.0, 1.0]
     x_lo, x_span = _scale(min(xs_all), max(xs_all))
     y_lo, y_span = _scale(min(ys_all), max(ys_all))
-    plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
-    plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
 
     def px(x: float) -> float:
-        return _MARGIN_L + (x - x_lo) / x_span * plot_w
+        return _MARGIN_L + (x - x_lo) / x_span * _PLOT_W
 
     def py(y: float) -> float:
-        return _HEIGHT - _MARGIN_B - (y - y_lo) / y_span * plot_h
+        return _HEIGHT - _MARGIN_B - (y - y_lo) / y_span * _PLOT_H
 
     parts = _svg_header(title)
-    parts.append(
-        f'<rect x="{_MARGIN_L:g}" y="{_MARGIN_T:g}" width="{plot_w:g}" height="{plot_h:g}" '
-        'fill="none" stroke="#333333" stroke-width="1"/>'
-    )
+    parts.append(_FRAME)
     for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
         x_val = x_lo + frac * x_span
         y_val = y_lo + frac * y_span
-        parts.append(
-            f'<text x="{px(x_val):.2f}" y="{_HEIGHT - _MARGIN_B + 16:.2f}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="10">{x_val:.4g}</text>'
-        )
-        parts.append(
-            f'<text x="{_MARGIN_L - 6:.2f}" y="{py(y_val) + 3:.2f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="10">{y_val:.4g}</text>'
-        )
-    parts.append(
-        f'<text x="{_MARGIN_L + plot_w / 2:.2f}" y="{_HEIGHT - 8:.2f}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="11">{xlabel}</text>'
-    )
+        parts.append(_text(px(x_val), _HEIGHT - _MARGIN_B + 16, "middle", 10, f"{x_val:.4g}"))
+        parts.append(_text(_MARGIN_L - 6, py(y_val) + 3, "end", 10, f"{y_val:.4g}"))
+    parts.append(_x_label(xlabel))
     for index, (name, xs, ys) in enumerate(series):
         color = _PALETTE[index % len(_PALETTE)]
         points = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))
@@ -236,10 +240,7 @@ def _line_plot_svg(xlabel: str, series: list[tuple[str, list[float], list[float]
             parts.append(
                 f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>'
             )
-        parts.append(
-            f'<text x="{_WIDTH - _MARGIN_R - 6:.2f}" y="{_MARGIN_T + 14 + 14 * index:.2f}" '
-            f'text-anchor="end" font-family="sans-serif" font-size="11" fill="{color}">{name}</text>'
-        )
+        parts.append(_text(_WIDTH - _MARGIN_R - 6, _MARGIN_T + 14 + 14 * index, "end", 11, name, color))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
@@ -256,10 +257,8 @@ def _heat_color(value: float | None) -> str:
 
 
 def _heatmap_svg(f_values, rp_values, lookup, title: str) -> str:
-    plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
-    plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
-    cell_w = plot_w / len(f_values)
-    cell_h = plot_h / len(rp_values)
+    cell_w = _PLOT_W / len(f_values)
+    cell_h = _PLOT_H / len(rp_values)
     parts = _svg_header(title)
     for i, f in enumerate(f_values):
         for j, rp in enumerate(rp_values):
@@ -269,31 +268,12 @@ def _heatmap_svg(f_values, rp_values, lookup, title: str) -> str:
                 f'<rect x="{x:.2f}" y="{y:.2f}" width="{cell_w:.2f}" height="{cell_h:.2f}" '
                 f'fill="{_heat_color(lookup.get((f, rp)))}"/>'
             )
-    parts.append(
-        f'<rect x="{_MARGIN_L:g}" y="{_MARGIN_T:g}" width="{plot_w:g}" height="{plot_h:g}" '
-        'fill="none" stroke="#333333" stroke-width="1"/>'
-    )
-    parts.append(
-        f'<text x="{_MARGIN_L:.2f}" y="{_HEIGHT - _MARGIN_B + 16:.2f}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="10">{float(f_values[0]):.4g}</text>'
-    )
-    parts.append(
-        f'<text x="{_WIDTH - _MARGIN_R:.2f}" y="{_HEIGHT - _MARGIN_B + 16:.2f}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="10">{float(f_values[-1]):.4g}</text>'
-    )
-    parts.append(
-        f'<text x="{_MARGIN_L - 6:.2f}" y="{_HEIGHT - _MARGIN_B:.2f}" text-anchor="end" '
-        f'font-family="sans-serif" font-size="10">{float(rp_values[0]):.4g}</text>'
-    )
-    parts.append(
-        f'<text x="{_MARGIN_L - 6:.2f}" y="{_MARGIN_T + 10:.2f}" text-anchor="end" '
-        f'font-family="sans-serif" font-size="10">{float(rp_values[-1]):.4g}</text>'
-    )
-    parts.append(
-        f'<text x="{_MARGIN_L + plot_w / 2:.2f}" y="{_HEIGHT - 8:.2f}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="11">pool multiplier f (x), punishment multiplier r_p (y), '
-        'shade = basin of full cooperation</text>'
-    )
+    parts.append(_FRAME)
+    parts.append(_text(_MARGIN_L, _HEIGHT - _MARGIN_B + 16, "middle", 10, f"{float(f_values[0]):.4g}"))
+    parts.append(_text(_WIDTH - _MARGIN_R, _HEIGHT - _MARGIN_B + 16, "middle", 10, f"{float(f_values[-1]):.4g}"))
+    parts.append(_text(_MARGIN_L - 6, _HEIGHT - _MARGIN_B, "end", 10, f"{float(rp_values[0]):.4g}"))
+    parts.append(_text(_MARGIN_L - 6, _MARGIN_T + 10, "end", 10, f"{float(rp_values[-1]):.4g}"))
+    parts.append(_x_label("pool multiplier f (x), punishment multiplier r_p (y), shade = basin of full cooperation"))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 

@@ -16,8 +16,8 @@ Suites (one summary line each from the CLI):
 Every random draw is seeded, so repeated runs produce byte-identical
 reports; Monte Carlo work is chunked by fixed substreams, so worker-pool
 size cannot change any value.  :func:`run_battery` runs the whole
-battery as one task list, under the pool policy of
-:mod:`pgg_bribery.montecarlo`.
+battery as one task list, the suites in report order, under the pool
+policy of :mod:`pgg_bribery.montecarlo`.
 """
 
 from __future__ import annotations
@@ -63,7 +63,6 @@ MIN_SAMPLES = 1000
 
 @dataclass(frozen=True)
 class CheckRow:
-    suite: str
     case: str
     value: float
     bound: float
@@ -76,9 +75,12 @@ class CheckRow:
 @dataclass(frozen=True)
 class SuiteResult:
     name: str
-    passed: bool
     detail: str
     rows: tuple[CheckRow, ...]
+
+    @property
+    def passed(self) -> bool:
+        return all(row.ok for row in self.rows)
 
 
 def draw_core_params(rng: np.random.Generator, positive_punishment: bool = False) -> CoreParams:
@@ -114,10 +116,6 @@ def _draw_model(rng, index: int, positive_punishment: bool = False):
     return draw_bribery_params(rng, positive_punishment)
 
 
-def _suite(name: str, rows: list[CheckRow], detail: str) -> SuiteResult:
-    return SuiteResult(name, all(row.ok for row in rows), detail, tuple(rows))
-
-
 def _check_closed_vs_binomial(seed: int) -> SuiteResult:
     rng = generator(RngSeed(seed, 101))
     worst = 0.0
@@ -126,13 +124,12 @@ def _check_closed_vs_binomial(seed: int) -> SuiteResult:
         x = rng.uniform(0.0, 1.0)
         strategy = "C" if i % 4 < 2 else "D"
         worst = max(worst, abs(avg_payoff(model, x, strategy) - binomial_avg_payoff(model, x, strategy)))
-    rows = [CheckRow("closed_form_vs_binomial", "max_abs_diff", worst, 1e-10)]
-    return _suite("closed_form_vs_binomial", rows, f"max |closed - binomial| = {worst:.3e} over 1000 cases")
+    rows = (CheckRow("max_abs_diff", worst, 1e-10),)
+    return SuiteResult("closed_form_vs_binomial", f"max |closed - binomial| = {worst:.3e} over 1000 cases", rows)
 
 
 def _check_reductions(seed: int) -> SuiteResult:
     rng = generator(RngSeed(seed, 102))
-    rows = []
     worst_beta0 = 0.0
     exact_bg = True
     worst_pq = 0.0
@@ -168,12 +165,14 @@ def _check_reductions(seed: int) -> SuiteResult:
         for strategy in ("C", "D"):
             finite = finite and np.isfinite(group_payoff(bg, strategy, corner))
 
-    rows.append(CheckRow("reduction_identities", "beta0_closed_form", worst_beta0, 1e-12))
-    rows.append(CheckRow("reduction_identities", "bg_gamma0_h0_bit_equal", 0.0 if exact_bg else 1.0, 0.5))
-    rows.append(CheckRow("reduction_identities", "p_equals_q_gap", worst_pq, 1e-12))
-    rows.append(CheckRow("reduction_identities", "zero_count_finite", 0.0 if finite else 1.0, 0.5))
-    return _suite("reduction_identities", rows, f"300 random models, worst offsets "
-                  f"{worst_beta0:.1e} / {worst_pq:.1e}")
+    rows = (
+        CheckRow("beta0_closed_form", worst_beta0, 1e-12),
+        CheckRow("bg_gamma0_h0_bit_equal", 0.0 if exact_bg else 1.0, 0.5),
+        CheckRow("p_equals_q_gap", worst_pq, 1e-12),
+        CheckRow("zero_count_finite", 0.0 if finite else 1.0, 0.5),
+    )
+    return SuiteResult("reduction_identities", f"300 random models, worst offsets "
+                       f"{worst_beta0:.1e} / {worst_pq:.1e}", rows)
 
 
 def _check_bribery_offset(seed: int) -> SuiteResult:
@@ -187,8 +186,8 @@ def _check_bribery_offset(seed: int) -> SuiteResult:
         for x in grid:
             observed = q_bg(float(x)) - q_core(float(x))
             worst = max(worst, abs(observed - expected))
-    rows = [CheckRow("bribery_offset", "max_abs_dev", worst, 1e-12)]
-    return _suite("bribery_offset", rows, f"max |Q_bg - Q_ipgg - offset| = {worst:.3e} over 1000 x 11 points")
+    rows = (CheckRow("max_abs_dev", worst, 1e-12),)
+    return SuiteResult("bribery_offset", f"max |Q_bg - Q_ipgg - offset| = {worst:.3e} over 1000 x 11 points", rows)
 
 
 def _check_threshold_gap(seed: int) -> SuiteResult:
@@ -199,8 +198,8 @@ def _check_threshold_gap(seed: int) -> SuiteResult:
         th = thresholds(model)
         expected = model.n * (model.n - 1) * model.beta * model.tau * model.r_p / model.c
         worst = max(worst, abs(th.f_max - th.f_min - expected))
-    rows = [CheckRow("threshold_gap", "max_abs_dev", worst, 1e-12)]
-    return _suite("threshold_gap", rows, f"max gap deviation = {worst:.3e} over 1000 cases")
+    rows = (CheckRow("max_abs_dev", worst, 1e-12),)
+    return SuiteResult("threshold_gap", f"max gap deviation = {worst:.3e} over 1000 cases", rows)
 
 
 def _check_regime_signs(seed: int) -> SuiteResult:
@@ -223,11 +222,9 @@ def _check_regime_signs(seed: int) -> SuiteResult:
         else:
             agree = q0 < 0.0 < q1
         disagreements += 0 if agree else 1
-    rows = [CheckRow("regime_sign_consistency", "disagreements", float(disagreements), 0.5)]
-    return _suite(
-        "regime_sign_consistency",
-        rows,
-        f"{disagreements} disagreements over {classified} classified draws",
+    rows = (CheckRow("disagreements", float(disagreements), 0.5),)
+    return SuiteResult(
+        "regime_sign_consistency", f"{disagreements} disagreements over {classified} classified draws", rows
     )
 
 
@@ -250,8 +247,8 @@ def _check_root_bracketing(seed: int) -> SuiteResult:
         below, above = q(x_star - 1e-6), q(x_star + 1e-6)
         if not below < 0.0 < above:
             failures += 1
-    rows = [CheckRow("root_bracketing", "sign_failures", float(failures), 0.5)]
-    return _suite("root_bracketing", rows, f"{failures} bracket failures over 200 bistable roots")
+    rows = (CheckRow("sign_failures", float(failures), 0.5),)
+    return SuiteResult("root_bracketing", f"{failures} bracket failures over 200 bistable roots", rows)
 
 
 def mc_battery_cases() -> list[tuple[str, object, str, GroupComposition]]:
@@ -274,10 +271,10 @@ def _deviation(estimate, expected: float) -> float:
     return 0.0 if estimate.mean == expected else math.inf
 
 
-def _monte_carlo_checks(seed: int, samples: int) -> list[tuple[str, str, list, float]]:
-    """The 32 Monte Carlo checks: suite, case, the estimate's chunk tasks and its closed form."""
+def _monte_carlo_checks(seed: int, samples: int) -> dict[str, list[tuple[str, list, float]]]:
+    """The 32 Monte Carlo checks by suite: case, the estimate's chunk tasks and its closed form."""
     events = [
-        ("mc_event_payoffs", case, _payoff_request(model, strategy, comp, samples, RngSeed(seed, 200 + index)),
+        (case, _payoff_request(model, strategy, comp, samples, RngSeed(seed, 200 + index)),
          group_payoff(model, strategy, comp))
         for index, (case, model, strategy, comp) in enumerate(mc_battery_cases())
     ]
@@ -285,26 +282,21 @@ def _monte_carlo_checks(seed: int, samples: int) -> list[tuple[str, str, list, f
             ("bg", BG_DEFECTOR_BRIBES, 0.3), ("bg", BG_DEFECTOR_BRIBES, 0.5)]
     cases = [(name, model, x, strategy) for name, model, x in sets for strategy in ("C", "D")]
     averages = [
-        ("mc_average_payoffs", f"{name}/x{x}/{strategy}",
-         _avg_request(model, x, strategy, samples, RngSeed(seed, 300 + index)), avg_payoff(model, x, strategy))
+        (f"{name}/x{x}/{strategy}", _avg_request(model, x, strategy, samples, RngSeed(seed, 300 + index)),
+         avg_payoff(model, x, strategy))
         for index, (name, model, x, strategy) in enumerate(cases)
     ]
-    return events + averages
+    return {"mc_event_payoffs": events, "mc_average_payoffs": averages}
 
 
-def _check_monte_carlo(checks, estimates, samples: int) -> list[SuiteResult]:
-    """The mc_event_payoffs and mc_average_payoffs suites: each check's estimate against its closed form."""
-    results = []
-    for name in ("mc_event_payoffs", "mc_average_payoffs"):
-        rows = [
-            CheckRow(name, case, _deviation(estimate, expected), 4.0)
-            for (suite, case, _, expected), estimate in zip(checks, estimates)
-            if suite == name
-        ]
-        worst = max(row.value for row in rows)
-        results.append(_suite(name, rows, f"{len(rows)} cases x {samples} samples, "
-                              f"worst deviation {worst:.2f} standard errors"))
-    return results
+def _check_monte_carlo(name: str, checks, estimates, samples: int) -> SuiteResult:
+    """A Monte Carlo suite: each check's estimate against its closed form."""
+    rows = tuple(
+        CheckRow(case, _deviation(estimate, expected), 4.0) for (case, _, expected), estimate in zip(checks, estimates)
+    )
+    worst = max(row.value for row in rows)
+    detail = f"{len(rows)} cases x {samples} samples, worst deviation {worst:.2f} standard errors"
+    return SuiteResult(name, detail, rows)
 
 
 def _check_conservation(seed: int) -> SuiteResult:
@@ -335,8 +327,8 @@ def _check_conservation(seed: int) -> SuiteResult:
             violations += 1
         if outcome.action != "accept" and (outcome.bribes_paid or outcome.bribes_received):
             violations += 1
-    rows = [CheckRow("mc_conservation", "violations", float(violations), 0.5)]
-    return _suite("mc_conservation", rows, f"{violations} accounting violations over 4000 events")
+    rows = (CheckRow("violations", float(violations), 0.5),)
+    return SuiteResult("mc_conservation", f"{violations} accounting violations over 4000 events", rows)
 
 
 def _check_streams(seed: int) -> SuiteResult:
@@ -347,31 +339,29 @@ def _check_streams(seed: int) -> SuiteResult:
     a = generator(RngSeed(seed, 401)).random(100_000)
     b = generator(RngSeed(seed, 402)).random(100_000)
     corr = abs(float(np.corrcoef(a, b)[0, 1]))
-    rows = [
-        CheckRow("stream_reproducibility", "repeat_identical", 0.0 if reproducible else 1.0, 0.5),
-        CheckRow("stream_reproducibility", "cross_stream_corr", corr, 0.01),
-    ]
-    return _suite("stream_reproducibility", rows,
-                  f"repeat identical: {reproducible}, |corr| = {corr:.2e}")
+    rows = (
+        CheckRow("repeat_identical", 0.0 if reproducible else 1.0, 0.5),
+        CheckRow("cross_stream_corr", corr, 0.01),
+    )
+    return SuiteResult("stream_reproducibility", f"repeat identical: {reproducible}, |corr| = {corr:.2e}", rows)
 
 
-# longest first, as timed serially on a 2-vCPU VM: 0.63, 0.24, 0.07, 0.06, 0.04, 0.03, 0.02 and < 0.01 s
-_LONGEST_FIRST = (
-    _check_regime_signs,
-    _check_conservation,
-    _check_bribery_offset,
+# the deterministic suites in report order: the Monte Carlo suites come between these two groups
+_BEFORE_MONTE_CARLO = (
     _check_closed_vs_binomial,
-    _check_threshold_gap,
     _check_reductions,
+    _check_bribery_offset,
+    _check_threshold_gap,
+    _check_regime_signs,
     _check_root_bracketing,
-    _check_streams,
 )
+_AFTER_MONTE_CARLO = (_check_conservation, _check_streams)
 
 
 def run_battery(samples: int = 1_000_000, seed: int = 42, workers: int | None = None) -> list[SuiteResult]:
     """Run every verification suite; deterministic for a fixed seed.
 
-    One task list holds the eight deterministic suites, longest first,
+    One task list holds the eight deterministic suites, in report order,
     then the chunks of the 32 Monte Carlo estimates; the suites come back
     in the order of the module docstring.  ``samples`` below
     ``MIN_SAMPLES`` is refused with ``ValueError`` before any task is built.
@@ -379,19 +369,13 @@ def run_battery(samples: int = 1_000_000, seed: int = 42, workers: int | None = 
     if samples < MIN_SAMPLES:
         raise ValueError(f"verify needs samples >= MIN_SAMPLES = {MIN_SAMPLES}, got {samples}")
     checks = _monte_carlo_checks(seed, samples)
-    requests = [request for _, _, request, _ in checks]
-    tasks = [partial(check, seed) for check in _LONGEST_FIRST] + [task for request in requests for task in request]
+    requests = [request for cases in checks.values() for _, request, _ in cases]
+    deterministic = _BEFORE_MONTE_CARLO + _AFTER_MONTE_CARLO
+    tasks = [partial(check, seed) for check in deterministic] + [task for request in requests for task in request]
     results = _run_tasks(tasks, workers)
-    suite = dict(zip(_LONGEST_FIRST, results))
-    monte_carlo = _check_monte_carlo(checks, _estimate_all(requests, results[len(_LONGEST_FIRST):]), samples)
-    return [
-        suite[_check_closed_vs_binomial],
-        suite[_check_reductions],
-        suite[_check_bribery_offset],
-        suite[_check_threshold_gap],
-        suite[_check_regime_signs],
-        suite[_check_root_bracketing],
-        *monte_carlo,
-        suite[_check_conservation],
-        suite[_check_streams],
+    estimates = iter(_estimate_all(requests, results[len(deterministic):]))
+    monte_carlo = [
+        _check_monte_carlo(name, cases, [next(estimates) for _ in cases], samples) for name, cases in checks.items()
     ]
+    before = len(_BEFORE_MONTE_CARLO)
+    return [*results[:before], *monte_carlo, *results[before:len(deterministic)]]

@@ -21,7 +21,7 @@ from pgg_bribery import (
     q_function,
     realize_event,
 )
-from pgg_bribery import montecarlo
+from pgg_bribery import cli, config, montecarlo
 from pgg_bribery.montecarlo import _avg_request, _estimate_all, _payoff_request, _run_tasks, generator
 from pgg_bribery.presets import BG_DEFECTOR_BRIBES, IPGG_BISTABLE, IPGG_WEAK_POOL
 from pgg_bribery.verify import (
@@ -152,7 +152,9 @@ class TestBatchedEstimates:
 
     def test_pool_never_outnumbers_the_chunks(self, pool_sizes, pool_tasks):
         comp = GroupComposition(2, 2)
-        three_chunks = estimate_expected_payoff(IPGG_WEAK_POOL, "C", comp, 600_000, RngSeed(5), workers=5000)
+        three_chunks = estimate_expected_payoff(
+            IPGG_WEAK_POOL, "C", comp, 600_000, RngSeed(5), workers=montecarlo.MAX_WORKERS
+        )
         assert pool_sizes == [3] and pool_tasks == ["_chunk_task"] * 3
         assert three_chunks == estimate_expected_payoff(IPGG_WEAK_POOL, "C", comp, 600_000, RngSeed(5))
         estimate_expected_payoff(IPGG_WEAK_POOL, "C", comp, 600_000, RngSeed(5), workers=2)
@@ -173,17 +175,55 @@ class TestBatchedEstimates:
         assert all(suite.passed for suite in suites.values())  # the floor itself is accepted
         assert pool_sizes == [2]
         assert len(suites["mc_event_payoffs"].rows) == 24 and len(suites["mc_average_payoffs"].rows) == 8
-        # the deterministic suites go in ahead of every chunk, longest first
+        # the deterministic suites go in ahead of every chunk, in report order
         assert pool_tasks == [
-            "_check_regime_signs",
-            "_check_conservation",
-            "_check_bribery_offset",
             "_check_closed_vs_binomial",
-            "_check_threshold_gap",
             "_check_reductions",
+            "_check_bribery_offset",
+            "_check_threshold_gap",
+            "_check_regime_signs",
             "_check_root_bracketing",
+            "_check_conservation",
             "_check_streams",
         ] + ["_chunk_task"] * 32
+
+    @staticmethod
+    def _no_work(*args, **kwargs):
+        raise AssertionError("the work started instead of being refused")
+
+    def test_workers_above_max_workers_are_refused_before_any_pool_starts(self, monkeypatch):
+        from pgg_bribery.montecarlo import MAX_WORKERS  # imported here: a tree without the cap fails at once
+        from pgg_bribery.verify import MIN_SAMPLES
+
+        assert cli.MAX_WORKERS == MAX_WORKERS
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", self._no_work)
+        comp = GroupComposition(2, 2)
+        for workers in (MAX_WORKERS + 1, 10**4):
+            match = f"<= MAX_WORKERS = {MAX_WORKERS}, got {workers}"
+            with pytest.raises(ValueError, match=match):
+                estimate_expected_payoff(IPGG_WEAK_POOL, "C", comp, 600_000, RngSeed(5), workers=workers)
+            with pytest.raises(ValueError, match=match):
+                estimate_avg_payoff(IPGG_BISTABLE, 0.5, "D", 600_000, RngSeed(5), workers=workers)
+            with pytest.raises(ValueError, match=match):
+                run_battery(samples=MIN_SAMPLES, workers=workers)
+
+    def test_more_than_max_samples_are_refused_before_any_task_is_built(self, monkeypatch):
+        from pgg_bribery.montecarlo import MAX_SAMPLES  # imported here: a tree without the cap fails at once
+
+        assert config.MAX_SAMPLES == MAX_SAMPLES
+        comp = GroupComposition(2, 2)
+        # the cap itself is accepted: its tasks are listed, none is run
+        assert len(_payoff_request(IPGG_WEAK_POOL, "C", comp, MAX_SAMPLES, RngSeed(0))) == 4000
+        monkeypatch.setattr(montecarlo, "_chunk_sizes", self._no_work)
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", self._no_work)
+        for n in (MAX_SAMPLES + 1, 10**12):
+            match = f"n <= MAX_SAMPLES = {MAX_SAMPLES} samples, got {n}"
+            with pytest.raises(ValueError, match=match):
+                estimate_expected_payoff(IPGG_WEAK_POOL, "C", comp, n, RngSeed(0), workers=2)
+            with pytest.raises(ValueError, match=match):
+                estimate_avg_payoff(IPGG_BISTABLE, 0.5, "D", n, RngSeed(0), workers=10**4)
+            with pytest.raises(ValueError, match=match):
+                run_battery(samples=n, workers=2)
 
     def test_tasks_come_back_in_order(self, pool_sizes, pool_tasks):
         comp = GroupComposition(2, 2)
@@ -212,10 +252,11 @@ class TestMonteCarloSuites:
 
     def test_two_samples_do_not_pass(self):
         # two equal samples have a zero standard error, whatever their mean
-        checks = _monte_carlo_checks(42, 2)
-        requests = [request for _, _, request, _ in checks]
-        results = _run_tasks([task for request in requests for task in request], None)
-        suites = _check_monte_carlo(checks, _estimate_all(requests, results), 2)
+        suites = []
+        for name, checks in _monte_carlo_checks(42, 2).items():
+            requests = [request for _, request, _ in checks]
+            results = _run_tasks([task for request in requests for task in request], None)
+            suites.append(_check_monte_carlo(name, checks, _estimate_all(requests, results), 2))
         assert not any(suite.passed for suite in suites)
         rows = [row for suite in suites for row in suite.rows]
         assert len(rows) == 32 and not any(row.value == 0.0 for row in rows)

@@ -43,6 +43,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .games import BriberyParams, GroupComposition, Model, ParameterError, group_payoff, is_cooperator
+from .output import CHUNK
 
 __all__ = [
     "KnifeEdgeError",
@@ -213,17 +214,18 @@ def coefficients(model: Model, f=None, r_p=None) -> Coefficients:
 def _q_of(co: Coefficients) -> Callable:
     """The one body of Q: a closure over ``co`` for a float or a numpy array.
 
-    Both Horner sums, S(1 - x) and S(x), run in one loop with the same
-    operations in the same order as :func:`_geom_sum`, so a scalar and an
-    array element get the same bits.
+    Both Horner sums, S(1 - x) and S(x), run in one loop.  It starts from
+    the first Horner step, ``s = y``, which is exact since ``y * (1.0 + 0.0)``
+    is ``y``, then applies the rest of :func:`_geom_sum`'s steps in its
+    order, so a scalar and an array element get the same bits.
     """
     # one range object serves every call: building one per call (a builtin
     # lookup and call) took about a fifth of `integrate`'s time at n = 5
-    constant, fine_c, fine_d, terms = co.constant, co.fine_c, co.fine_d, range(co.n - 1)
+    constant, fine_c, fine_d, terms = co.constant, co.fine_c, co.fine_d, range(co.n - 2)
 
     def q(x):
         y = 1.0 - x
-        s_c = s_d = 0.0
+        s_c, s_d = y, x
         for _ in terms:
             s_c = y * (1.0 + s_c)
             s_d = x * (1.0 + s_d)
@@ -235,15 +237,15 @@ def _q_of(co: Coefficients) -> Callable:
 def _g_of(co: Coefficients) -> Callable:
     """The one body of G(x) = x (1 - x) Q(x): a closure over ``co``.
 
-    It runs the Horner loop of :func:`_q_of` in its own frame and returns
-    ``x * y * Q`` with ``y = 1 - x``, the operations and order of
-    ``x * (1.0 - x) * q(x)``, so it gives the same bits with one call.
+    It runs the Horner loop of :func:`_q_of`, first step peeled, in its own
+    frame and returns ``x * y * Q`` with ``y = 1 - x``, the operations and
+    order of ``x * (1.0 - x) * q(x)``, so it gives the same bits with one call.
     """
-    constant, fine_c, fine_d, terms = co.constant, co.fine_c, co.fine_d, range(co.n - 1)
+    constant, fine_c, fine_d, terms = co.constant, co.fine_c, co.fine_d, range(co.n - 2)
 
     def g(x):
         y = 1.0 - x
-        s_c = s_d = 0.0
+        s_c, s_d = y, x
         for _ in terms:
             s_c = y * (1.0 + s_c)
             s_d = x * (1.0 + s_d)
@@ -425,16 +427,28 @@ def classify_regime(model: Model) -> Regime:
 class Regimes(NamedTuple):
     """Classification of many (f, r_p) cells, as arrays of one shape.
 
-    ``token`` holds the regime token, or ``KNIFE_EDGE`` where
-    :func:`classify_regime` raises :class:`KnifeEdgeError`; ``x_star`` is
-    NaN unless bistable and ``basin`` is NaN on a knife edge.  ``notes``
-    maps each knife-edge cell's index tuple to that error's text.
+    ``token`` is an object array of references to the four token strings:
+    the regime token, or ``KNIFE_EDGE`` where :func:`classify_regime`
+    raises :class:`KnifeEdgeError`.  ``x_star`` is NaN unless bistable and
+    ``basin`` is NaN on a knife edge.  ``notes`` maps each knife-edge
+    cell's index tuple to that error's text.
     """
 
     token: np.ndarray
     x_star: np.ndarray
     basin: np.ndarray
     notes: dict[tuple[int, ...], str]
+
+
+# a cell's integer code indexes its token and, off the bistable lanes, its basin
+_DEFECTION, _BISTABLE, _COOPERATION, _KNIFE = range(4)
+_TOKENS = np.array([kind.value for kind in RegimeKind] + [KNIFE_EDGE], dtype=object)
+_BASINS = np.array([0.0, np.nan, 1.0, np.nan])
+
+
+def _by_code(table: np.ndarray, code: np.ndarray) -> np.ndarray:
+    # through ravel, as a 0-d index array would pick a scalar, not a 0-d array
+    return table[code.ravel()].reshape(code.shape)
 
 
 def classify_regimes(model: Model, f=None, r_p=None) -> Regimes:
@@ -444,7 +458,9 @@ def classify_regimes(model: Model, f=None, r_p=None) -> Regimes:
     each other (pass ``f[:, None]`` and ``r_p[None, :]`` for a grid).
     Every cell equals the scalar result bit for bit.  Raises the record's
     ``ParameterError`` at the first cell it refuses, and ``ValueError``
-    when any threshold is not finite.
+    when any threshold is not finite.  The bistable lanes are bisected
+    ``CHUNK`` at a time, so the working arrays of the root search stay
+    small however many cells there are.
     """
     for name, values in (("f", f), ("r_p", r_p)):
         # the record's bounds: finite, f > 0, r_p >= 0
@@ -462,29 +478,25 @@ def classify_regimes(model: Model, f=None, r_p=None) -> Regimes:
     if not finite.all():
         index = np.argmin(finite)
         raise _non_finite(f_min.flat[index], f_max.flat[index])
-    token = np.where(
-        f < f_min,
-        RegimeKind.DEFECTION_DOMINANT.value,
-        np.where(f > f_max, RegimeKind.COOPERATION_DOMINANT.value, RegimeKind.BISTABLE.value),
-    )
-    knife_edge = _on_threshold(f, f_min) | _on_threshold(f, f_max)
-    token[knife_edge] = KNIFE_EDGE
-    cells = [tuple(map(int, index)) for index in np.argwhere(knife_edge)]  # nonzero refuses a 0-d mask
+    code = np.full(f.shape, _BISTABLE, dtype=np.int8)
+    code[f > f_max] = _COOPERATION
+    code[f < f_min] = _DEFECTION
+    code[_on_threshold(f, f_min) | _on_threshold(f, f_max)] = _KNIFE
+    cells = [tuple(map(int, index)) for index in np.argwhere(code == _KNIFE)]  # nonzero refuses a 0-d mask
     notes = {cell: str(_knife_edge(f.item(cell), f_min.item(cell), f_max.item(cell))) for cell in cells}
-    bistable = token == RegimeKind.BISTABLE.value
+    x_star = np.full(code.shape, np.nan)
+    basin = _by_code(_BASINS, code)
     # only bistable cells have a root: bisect those lanes, each independent of the others
-    x_star = np.full(bistable.shape, np.nan)
-    x_star[bistable] = _bisect(co._replace(
-        constant=np.broadcast_to(co.constant, bistable.shape)[bistable],
-        fine_c=np.broadcast_to(co.fine_c, bistable.shape)[bistable],
-        fine_d=np.broadcast_to(co.fine_d, bistable.shape)[bistable],
-    ))
-    basin = np.where(
-        token == RegimeKind.DEFECTION_DOMINANT.value,
-        0.0,
-        np.where(token == RegimeKind.COOPERATION_DOMINANT.value, 1.0, 1.0 - x_star),
-    )
-    return Regimes(token, x_star, basin, notes)
+    constant, fine_c, fine_d = (np.broadcast_to(values, code.shape) for values in (co.constant, co.fine_c, co.fine_d))
+    lanes = np.flatnonzero(code == _BISTABLE)
+    for start in range(0, lanes.size, CHUNK):
+        block = lanes[start:start + CHUNK]
+        root = _bisect(co._replace(
+            constant=constant.flat[block], fine_c=fine_c.flat[block], fine_d=fine_d.flat[block],
+        ))
+        x_star.flat[block] = root
+        basin.flat[block] = 1.0 - root
+    return Regimes(_by_code(_TOKENS, code), x_star, basin, notes)
 
 
 def interior_root(model: Model) -> float:

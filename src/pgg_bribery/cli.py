@@ -13,7 +13,10 @@ setting changes any emitted value.
 
 :func:`gradient_rows`, :func:`sweep_rows` and :func:`grid_rows` build the
 CSV rows of the ``gradient``, ``sweep`` and ``grid`` subcommands; the
-figure script writes its artifacts with the same builders.
+figure script writes its artifacts with the same builders.  Their
+per-cell columns are made a chunk at a time, as ``write_csv`` slices
+them, so none of them holds a Python value per cell of the whole file.
+Anything that may refuse the input is checked before the file opens.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from .analysis import (
     KNIFE_EDGE,
     KnifeEdgeError,
     RegimeKind,
+    _finite_coefficients,
     avg_payoff,
     classify_regime,
     gradient_of_selection,
@@ -164,33 +168,64 @@ def _cells(values: np.ndarray) -> list:
     return [None if value != value else value for value in values.tolist()]
 
 
+class _Column:
+    """A column of ``length`` cells whose slice ``[start:stop]`` is ``make(start, stop)``.
+
+    :func:`write_csv` only measures its columns and slices ``CHUNK``
+    consecutive rows at a time, so such a column never exists whole.
+    """
+
+    def __init__(self, length: int, make):
+        self.length, self.make = length, make
+
+    def __len__(self) -> int:
+        return self.length
+
+    def __getitem__(self, rows: slice):
+        start, stop, _ = rows.indices(self.length)
+        return self.make(start, stop)
+
+
+def _cell_column(values: np.ndarray) -> _Column:
+    """``_cells(values)``, made a slice at a time."""
+    return _Column(len(values), lambda start, stop: _cells(values[start:stop]))
+
+
 def gradient_rows(model, points: int) -> ColumnRows:
-    """Rows (x, Q(x), G(x)) at ``points`` evenly spaced x in [0, 1]."""
-    xs = np.arange(points) / (points - 1)
-    q = q_function(model, xs)
-    g = gradient_of_selection(model, xs)
-    return ColumnRows(xs, q, g)
+    """Rows (x, Q(x), G(x)) at ``points`` evenly spaced x in [0, 1], made a chunk at a time."""
+    # a chunk is made after the file opens: refuse what a chunk would refuse before it does
+    if points < 2:
+        raise ConfigError(f"--points must be >= 2, got {points}")
+    _check_cells("gradient", points)
+    _finite_coefficients(model)
+
+    def xs(start, stop):
+        return np.arange(start, stop) / (points - 1)
+
+    return ColumnRows(
+        _Column(points, xs),
+        _Column(points, lambda start, stop: q_function(model, xs(start, stop))),
+        _Column(points, lambda start, stop: gradient_of_selection(model, xs(start, stop))),
+    )
 
 
 def sweep_rows(result: SweepResult) -> ColumnRows:
     """Rows (value, regime, x_star, basin) of a sweep."""
-    return ColumnRows(result.points, result.token, _cells(result.x_star), _cells(result.basin))
+    return ColumnRows(result.points, result.token, _cell_column(result.x_star), _cell_column(result.basin))
 
 
 def grid_rows(grid: RegimeGrid) -> ColumnRows:
-    """Rows (f, r_p, regime, basin) of a grid, f-major."""
+    """Rows (f, r_p, regime, basin) of a grid, f-major, made a chunk at a time."""
+    cells, n_rp = grid.token.size, len(grid.rp_values)
     return ColumnRows(
-        np.repeat(grid.f_values, len(grid.rp_values)),
-        np.tile(grid.rp_values, len(grid.f_values)),
+        _Column(cells, lambda start, stop: grid.f_values[np.arange(start, stop) // n_rp]),
+        _Column(cells, lambda start, stop: grid.rp_values[np.arange(start, stop) % n_rp]),
         grid.token.ravel(),
-        _cells(grid.basin.ravel()),
+        _cell_column(grid.basin.ravel()),
     )
 
 
 def _cmd_gradient(config: RunConfig, args) -> int:
-    if args.points < 2:
-        raise ConfigError(f"--points must be >= 2, got {args.points}")
-    _check_cells("gradient", args.points)
     rows = gradient_rows(config.model, args.points)
     return _emit(config, args, "gradient.csv", ["x", "q", "g"], rows, [("points", str(args.points))])
 

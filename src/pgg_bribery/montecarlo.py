@@ -435,9 +435,14 @@ def _chunk_task(model, focal_c, n_c, x, seed, index, size) -> tuple[int, float, 
     """Size, mean and squared deviations of chunk ``index`` of an estimate: ``size`` focal payoffs."""
     # n_c is None for Binomial(n-1, x) compositions, drawn first from the chunk's stream
     rng = generator(seed, index)
-    if n_c is None:
-        n_c = _binomial(rng, model.n - 1, x, size)
-    return _summarize(_event_payoffs(model, focal_c, n_c, rng, size))
+    # a valid model's payoffs, or their squared deviations, may still overflow
+    with np.errstate(over="raise", invalid="raise"):
+        try:
+            if n_c is None:
+                n_c = _binomial(rng, model.n - 1, x, size)
+            return _summarize(_event_payoffs(model, focal_c, n_c, rng, size))
+        except FloatingPointError as err:
+            raise ValueError(f"the sampled payoffs overflow double precision ({err})") from None
 
 
 def _chunk_tasks(model, focal_c, n_c, x, n: int, seed: RngSeed) -> list[partial]:

@@ -57,7 +57,8 @@ def fmt_quantity(value: float) -> str:
 
 
 class ColumnRows:
-    """Rows held as equal-length columns: lists, tuples or numpy arrays.
+    """Rows held as equal-length columns: lists, tuples, numpy arrays, or
+    any object with ``len`` whose slices are one of those.
 
     :func:`write_csv` formats them column by column, ``CHUNK`` rows at a
     time; a numpy column becomes Python values and text one chunk at a

@@ -30,7 +30,7 @@ __all__ = [
 SWEEP_DEFAULTS = {"f": (1.05, 8.0), "r_p": (0.1, 6.0)}
 DEFAULT_STEPS = 200
 # cells one sweep, grid or gradient may ask for: at the cap, a grid takes
-# ~4.6 s and ~200 MB peak on a 2-vCPU VM; a larger one could exhaust memory
+# ~2.3-2.9 s and ~72 MB peak RSS on a 2-vCPU VM; a larger one could exhaust memory
 MAX_CELLS = 10**6
 
 

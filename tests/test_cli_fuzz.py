@@ -44,6 +44,7 @@ def test_arbitrary_overrides_exit_0_or_1_without_a_traceback(tmp_path_factory, c
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.tuples(KEYS, VALUES), max_size=3), st.booleans(), st.integers(2, 5000))
 @example([("n", str(MAX_N))], False, 5000)
+@example([("tau", "3.7923007632436714e+153")], False, 2)
 def test_simulate_exits_0_or_1_without_a_traceback(tmp_path_factory, overrides, drop_bg_keys, samples):
     # samples is set last, so that every example stays small
     last = [("samples", str(samples))]

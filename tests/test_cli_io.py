@@ -237,6 +237,21 @@ class TestSubcommands:
         assert "x must be in [0, 1]" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("override, workers", [
+        ("tau=1e155", None),  # finite payoffs whose squared deviations overflow
+        ("tau=1e155", "2"),
+        ("tau=1e308", None),  # an infinite fine minus an infinite fine
+        ("h=1e160", None),
+    ])
+    def test_simulate_refuses_payoffs_that_overflow(self, bg_cfg, tmp_path, capsys, monkeypatch, override, workers):
+        if workers is not None:
+            monkeypatch.setenv("PGG_BRIBERY_WORKERS", workers)
+        out = tmp_path / "s"
+        argv = ["simulate", "--config", bg_cfg, "--set", "samples=1000", "--set", override, "--out", str(out)]
+        assert main(argv) == 1
+        assert "error: the sampled payoffs overflow double precision" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_verify_small_battery_passes(self, weak_cfg, tmp_path, capsys):
         out = str(tmp_path / "v")
         code = main(["verify", "--config", weak_cfg, "--set", "samples=20000", "--out", out])
@@ -335,7 +350,9 @@ class TestInputContract:
         assert message in captured.err
         assert "x_star" not in captured.out
 
-    @pytest.mark.parametrize("argv", [["gradient"], ["integrate", "--x0", "0.5"]])
+    @pytest.mark.parametrize("argv", [
+        ["gradient"], ["integrate", "--x0", "0.5"], ["grid"], ["sweep", "--param", "f"], ["sweep", "--param", "r_p"],
+    ])
     def test_q_paths_reject_overflowing_thresholds(self, bistable_cfg, tmp_path, capsys, argv):
         out = tmp_path / "out"
         assert main(argv + ["--config", bistable_cfg, "--set", "tau=1e308", "--out", str(out)]) == 1

@@ -97,7 +97,7 @@ def test_a_lone_model_equals_the_scalar_classifier(model, edge):
     if edge is not None:
         model = with_parameter(model, "f", getattr(thresholds(model), edge))
     token, x_star, basin, notes = classify_regimes(model)
-    assert token.shape == x_star.shape == basin.shape == ()
+    assert token.shape == x_star.shape == basin.shape == () and token.dtype == object
     expected = scalar_cell(model, model.f, model.r_p)
     assert (str(token), undefined_as_none(x_star), undefined_as_none(basin), notes.get(())) == expected
     assert (expected[0] == "knife_edge") == (edge is not None) == (set(notes) == {()})

@@ -37,7 +37,7 @@ from __future__ import annotations
 import enum
 import sys
 from dataclasses import dataclass, replace
-from math import ceil, comb, exp, isfinite, lgamma, log, log1p, log2
+from math import ceil, comb, exp, isfinite, lgamma, log, log1p, log2, prod
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -367,6 +367,25 @@ BRACKET = (1e-15, 1.0 - 1e-15)
 # width by under 1e-15 and the widths after 39 and 40 steps are
 # ~1.82e-12 and ~9.09e-13, so every cell stops after the same count
 BISECTION_STEPS = ceil(log2((BRACKET[1] - BRACKET[0]) / ROOT_TOL))
+
+# the most work one command may ask for, in Horner turns of an array lane, a
+# turn being one step of both of Q's sums at one x, n - 1 per evaluation: a
+# grid or sweep runs (n - 1) * cells * BISECTION_STEPS turns and a gradient
+# 2 * (n - 1) * points.  integrate runs 4 * (n - 1) * ceil(t_max / step) turns
+# on Python floats, each costing about SCALAR_TURN lane turns (at n = 10^4 on
+# a 2-vCPU VM, ~0.07 against ~0.002-0.003 us).  Every job within the other
+# caps at n = 5 fits, the largest being integrate at MAX_STEPS (4e9 turns,
+# ~31 s there); at n = 10^4 the largest admitted jobs take ~11-14 s
+MAX_TURNS = 5 * 10**9
+SCALAR_TURN = 25
+
+
+def _check_turns(what: str, n: int, **factors: int) -> None:
+    """Refuse a job of (n - 1) times ``factors`` Horner turns above :data:`MAX_TURNS`, before it starts."""
+    turns = (n - 1) * prod(factors.values())
+    if turns > MAX_TURNS:
+        named = ", ".join(f"{name} = {value}" for name, value in {"n - 1": n - 1, **factors}.items())
+        raise ValueError(f"{what} asks for {turns} Horner turns ({named}), above the work budget of {MAX_TURNS}")
 
 
 def _either(below: bool, if_below: float, otherwise: float) -> float:

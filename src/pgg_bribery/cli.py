@@ -31,6 +31,7 @@ from .analysis import (
     KNIFE_EDGE,
     KnifeEdgeError,
     RegimeKind,
+    _check_turns,
     _finite_coefficients,
     avg_payoff,
     classify_regime,
@@ -197,6 +198,7 @@ def gradient_rows(model, points: int) -> ColumnRows:
     if points < 2:
         raise ConfigError(f"--points must be >= 2, got {points}")
     _check_cells("gradient", points)
+    _check_turns("gradient", model.n, evaluations_per_point=2, points=points)
     _finite_coefficients(model)
 
     def xs(start, stop):

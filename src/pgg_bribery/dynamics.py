@@ -15,7 +15,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import RegimeKind, _finite_coefficients, _g_of, classify_regime, interior_root
+from .analysis import (
+    SCALAR_TURN,
+    RegimeKind,
+    _check_turns,
+    _finite_coefficients,
+    _g_of,
+    classify_regime,
+    interior_root,
+)
 from .games import Model
 
 __all__ = ["Trajectory", "integrate", "basin_of_cooperation"]
@@ -65,8 +73,9 @@ def integrate(
     None when ``t_max`` is exhausted first.  Every step is recorded, at
     time ``k * step``.  Each step reuses the G(x) of the convergence test
     as its k1, so it costs four evaluations of G.  Raises ``ValueError``
-    when ``t_max / step`` exceeds ``MAX_STEPS``, and when a step leaves
-    [0, 1] (or gives NaN), naming the step and its time.
+    when ``t_max / step`` exceeds ``MAX_STEPS``, when those steps exceed
+    the work budget ``analysis.MAX_TURNS``, and when a step leaves [0, 1]
+    (or gives NaN), naming the step and its time.
     """
     if not 0 <= x0 <= 1:
         raise ValueError(f"x0 must be in [0, 1], got {x0}")
@@ -78,13 +87,14 @@ def integrate(
         raise ValueError(f"t_max/step = {t_max / step:g} exceeds the limit of {MAX_STEPS} steps")
     if not conv_tol > 0:
         raise ValueError(f"conv_tol must be > 0, got {conv_tol}")
+    max_steps = math.ceil(t_max / step)
+    _check_turns("integrate", model.n, scalar_turn=SCALAR_TURN, evaluations_per_step=4, steps=max_steps)
 
     g = _g_of(_finite_coefficients(model))
     x = float(x0)
     states = array("d", [x])
     k1 = g(x)
     converged = abs(k1) < conv_tol
-    max_steps = math.ceil(t_max / step)
     half_step = 0.5 * step  # 0.5 * step * k is (0.5 * step) * k
     while not converged and len(states) <= max_steps:  # states holds x0 and one state per step
         k2 = g(x + half_step * k1)

@@ -42,6 +42,15 @@ binomial counts are read from cut points where numpy draws by inversion
 counts are looked up only where a focal leader accepts, the only samples
 that receive them.
 
+Working memory: a chunk holds two full-length arrays, the leader draws
+(``int64``), which then take the table index, and one ``float64``
+buffer, which holds the action uniforms, the offer uniforms, the
+uniforms of both bribe counts and, last, the gathered payoffs.  Counts
+read from the cut tables stay ``int8``, drawn compositions included,
+and bribe income is added only at the samples that receive it.  A
+250k-sample chunk peaks at 5.0-6.4 MiB traced, the bribery game with
+drawn compositions the most.
+
 Reproducibility: every estimator takes an :class:`RngSeed`; identical
 (master_seed, stream_id) pairs reproduce identical results regardless of
 scheduling, and distinct stream ids yield independent streams (numpy
@@ -280,18 +289,27 @@ def _at(values: np.ndarray, lanes: np.ndarray | None) -> np.ndarray:
     return values if lanes is None else values[lanes]
 
 
-def _binomial(rng: np.random.Generator, n, p: float, size: int, lanes: np.ndarray | None = None) -> np.ndarray:
+def _binomial(
+    rng: np.random.Generator, n, p: float, size: int, lanes: np.ndarray | None = None, spent: np.ndarray | None = None
+) -> np.ndarray:
     """``rng.binomial(n, p, size)``, or its ``[lanes]``, leaving ``rng`` as that call would.
 
-    ``n`` is an int or an int array of ``size`` counts, and ``lanes`` a
-    mask or an index array over the ``size`` lanes.  Where numpy draws
-    by inversion, each lane with n > 0 takes one uniform, the same
+    ``n`` is an int or an int array of ``size`` counts, ``lanes`` a mask
+    or an array of non-negative indices over the ``size`` lanes, and
+    ``spent`` a float64 array of at least ``size`` values no longer needed,
+    which the uniforms may overwrite.  Where numpy draws by inversion, each
+    lane with n > 0 takes one uniform, in lane order, the same
     ``next_double`` that ``rng.random`` returns, and its value is the
     number of cuts of :func:`_cut_row` at or below that uniform (n minus
-    it for p > 0.5, numpy's flip).  Every lane's uniform is drawn, but
-    only the ``lanes`` are looked up.  If a uniform may reach numpy's
-    rejection branch, the generator is rewound and numpy's own call is
-    returned, as it is for BTPE, for n above :data:`INVERSION_MAX_N` and
+    it for p > 0.5, numpy's flip), returned as ``int8``.  Every lane's
+    uniform is drawn, but only the ``lanes`` are looked up.  Lane i's
+    uniform is the one at i - z, where z counts the lanes with n = 0 at or
+    before it: those lanes are few, so z is a ``searchsorted`` over them,
+    not a rank of every lane.  A lane with n = 0 thus takes the uniform
+    before it (the last one if there is none), which its row, without
+    cuts, ignores.  If a uniform may reach numpy's rejection branch, the
+    generator is rewound and numpy's own call is returned, as numpy's
+    ``int64``, as it is for BTPE, for n above :data:`INVERSION_MAX_N` and
     for a p or an n that numpy refuses.
     """
     n_arr = np.asarray(n)
@@ -300,36 +318,34 @@ def _binomial(rng: np.random.Generator, n, p: float, size: int, lanes: np.ndarra
         0.0 <= p <= 1.0
         and n_arr.dtype.kind == "i"
         and n_arr.shape in ((), (size,))
-        and (n_arr >= 0).all()
+        and n_arr.min(initial=0) >= 0
         and (n_max := int(n_arr.max(initial=0))) <= INVERSION_MAX_N
         and p_inv * n_max <= 30.0
     ):
         return _at(rng.binomial(n, p, size), lanes)
     if p == 0.0 or n_max == 0:  # numpy draws nothing
-        return _at(np.zeros(size, np.int64), lanes)
+        return _at(np.zeros(size, np.int8), lanes)
 
     state = rng.bit_generator.state
     table, reject = _cut_table(n_max, p_inv)
-    drawn = n_arr > 0
-    u = rng.random(size if n_arr.ndim == 0 else np.count_nonzero(drawn))
+    zeros = None if n_arr.ndim == 0 else np.flatnonzero(n_arr == 0)
+    drawn = size if zeros is None else size - len(zeros)
+    u = rng.random(drawn) if spent is None else rng.random(out=spent[:drawn])
     if u.max(initial=0.0) >= reject:  # a uniform may reach numpy's rejection branch
         rng.bit_generator.state = state
         return _at(rng.binomial(n, p, size), lanes)
-    if n_arr.ndim == 0:
+    if zeros is None:
         rows = n_max
         if lanes is not None:
             u = u[lanes]
     else:
-        # a lane's uniform is the one at its rank among the drawing lanes; a
-        # lane with n = 0 takes a neighbour's, which its row, without cuts, ignores
-        rank = np.cumsum(drawn, dtype=np.int32)  # a chunk has far fewer than 2**31 lanes
-        rows, rank = (n_arr, rank) if lanes is None else (n_arr[lanes], rank[lanes])
-        u = u[rank - 1]
+        at = np.arange(size) if lanes is None else np.flatnonzero(lanes) if lanes.dtype == bool else lanes
+        rows = n_arr[at]
+        u = u[at - np.searchsorted(zeros, at, side="right")]
     x = np.zeros(len(u), np.int8)  # n <= INVERSION_MAX_N fits
     for column in table.T:
         x += u >= column[rows]
-    x = x.astype(np.int64)
-    return rows - x if p > 0.5 else x
+    return np.subtract(rows, x, out=x) if p > 0.5 else x
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +417,8 @@ def _event_payoffs(model, focal_c, n_c, rng, size) -> np.ndarray:
     ``n_c`` is an int for a fixed composition, or an array of ``size``
     sampled co-player counts.  Each sample's outcome indexes one entry of
     :func:`_payoff_table`; a leading focal player's bribe income is added
-    after the lookup.
+    after the lookup, at the samples that receive it.  The payoffs are
+    written into the buffer of the action uniforms.
     """
     n = model.n
     is_bg = isinstance(model, BriberyParams)
@@ -417,17 +434,23 @@ def _event_payoffs(model, focal_c, n_c, rng, size) -> np.ndarray:
         accepts = (u >= model.beta) & (u < model.beta + model.gamma)
         rng.random(out=u)  # the offer uniforms
         outcome += np.int8(3) * (led & accepts & (u < (model.p if focal_c else model.q)))
-        # the bribe counts are drawn at every lane, but only a focal leader who accepts receives them
+        # the bribe counts are drawn at every lane, their uniforms into the spent
+        # offer uniforms, but only a focal leader who accepts receives them
         takes = np.flatnonzero(~led & accepts)
-        offers = _binomial(rng, n_c, model.p, size, takes) + _binomial(rng, n - 1 - n_c, model.q, size, takes)
-        received = np.zeros(size, np.int64)
-        received[takes] = offers
+        offers = _binomial(rng, n_c, model.p, size, takes, u) + _binomial(rng, n - 1 - n_c, model.q, size, takes, u)
     # the leader draws are spent: their buffer takes the index
-    index = np.multiply(n_c, 4, out=lead)
+    index = np.multiply(n_c, 4, out=lead, dtype=np.int64)  # an int8 n_c times 4 may pass 127
     index += outcome
-    payoff = _payoff_table(model, focal_c).ravel().take(index)
+    # every index is in range (n_c < n, outcome < 4); "clip" writes into
+    # ``out`` directly, where the default "raise" goes through a new buffer
+    payoff = _payoff_table(model, focal_c).ravel().take(index, out=u, mode="clip")
     if is_bg:
-        payoff += np.multiply(model.h, received, out=u)
+        # every other sample would add h * 0 = ±0.0, which leaves any payoff
+        # but -0.0 as it is, and no table entry is -0.0: each starts from
+        # b + f*c*total_c/n, whose second term is +0.0 or positive (f, c > 0),
+        # so the sum is not -0.0 whatever b is, and each later difference has
+        # a left side that is not -0.0, so it is not -0.0 either
+        payoff[takes] += model.h * offers
     return payoff
 
 

@@ -4,7 +4,8 @@ Both are thin wrappers over :func:`~pgg_bribery.analysis.classify_regimes`:
 every point is classified once, in one array evaluation, so the results
 are equal, bit for bit, to classifying each point on its own.  A knife-edge
 point gets the token ``knife_edge`` and, in ``notes``, the report of that
-same pass, instead of aborting the sweep.  ``MAX_CELLS`` bounds their size.
+same pass, instead of aborting the sweep.  ``MAX_CELLS`` bounds their size,
+and ``analysis.MAX_TURNS`` their work.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 # unused here, classify_regime stays as sweeps.classify_regime for perfbench's tracer test
-from .analysis import classify_regime, classify_regimes  # noqa: F401
+from .analysis import BISECTION_STEPS, _check_turns, classify_regime, classify_regimes  # noqa: F401
 from .games import Model
 
 __all__ = [
@@ -29,8 +30,9 @@ __all__ = [
 # default sweep windows, recorded in emitted metadata; the keys are the sweepable names
 SWEEP_DEFAULTS = {"f": (1.05, 8.0), "r_p": (0.1, 6.0)}
 DEFAULT_STEPS = 200
-# cells one sweep, grid or gradient may ask for: at the cap, a grid takes
-# ~2.3-2.9 s and ~72 MB peak RSS on a 2-vCPU VM; a larger one could exhaust memory
+# cells one sweep, grid or gradient may ask for: at the cap and n = 5, a grid
+# takes ~2.3-2.9 s and ~72 MB peak RSS on a 2-vCPU VM; a larger one could
+# exhaust memory
 MAX_CELLS = 10**6
 
 
@@ -100,6 +102,7 @@ def sweep_root(
 ) -> SweepResult:
     """Classify the model and locate x* along a 1-D parameter grid."""
     values = _axis(model, parameter, lo, hi, steps)
+    _check_turns(f"{parameter} sweep", model.n, points=steps, halvings=BISECTION_STEPS)
     token, x_star, basin, notes = classify_regimes(model, **{parameter: values})
     return SweepResult(parameter, values, token, x_star, basin, {i: note for (i,), note in notes.items()})
 
@@ -117,4 +120,5 @@ def regime_grid(
     f_values = _axis(model, "f", f_lo, f_hi, f_steps)
     rp_values = _axis(model, "r_p", rp_lo, rp_hi, rp_steps)
     _check_cells("(f, r_p) grid", f_steps * rp_steps)
+    _check_turns("(f, r_p) grid", model.n, cells=f_steps * rp_steps, halvings=BISECTION_STEPS)
     return RegimeGrid(f_values, rp_values, *classify_regimes(model, f=f_values[:, None], r_p=rp_values[None, :]))

@@ -383,6 +383,59 @@ class TestInputContract:
         assert main(argv) == 1
         assert f"exceeds the limit of {dynamics.MAX_STEPS} steps" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, computes", [
+        (["grid", "--f-steps", "1000", "--rp-steps", "1000"], [("sweeps", "classify_regimes")]),
+        (["grid", "--f-steps", "113", "--rp-steps", "111"], [("sweeps", "classify_regimes")]),
+        (["sweep", "--param", "f", "--steps", "1000000"], [("sweeps", "classify_regimes")]),
+        (["gradient", "--points", "1000000"], [("cli", "q_function"), ("cli", "gradient_of_selection")]),
+        (["integrate", "--x0", "0.9", "--set", "t_max=1e5"], [("dynamics", "_g_of")]),
+        (["integrate", "--x0", "0.9"], [("dynamics", "_g_of")]),
+    ], ids=["grid_at_the_cap", "grid_just_over", "sweep", "gradient", "integrate_at_the_cap", "integrate"])
+    def test_work_over_the_budget_at_max_n_exits_1_before_it_starts(
+        self, weak_cfg, tmp_path, capsys, monkeypatch, command, computes
+    ):
+        from pgg_bribery import analysis, cli, sweeps  # a tree without the budget fails at once
+        from pgg_bribery.games import MAX_N
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("the work started instead of being refused")
+
+        modules = {"sweeps": sweeps, "cli": cli, "dynamics": dynamics}
+        for module, name in computes:
+            monkeypatch.setattr(modules[module], name, no_work)
+        argv = command + ["--config", weak_cfg, "--set", f"n={MAX_N}", "--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"above the work budget of {analysis.MAX_TURNS}" in err and f"n - 1 = {MAX_N - 1}" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_the_largest_jobs_at_n_5_fit_the_work_budget(self, monkeypatch):
+        from pgg_bribery import analysis, sweeps
+        from pgg_bribery.cli import gradient_rows
+
+        class Reached(Exception):
+            pass
+
+        def reached(*args, **kwargs):
+            raise Reached
+
+        monkeypatch.setattr(sweeps, "classify_regimes", reached)
+        monkeypatch.setattr(dynamics, "_g_of", reached)
+        side = int(sweeps.MAX_CELLS**0.5)
+        for n in (5, 6):  # integrate at MAX_STEPS and n = 6 asks for exactly MAX_TURNS
+            model = CoreParams(**{**vars(IPGG_WEAK_POOL), "n": n})
+            with pytest.raises(Reached):
+                sweeps.regime_grid(model, 1.2, 6.0, 0.5, 5.0, side, side)
+            with pytest.raises(Reached):
+                sweeps.sweep_root(model, "r_p", 0.1, 6.0, sweeps.MAX_CELLS)
+            gradient_rows(model, sweeps.MAX_CELLS)  # refuses here, or not at all
+            with pytest.raises(Reached):
+                dynamics.integrate(model, 0.9, step=1e-3, t_max=dynamics.MAX_STEPS * 1e-3)
+        # the budget itself: a MAX_CELLS grid at n = 126 asks for exactly MAX_TURNS
+        analysis._check_turns("grid", 126, cells=10**6, halvings=analysis.BISECTION_STEPS)
+        with pytest.raises(ValueError, match=r"grid asks for 5000005000 Horner turns \(n - 1 = 125, cells = 1000001"):
+            analysis._check_turns("grid", 126, cells=10**6 + 1, halvings=analysis.BISECTION_STEPS)
+
     def test_samples_above_the_cap_exit_1_naming_the_limit(self, weak_cfg, tmp_path, capsys, monkeypatch):
         from pgg_bribery import montecarlo
         from pgg_bribery.config import MAX_SAMPLES  # imported here: a tree without the cap fails at once

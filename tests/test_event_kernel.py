@@ -1,8 +1,10 @@
 """The table-driven event kernel against the per-sample body it replaced
 and against :func:`realize_event`, its payoff table against the
-closed-form group payoff, and its binomial draws against numpy's."""
+closed-form group payoff, its binomial draws against numpy's, and the
+working memory of one chunk."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import hypothesis.strategies as st
@@ -76,9 +78,18 @@ SIZES = (1, 7, 4097)
 
 
 def _payoffs(kernel, model, focal_c, where, size, index):
-    """One chunk as the estimators draw it: ``where`` is a fixed n_c, or x for compositions drawn first."""
+    """One chunk as the estimators draw it: ``where`` is a fixed n_c, or x for compositions drawn first.
+
+    The kernel's compositions are drawn as :func:`_chunk_task` draws them,
+    with :func:`_binomial`, and the reference's with ``rng.binomial``.
+    """
     rng = generator(RngSeed(2024), index)
-    n_c = where if isinstance(where, int) else rng.binomial(model.n - 1, where, size)
+    if isinstance(where, int):
+        n_c = where
+    elif kernel is reference_event_payoffs:
+        n_c = rng.binomial(model.n - 1, where, size)
+    else:
+        n_c = _binomial(rng, model.n - 1, where, size)
     return kernel(model, focal_c, n_c, rng, size)
 
 
@@ -117,6 +128,12 @@ EDGE_MODELS = {
     "bg_p=0_q=1": replace(_BG, p=0.0, q=1.0),
     "bg_p=1_q=0": replace(_BG, p=1.0, q=0.0),
     "bg_n=2": replace(_BG, n=2, f=1.5),
+    # signed zeros: a payoff of +0.0 must stay +0.0 where no bribe income is added
+    "ipgg_b=-0_tau=-0": replace(IPGG_BISTABLE, b=-0.0, tau=-0.0),
+    "bg_b=-0": replace(_BG, b=-0.0),
+    "bg_tau=-0": replace(_BG, tau=-0.0),
+    "bg_b=-0_tau=-0": replace(_BG, b=-0.0, tau=-0.0),
+    "bg_b=-0_tau=-0_h=-0": replace(_BG, b=-0.0, tau=-0.0, h=-0.0),
 }
 
 
@@ -152,6 +169,27 @@ class TestReferenceKernel:
                 want = _payoffs(reference_event_payoffs, model, focal_c, n_c, size, index)
                 assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("name", ["ipgg", "bg"])
+    def test_a_full_chunk_matches_the_reference(self, name):
+        model = EDGE_MODELS[name]
+        index = 0
+        for focal_c in (True, False):
+            for where in (2, 0.37):  # a fixed composition, then drawn ones
+                got = _payoffs(_event_payoffs, model, focal_c, where, montecarlo.CHUNK_SAMPLES, index)
+                want = _payoffs(reference_event_payoffs, model, focal_c, where, montecarlo.CHUNK_SAMPLES, index)
+                assert got.tobytes() == want.tobytes(), (focal_c, where)
+                index += 1
+
+    def test_the_largest_group_read_from_cut_tables_matches_the_reference(self):
+        # n - 1 = INVERSION_MAX_N: the drawn int8 counts pass 31, so their table index passes 127
+        for base in (IPGG_BISTABLE, _BG):
+            model = replace(base, n=INVERSION_MAX_N + 1, f=2.0)
+            for focal_c in (True, False):
+                for index, x in enumerate((0.37, 0.9)):
+                    got = _payoffs(_event_payoffs, model, focal_c, x, 4097, index)
+                    want = _payoffs(reference_event_payoffs, model, focal_c, x, 4097, index)
+                    assert got.tobytes() == want.tobytes(), (focal_c, x)
+
     def test_a_large_group_keeps_the_table_linear_in_n(self):
         model = replace(_BG, n=3000, f=2.0)
         assert _payoff_table(model, True).shape == _payoff_table(model, False).shape == (3000, 4)
@@ -162,16 +200,36 @@ class TestReferenceKernel:
                 assert got.tobytes() == want.tobytes()
 
 
-def assert_binomial_is_numpys(n, p, size, lanes, seed):
-    """``_binomial`` returns numpy's values and leaves the generator where numpy's call does."""
-    ours, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
-    got = _binomial(ours, n, p, size, lanes)
-    want = numpys.binomial(n, p, size)
-    if lanes is not None:
-        want = want[lanes]
-    assert got.dtype == want.dtype and got.shape == want.shape, (n, p, size)
-    assert got.tobytes() == want.tobytes(), (n, p, size)
-    assert ours.bit_generator.state == numpys.bit_generator.state, (n, p, size)
+def assert_binomial_is_numpys(n, p, size, lanes, seed, dtype=np.int8):
+    """``_binomial`` returns numpy's values, as ``dtype``, and leaves the generator where numpy's call does.
+
+    ``dtype`` is ``int8`` where the counts are read from the cut tables and
+    numpy's ``int64`` where numpy's own call is returned, so it also pins
+    which path ran.  ``seed`` is an int, or the grid of a
+    :func:`generator_at`.  The values are the same whether the uniforms are
+    drawn into a new array or into a spent buffer.
+    """
+    def fresh():
+        return generator_at(seed) if isinstance(seed, list) else np.random.default_rng(seed)
+
+    for spent in (None, np.full(size + 3, np.nan)):
+        ours, numpys = fresh(), fresh()
+        got = _binomial(ours, n, p, size, lanes, spent)
+        want = numpys.binomial(n, p, size)
+        if lanes is not None:
+            want = want[lanes]
+        assert want.dtype == np.int64
+        assert got.dtype == dtype and got.shape == want.shape, (n, p, size, got.dtype)
+        assert got.tolist() == want.tolist() and np.array_equal(got, want), (n, p, size)
+        assert state_of(ours) == state_of(numpys), (n, p, size)
+
+
+def state_of(rng: np.random.Generator) -> dict:
+    """The generator's state, with an MT19937 key as a list, so that two states compare with ``==``."""
+    state = rng.bit_generator.state
+    if "key" in state["state"]:
+        state["state"]["key"] = state["state"]["key"].tolist()
+    return state
 
 
 def _untemper(y: int) -> int:
@@ -241,14 +299,14 @@ class TestBinomialDraws:
         monkeypatch.setattr(montecarlo, "_cut_table", refuse_cut_tables)
         big = INVERSION_MAX_N + 1
         for n in (big, np.arange(big + 1)):
-            assert_binomial_is_numpys(n, 0.2, big + 1, None, seed=3)
+            assert_binomial_is_numpys(n, 0.2, big + 1, None, seed=3, dtype=np.int64)
 
     def test_btpe_is_numpys_own_call(self, monkeypatch):
         # with room for larger n, n * min(p, 1 - p) > 30 still goes to numpy, which draws by BTPE there
         monkeypatch.setattr(montecarlo, "INVERSION_MAX_N", 100)
         for n, p in ((61, 0.5), (80, 0.45), (80, 0.55)):
-            assert_binomial_is_numpys(n, p, 4097, None, seed=4)
-            assert_binomial_is_numpys(np.full(7, n), p, 7, None, seed=4)
+            assert_binomial_is_numpys(n, p, 4097, None, seed=4, dtype=np.int64)
+            assert_binomial_is_numpys(np.full(7, n), p, 7, None, seed=4, dtype=np.int64)
 
     def test_a_rejected_uniform_rewinds_to_numpys_own_call(self, monkeypatch):
         # with the reject cut at 0.5, about half the uniforms reach it; a table of zero cuts
@@ -258,13 +316,53 @@ class TestBinomialDraws:
         counts = np.random.default_rng(5).integers(0, 5, 4097)
         for p in (0.3, 0.8):
             for n in (4, counts):
-                assert_binomial_is_numpys(n, p, 4097, None, seed=5)
-                assert_binomial_is_numpys(n, p, 4097, counts > 2, seed=5)
+                assert_binomial_is_numpys(n, p, 4097, None, seed=5, dtype=np.int64)
+                assert_binomial_is_numpys(n, p, 4097, counts > 2, seed=5, dtype=np.int64)
 
     @pytest.mark.parametrize("n, p", [(-1, 0.3), (np.array([1, -1]), 0.3), (3, 1.5), (3, -0.1), (3, math.nan)])
     def test_numpys_refusals_are_kept(self, n, p):
         with pytest.raises(ValueError):
             _binomial(np.random.default_rng(0), n, p, 2)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int64])
+    @pytest.mark.parametrize("p", [0.3, 0.8])
+    @pytest.mark.parametrize("zero", ["first", "last", "runs", "all_but_first", "all_but_middle", "all_but_last"])
+    def test_lanes_next_to_zero_counts_take_numpys_uniform(self, zero, p, dtype):
+        # a lane's uniform is found from the zero-count lanes before it
+        size = 97
+        every = np.arange(size)
+        counts = np.random.default_rng(6).integers(1, 5, size)
+        counts[{
+            "first": [0],
+            "last": [size - 1],
+            "runs": [0, 1, 2, 30, 31, 32, 33, 60, 62, 94, 95, 96],
+            "all_but_first": every[1:],
+            "all_but_middle": np.delete(every, size // 2),
+            "all_but_last": every[:-1],
+        }[zero]] = 0
+        counts = counts.astype(dtype)
+        some = np.random.default_rng(7).random(size) < 0.4
+        for lanes in (None, some, np.flatnonzero(some), counts == 0, np.flatnonzero(counts == 0),
+                      np.ones(size, bool), every, np.zeros(size, bool), np.array([], np.intp)):
+            assert_binomial_is_numpys(counts, p, size, lanes, seed=8)
+
+    @pytest.mark.parametrize("p", [0.45, 0.55])
+    @pytest.mark.parametrize("dtype", [np.int8, np.int64])
+    def test_a_uniform_at_the_rejection_cut_takes_numpys_own_call(self, p, dtype):
+        # Binomial(40, 0.45) rejects uniforms at and above a cut below 1; the
+        # uniform one grid step below the table's lowest such cut is read from
+        # the table, the one at it goes to numpy's call
+        counts = np.array([0, 40, 0, 0, 17, 40, 3, 0], dtype)
+        reject = round(montecarlo._cut_table(INVERSION_MAX_N, min(p, 1.0 - p))[1] * 2**53)
+        assert reject < 2**53
+        lanes = (None, counts > 3, np.flatnonzero(counts > 3))
+        for m, path in ((reject - 1, np.int8), (reject, np.int64)):
+            for at in range(np.count_nonzero(counts)):  # the place among the drawing lanes
+                grid = [2**51 + 12345 * i for i in range(np.count_nonzero(counts))]
+                grid[at] = m
+                for chosen in lanes:
+                    assert_binomial_is_numpys(counts, p, len(counts), chosen, seed=grid, dtype=path)
+                assert_binomial_is_numpys(INVERSION_MAX_N, p, 5, None, seed=grid[:5], dtype=path)
 
     @pytest.mark.parametrize("name", sorted(REGIMES))
     def test_chunk_summaries_are_those_of_numpys_draws(self, name):
@@ -389,3 +487,24 @@ class TestTableExpectation:
     def test_a_large_group(self):
         model = CoreParams(n=3000, b=12, c=1, tau=1, f=2.0, alpha=0.6, beta=0.2, r_p=2.5)
         assert_table_expectation_is_the_group_payoff(BriberyParams(**vars(model), h=1, gamma=0.6, p=0.3, q=0.8))
+
+
+# a full chunk's leader draws and its one float buffer are 3.8 MiB; with a
+# full-length array per temporary it peaked at 6.7 (IPGG, fixed), 8.6 (IPGG,
+# drawn), 9.3 (BG, fixed) and 13.2 MiB (BG, drawn)
+CHUNK_PEAK_MIB = {("ipgg", 2): 6.5, ("ipgg", 0.37): 6.5, ("bg", 2): 7.5, ("bg", 0.37): 7.5}
+
+
+@pytest.mark.parametrize("name, where", sorted(CHUNK_PEAK_MIB))
+def test_a_full_chunk_keeps_a_bounded_working_set(name, where):
+    model = EDGE_MODELS[name]
+    n_c, x = (where, None) if isinstance(where, int) else (None, where)
+    for focal_c in (True, False):
+        _chunk_task(model, focal_c, n_c, x, RngSeed(2024), 0, montecarlo.CHUNK_SAMPLES)  # builds the cut tables
+        tracemalloc.start()
+        try:
+            _chunk_task(model, focal_c, n_c, x, RngSeed(2024), 1, montecarlo.CHUNK_SAMPLES)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= CHUNK_PEAK_MIB[name, where] * 2**20, (focal_c, peak / 2**20)

@@ -371,11 +371,14 @@ BISECTION_STEPS = ceil(log2((BRACKET[1] - BRACKET[0]) / ROOT_TOL))
 # the most work one command may ask for, in Horner turns of an array lane, a
 # turn being one step of both of Q's sums at one x, n - 1 per evaluation: a
 # grid or sweep runs (n - 1) * cells * BISECTION_STEPS turns and a gradient
-# 2 * (n - 1) * points.  integrate runs 4 * (n - 1) * ceil(t_max / step) turns
-# on Python floats, each costing about SCALAR_TURN lane turns (at n = 10^4 on
-# a 2-vCPU VM, ~0.07 against ~0.002-0.003 us).  Every job within the other
-# caps at n = 5 fits, the largest being integrate at MAX_STEPS (4e9 turns,
-# ~31 s there); at n = 10^4 the largest admitted jobs take ~11-14 s
+# 2 * (n - 1) * points, refused before they start.  An integrate step runs
+# 4 * (n - 1) turns on Python floats, each costing about SCALAR_TURN lane
+# turns (at n = 10^4 on a 2-vCPU VM, ~0.07 against ~0.002-0.003 us); as most
+# runs converge long before t_max, it is charged for the steps it runs and
+# stops with an error once they reach the budget unconverged.  Every job
+# within the other caps at n = 5 fits, the largest being integrate at
+# MAX_STEPS (4e9 turns, ~31 s there); at n = 10^4 the largest admitted jobs
+# take ~11-14 s
 MAX_TURNS = 5 * 10**9
 SCALAR_TURN = 25
 

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import (
+    MAX_TURNS,
     SCALAR_TURN,
     RegimeKind,
-    _check_turns,
     _finite_coefficients,
     _g_of,
     classify_regime,
@@ -73,9 +73,10 @@ def integrate(
     None when ``t_max`` is exhausted first.  Every step is recorded, at
     time ``k * step``.  Each step reuses the G(x) of the convergence test
     as its k1, so it costs four evaluations of G.  Raises ``ValueError``
-    when ``t_max / step`` exceeds ``MAX_STEPS``, when those steps exceed
-    the work budget ``analysis.MAX_TURNS``, and when a step leaves [0, 1]
-    (or gives NaN), naming the step and its time.
+    when ``t_max / step`` exceeds ``MAX_STEPS``, when the run has not
+    converged once its steps reach the work budget ``analysis.MAX_TURNS``
+    (see :func:`budget_steps`), and when a step leaves [0, 1] (or gives
+    NaN), naming the step and its time.
     """
     if not 0 <= x0 <= 1:
         raise ValueError(f"x0 must be in [0, 1], got {x0}")
@@ -88,7 +89,8 @@ def integrate(
     if not conv_tol > 0:
         raise ValueError(f"conv_tol must be > 0, got {conv_tol}")
     max_steps = math.ceil(t_max / step)
-    _check_turns("integrate", model.n, scalar_turn=SCALAR_TURN, evaluations_per_step=4, steps=max_steps)
+    # the budget charges the steps run, not those t_max allows: most runs converge long before
+    last_step = min(max_steps, budget_steps(model.n))
 
     g = _g_of(_finite_coefficients(model))
     x = float(x0)
@@ -96,7 +98,7 @@ def integrate(
     k1 = g(x)
     converged = abs(k1) < conv_tol
     half_step = 0.5 * step  # 0.5 * step * k is (0.5 * step) * k
-    while not converged and len(states) <= max_steps:  # states holds x0 and one state per step
+    while not converged and len(states) <= last_step:  # states holds x0 and one state per step
         k2 = g(x + half_step * k1)
         k3 = g(x + half_step * k2)
         k4 = g(x + step * k3)
@@ -106,11 +108,27 @@ def integrate(
         states.append(x)
         k1 = g(x)
         converged = abs(k1) < conv_tol
+    if not converged and last_step < max_steps:
+        raise ValueError(
+            f"integrate has not converged after {last_step} steps (n - 1 = {model.n - 1}, scalar_turn = "
+            f"{SCALAR_TURN}, evaluations_per_step = 4), the most the work budget of {MAX_TURNS} Horner turns "
+            f"allows; t_max/step asks for {max_steps}"
+        )
 
     converged_to = None
     if converged:
         converged_to = min(_equilibria(model), key=lambda e: abs(e - x))
     return Trajectory(np.arange(len(states)) * step, states, converged_to, step)
+
+
+def budget_steps(n: int) -> int:
+    """The most RK4 steps :func:`integrate` runs at group size ``n`` within ``analysis.MAX_TURNS``.
+
+    A step is 4 evaluations of G, each n - 1 Horner turns on Python floats
+    that weigh ``analysis.SCALAR_TURN`` array-lane turns.  At n <= 6 it is
+    at least ``MAX_STEPS``, so the budget binds from n = 7 on.
+    """
+    return MAX_TURNS // (4 * (n - 1) * SCALAR_TURN)
 
 
 def basin_of_cooperation(model: Model) -> float:

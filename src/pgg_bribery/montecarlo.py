@@ -449,8 +449,10 @@ def _event_payoffs(model, focal_c, n_c, rng, size) -> np.ndarray:
         # but -0.0 as it is, and no table entry is -0.0: each starts from
         # b + f*c*total_c/n, whose second term is +0.0 or positive (f, c > 0),
         # so the sum is not -0.0 whatever b is, and each later difference has
-        # a left side that is not -0.0, so it is not -0.0 either
-        payoff[takes] += model.h * offers
+        # a left side that is not -0.0, so it is not -0.0 either.  The counts
+        # widen to int64 first, where h * count is exact for an int h as well:
+        # an int h times int8 counts would wrap
+        payoff[takes] += model.h * offers.astype(np.int64)
     return payoff
 
 

@@ -14,8 +14,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .analysis import BISECTION_STEPS, _check_turns, classify_regimes
+
 # unused here, classify_regime stays as sweeps.classify_regime for perfbench's tracer test
-from .analysis import BISECTION_STEPS, _check_turns, classify_regime, classify_regimes  # noqa: F401
+from .analysis import classify_regime  # noqa: F401
 from .games import Model
 
 __all__ = [

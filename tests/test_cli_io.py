@@ -1,5 +1,6 @@
 """Configuration parsing, CLI subcommands, CSV determinism, plotting."""
 
+import math
 import os
 from pathlib import Path
 
@@ -388,9 +389,7 @@ class TestInputContract:
         (["grid", "--f-steps", "113", "--rp-steps", "111"], [("sweeps", "classify_regimes")]),
         (["sweep", "--param", "f", "--steps", "1000000"], [("sweeps", "classify_regimes")]),
         (["gradient", "--points", "1000000"], [("cli", "q_function"), ("cli", "gradient_of_selection")]),
-        (["integrate", "--x0", "0.9", "--set", "t_max=1e5"], [("dynamics", "_g_of")]),
-        (["integrate", "--x0", "0.9"], [("dynamics", "_g_of")]),
-    ], ids=["grid_at_the_cap", "grid_just_over", "sweep", "gradient", "integrate_at_the_cap", "integrate"])
+    ], ids=["grid_at_the_cap", "grid_just_over", "sweep", "gradient"])
     def test_work_over_the_budget_at_max_n_exits_1_before_it_starts(
         self, weak_cfg, tmp_path, capsys, monkeypatch, command, computes
     ):
@@ -409,6 +408,46 @@ class TestInputContract:
         assert f"above the work budget of {analysis.MAX_TURNS}" in err and f"n - 1 = {MAX_N - 1}" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("t_max", ["1e5", "1e4"], ids=["at_the_cap", "default"])
+    def test_integrate_unconverged_at_the_work_budget_at_max_n_exits_1(
+        self, weak_cfg, tmp_path, capsys, monkeypatch, t_max
+    ):
+        from pgg_bribery import analysis
+        from pgg_bribery.games import MAX_N
+
+        calls = []
+
+        def never_converges(co):  # G > conv_tol, with x far from leaving [0, 1]
+            def g(x):
+                calls.append(x)
+                return 1e-9
+            return g
+
+        monkeypatch.setattr(dynamics, "_g_of", never_converges)
+        argv = ["integrate", "--x0", "0.5", "--config", weak_cfg, "--set", f"n={MAX_N}", "--set", f"t_max={t_max}",
+                "--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        last_step = dynamics.budget_steps(MAX_N)
+        assert last_step == 5000
+        assert f"not converged after {last_step} steps (n - 1 = {MAX_N - 1}" in err
+        assert f"work budget of {analysis.MAX_TURNS} Horner turns" in err
+        assert len(calls) == 1 + 4 * last_step  # the steps run, the budget's worth and no more
+        assert not (tmp_path / "out").exists()
+
+    def test_integrate_converged_within_the_work_budget_is_accepted(self, weak_cfg, tmp_path):
+        from pgg_bribery.games import MAX_N
+
+        # G(1) = 0: the run converges at once, though t_max/step asks for 10^6 steps
+        out = tmp_path / "out"
+        argv = ["integrate", "--x0", "1.0", "--config", weak_cfg, "--set", f"n={MAX_N}", "--out", str(out)]
+        assert main(argv) == 0
+        assert (out / "trajectory.csv").exists()
+        # n = 7, where the budget binds first: a step = 0.001 run, as in the atlas, converges in ~1.3e4 steps
+        model = CoreParams(**{**vars(IPGG_WEAK_POOL), "n": 7})
+        assert dynamics.budget_steps(7) < math.ceil(dynamics.DEFAULT_T_MAX / 1e-3)
+        assert dynamics.integrate(model, 0.9, step=1e-3).converged_to == 0.0
+
     def test_the_largest_jobs_at_n_5_fit_the_work_budget(self, monkeypatch):
         from pgg_bribery import analysis, sweeps
         from pgg_bribery.cli import gradient_rows
@@ -420,17 +459,17 @@ class TestInputContract:
             raise Reached
 
         monkeypatch.setattr(sweeps, "classify_regimes", reached)
-        monkeypatch.setattr(dynamics, "_g_of", reached)
         side = int(sweeps.MAX_CELLS**0.5)
-        for n in (5, 6):  # integrate at MAX_STEPS and n = 6 asks for exactly MAX_TURNS
+        for n in (5, 6):  # integrate at MAX_STEPS and n = 6 runs exactly MAX_TURNS
             model = CoreParams(**{**vars(IPGG_WEAK_POOL), "n": n})
             with pytest.raises(Reached):
                 sweeps.regime_grid(model, 1.2, 6.0, 0.5, 5.0, side, side)
             with pytest.raises(Reached):
                 sweeps.sweep_root(model, "r_p", 0.1, 6.0, sweeps.MAX_CELLS)
             gradient_rows(model, sweeps.MAX_CELLS)  # refuses here, or not at all
-            with pytest.raises(Reached):
-                dynamics.integrate(model, 0.9, step=1e-3, t_max=dynamics.MAX_STEPS * 1e-3)
+            assert dynamics.budget_steps(n) >= dynamics.MAX_STEPS
+        assert 4 * 5 * analysis.SCALAR_TURN * dynamics.budget_steps(6) == analysis.MAX_TURNS
+        assert dynamics.budget_steps(7) < dynamics.MAX_STEPS
         # the budget itself: a MAX_CELLS grid at n = 126 asks for exactly MAX_TURNS
         analysis._check_turns("grid", 126, cells=10**6, halvings=analysis.BISECTION_STEPS)
         with pytest.raises(ValueError, match=r"grid asks for 5000005000 Horner turns \(n - 1 = 125, cells = 1000001"):

@@ -128,6 +128,9 @@ EDGE_MODELS = {
     "bg_p=0_q=1": replace(_BG, p=0.0, q=1.0),
     "bg_p=1_q=0": replace(_BG, p=1.0, q=0.0),
     "bg_n=2": replace(_BG, n=2, f=1.5),
+    # an int h: h * count is taken in int64, as the reference takes it, not in the counts' int8
+    "bg_h=200": replace(_BG, h=200),
+    "bg_h=10_n=41": replace(_BG, n=INVERSION_MAX_N + 1, f=2.0, h=10),
     # signed zeros: a payoff of +0.0 must stay +0.0 where no bribe income is added
     "ipgg_b=-0_tau=-0": replace(IPGG_BISTABLE, b=-0.0, tau=-0.0),
     "bg_b=-0": replace(_BG, b=-0.0),

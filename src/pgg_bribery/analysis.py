@@ -43,7 +43,6 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .games import BriberyParams, GroupComposition, Model, ParameterError, group_payoff, is_cooperator
-from .output import CHUNK
 
 __all__ = [
     "KnifeEdgeError",
@@ -79,8 +78,8 @@ class KnifeEdgeError(ValueError):
     """The pool multiplier sits on a classification boundary.
 
     Raised instead of silently binning a model whose ``f`` is within
-    ``KNIFE_EDGE_TOL`` of ``f_min`` or ``f_max``; sweeps and grids mark
-    such a point ``knife_edge`` and carry this message as its note.
+    ``KNIFE_EDGE_TOL`` of ``f_min`` or ``f_max``; :func:`classify_regimes`
+    marks such a cell ``knife_edge`` instead.
     """
 
     def __init__(self, f: float, threshold: float, name: str):
@@ -417,14 +416,6 @@ def _on_threshold(f, threshold):
     return abs(f - threshold) <= KNIFE_EDGE_TOL  # floats, or arrays elementwise
 
 
-def _knife_edge(f: float, f_min: float, f_max: float) -> KnifeEdgeError | None:
-    """The knife-edge rule of both classifiers: the error for ``f`` on ``f_min``, else ``f_max``, else None."""
-    for threshold, name in ((f_min, "f_min"), (f_max, "f_max")):
-        if _on_threshold(f, threshold):
-            return KnifeEdgeError(f, threshold, name)
-    return None
-
-
 def classify_regime(model: Model) -> Regime:
     """Three-way phase-line classification of the model.
 
@@ -435,9 +426,9 @@ def classify_regime(model: Model) -> Regime:
     """
     co = _finite_coefficients(model)
     f, f_min, f_max = co.f, co.f_min, co.f_max
-    edge = _knife_edge(f, f_min, f_max)
-    if edge is not None:
-        raise edge
+    for threshold, name in ((f_min, "f_min"), (f_max, "f_max")):
+        if _on_threshold(f, threshold):
+            raise KnifeEdgeError(f, threshold, name)
     degenerate = co.pressure == 0.0
     if f < f_min:
         return Regime(RegimeKind.DEFECTION_DOMINANT, degenerate=degenerate)
@@ -452,14 +443,12 @@ class Regimes(NamedTuple):
     ``token`` is an object array of references to the four token strings:
     the regime token, or ``KNIFE_EDGE`` where :func:`classify_regime`
     raises :class:`KnifeEdgeError`.  ``x_star`` is NaN unless bistable and
-    ``basin`` is NaN on a knife edge.  ``notes`` maps each knife-edge
-    cell's index tuple to that error's text.
+    ``basin`` is NaN on a knife edge.
     """
 
     token: np.ndarray
     x_star: np.ndarray
     basin: np.ndarray
-    notes: dict[tuple[int, ...], str]
 
 
 # a cell's integer code indexes its token and, off the bistable lanes, its basin
@@ -480,9 +469,9 @@ def classify_regimes(model: Model, f=None, r_p=None) -> Regimes:
     each other (pass ``f[:, None]`` and ``r_p[None, :]`` for a grid).
     Every cell equals the scalar result bit for bit.  Raises the record's
     ``ParameterError`` at the first cell it refuses, and ``ValueError``
-    when any threshold is not finite.  The bistable lanes are bisected
-    ``CHUNK`` at a time, so the working arrays of the root search stay
-    small however many cells there are.
+    when any threshold is not finite.  Its working arrays are a few
+    times the cells' size: the ``grid`` and ``sweep`` rows pass it one
+    ``output.CHUNK`` of cells at a time.
     """
     for name, values in (("f", f), ("r_p", r_p)):
         # the record's bounds: finite, f > 0, r_p >= 0
@@ -504,21 +493,17 @@ def classify_regimes(model: Model, f=None, r_p=None) -> Regimes:
     code[f > f_max] = _COOPERATION
     code[f < f_min] = _DEFECTION
     code[_on_threshold(f, f_min) | _on_threshold(f, f_max)] = _KNIFE
-    cells = [tuple(map(int, index)) for index in np.argwhere(code == _KNIFE)]  # nonzero refuses a 0-d mask
-    notes = {cell: str(_knife_edge(f.item(cell), f_min.item(cell), f_max.item(cell))) for cell in cells}
     x_star = np.full(code.shape, np.nan)
     basin = _by_code(_BASINS, code)
     # only bistable cells have a root: bisect those lanes, each independent of the others
-    constant, fine_c, fine_d = (np.broadcast_to(values, code.shape) for values in (co.constant, co.fine_c, co.fine_d))
-    lanes = np.flatnonzero(code == _BISTABLE)
-    for start in range(0, lanes.size, CHUNK):
-        block = lanes[start:start + CHUNK]
-        root = _bisect(co._replace(
-            constant=constant.flat[block], fine_c=fine_c.flat[block], fine_d=fine_d.flat[block],
-        ))
-        x_star.flat[block] = root
-        basin.flat[block] = 1.0 - root
-    return Regimes(_by_code(_TOKENS, code), x_star, basin, notes)
+    lanes = code == _BISTABLE
+    constant, fine_c, fine_d = (
+        np.broadcast_to(values, code.shape)[lanes] for values in (co.constant, co.fine_c, co.fine_d)
+    )
+    root = _bisect(co._replace(constant=constant, fine_c=fine_c, fine_d=fine_d))
+    x_star[lanes] = root
+    basin[lanes] = 1.0 - root
+    return Regimes(_by_code(_TOKENS, code), x_star, basin)
 
 
 def interior_root(model: Model) -> float:

@@ -13,10 +13,11 @@ setting changes any emitted value.
 
 :func:`gradient_rows`, :func:`sweep_rows` and :func:`grid_rows` build the
 CSV rows of the ``gradient``, ``sweep`` and ``grid`` subcommands; the
-figure script writes its artifacts with the same builders.  Their
-per-cell columns are made a chunk at a time, as ``write_csv`` slices
-them, so none of them holds a Python value per cell of the whole file.
-Anything that may refuse the input is checked before the file opens.
+figure script writes its artifacts with the same builders.  Each is a
+``LazyRows`` whose chunks ``write_csv`` asks for one at a time: a sweep
+or grid chunk is one ``classify_regimes`` call on that chunk's cells, so
+no array or Python value of the whole file is ever held.  Anything that
+may refuse the input is checked before the file opens.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .analysis import (
     _finite_coefficients,
     avg_payoff,
     classify_regime,
+    classify_regimes,
     gradient_of_selection,
     q_function,
     thresholds,
@@ -43,7 +45,7 @@ from .config import ConfigError, RunConfig, config_from_pairs, parse_pairs
 from .dynamics import basin_of_cooperation, integrate
 from .games import ParameterError, _payoff_tables
 from .montecarlo import MAX_WORKERS, RngSeed, _avg_request, _estimate_all, _run_tasks
-from .output import ColumnRows, fmt_float, fmt_quantity, write_csv, write_plot
+from .output import ColumnRows, LazyRows, fmt_float, fmt_quantity, write_csv, write_plot
 from .sweeps import DEFAULT_STEPS, SWEEP_DEFAULTS, RegimeGrid, SweepResult, _check_cells, regime_grid, sweep_root
 from .verify import run_battery
 
@@ -169,30 +171,7 @@ def _cells(values: np.ndarray) -> list:
     return [None if value != value else value for value in values.tolist()]
 
 
-class _Column:
-    """A column of ``length`` cells whose slice ``[start:stop]`` is ``make(start, stop)``.
-
-    :func:`write_csv` only measures its columns and slices ``CHUNK``
-    consecutive rows at a time, so such a column never exists whole.
-    """
-
-    def __init__(self, length: int, make):
-        self.length, self.make = length, make
-
-    def __len__(self) -> int:
-        return self.length
-
-    def __getitem__(self, rows: slice):
-        start, stop, _ = rows.indices(self.length)
-        return self.make(start, stop)
-
-
-def _cell_column(values: np.ndarray) -> _Column:
-    """``_cells(values)``, made a slice at a time."""
-    return _Column(len(values), lambda start, stop: _cells(values[start:stop]))
-
-
-def gradient_rows(model, points: int) -> ColumnRows:
+def gradient_rows(model, points: int) -> LazyRows:
     """Rows (x, Q(x), G(x)) at ``points`` evenly spaced x in [0, 1], made a chunk at a time."""
     # a chunk is made after the file opens: refuse what a chunk would refuse before it does
     if points < 2:
@@ -201,30 +180,35 @@ def gradient_rows(model, points: int) -> ColumnRows:
     _check_turns("gradient", model.n, evaluations_per_point=2, points=points)
     _finite_coefficients(model)
 
-    def xs(start, stop):
-        return np.arange(start, stop) / (points - 1)
+    def make(start, stop):
+        x = np.arange(start, stop) / (points - 1)
+        return x, q_function(model, x), gradient_of_selection(model, x)
 
-    return ColumnRows(
-        _Column(points, xs),
-        _Column(points, lambda start, stop: q_function(model, xs(start, stop))),
-        _Column(points, lambda start, stop: gradient_of_selection(model, xs(start, stop))),
-    )
+    return LazyRows(points, make)
 
 
-def sweep_rows(result: SweepResult) -> ColumnRows:
-    """Rows (value, regime, x_star, basin) of a sweep."""
-    return ColumnRows(result.points, result.token, _cell_column(result.x_star), _cell_column(result.basin))
+def sweep_rows(sweep: SweepResult) -> LazyRows:
+    """Rows (value, regime, x_star, basin) of a sweep, classified a chunk at a time."""
+
+    def make(start, stop):
+        points = sweep.points[start:stop]
+        token, x_star, basin = classify_regimes(sweep.model, **{sweep.parameter: points})
+        return points, token, _cells(x_star), _cells(basin)
+
+    return LazyRows(len(sweep.points), make)
 
 
-def grid_rows(grid: RegimeGrid) -> ColumnRows:
-    """Rows (f, r_p, regime, basin) of a grid, f-major, made a chunk at a time."""
-    cells, n_rp = grid.token.size, len(grid.rp_values)
-    return ColumnRows(
-        _Column(cells, lambda start, stop: grid.f_values[np.arange(start, stop) // n_rp]),
-        _Column(cells, lambda start, stop: grid.rp_values[np.arange(start, stop) % n_rp]),
-        grid.token.ravel(),
-        _cell_column(grid.basin.ravel()),
-    )
+def grid_rows(grid: RegimeGrid) -> LazyRows:
+    """Rows (f, r_p, regime, basin) of a grid, f-major, classified a chunk at a time."""
+    n_rp = len(grid.rp_values)
+
+    def make(start, stop):
+        cell = np.arange(start, stop)
+        f, r_p = grid.f_values[cell // n_rp], grid.rp_values[cell % n_rp]
+        token, _, basin = classify_regimes(grid.model, f=f, r_p=r_p)
+        return f, r_p, token, _cells(basin)
+
+    return LazyRows(len(grid.f_values) * n_rp, make)
 
 
 def _cmd_gradient(config: RunConfig, args) -> int:

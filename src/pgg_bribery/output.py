@@ -25,6 +25,7 @@ __all__ = [
     "fmt_float",
     "fmt_cell",
     "fmt_quantity",
+    "LazyRows",
     "ColumnRows",
     "CHUNK",
     "write_csv",
@@ -56,22 +57,34 @@ def fmt_quantity(value: float) -> str:
     return repr(round(float(value), 12))
 
 
-class ColumnRows:
-    """Rows held as equal-length columns: lists, tuples, numpy arrays, or
-    any object with ``len`` whose slices are one of those.
+class LazyRows:
+    """``length`` rows made a chunk at a time.
 
-    :func:`write_csv` formats them column by column, ``CHUNK`` rows at a
-    time; a numpy column becomes Python values and text one chunk at a
-    time, never for the whole file at once.
+    ``make(start, stop)`` returns every column of rows ``start`` to
+    ``stop``; :func:`write_csv` calls it once per chunk of ``CHUNK`` rows,
+    so a column of the whole file never exists unless the caller holds it.
+    """
+
+    def __init__(self, length: int, make):
+        self.length, self.make = length, make
+
+    def __len__(self) -> int:
+        return self.length
+
+
+class ColumnRows(LazyRows):
+    """Rows held as equal-length columns: lists, tuples, ranges or numpy arrays.
+
+    :func:`write_csv` slices them ``CHUNK`` rows at a time, so a numpy
+    column becomes Python values and text one chunk at a time, never for
+    the whole file at once.
     """
 
     def __init__(self, *columns):
         if len({len(column) for column in columns}) > 1:
             raise ValueError(f"columns of unequal length: {[len(column) for column in columns]}")
         self.columns = columns
-
-    def __len__(self) -> int:
-        return len(self.columns[0]) if self.columns else 0
+        super().__init__(len(columns[0]) if columns else 0, lambda start, stop: [c[start:stop] for c in columns])
 
 
 CHUNK = 4096  # rows formatted per write
@@ -97,22 +110,24 @@ def _column_field(values) -> tuple[str, list]:
 def write_csv(path, header: list[str], rows, meta: list[str]) -> None:
     """Write ``meta`` as ``#`` lines, then ``header`` and ``rows``.
 
-    ``rows`` is a :class:`ColumnRows` or a sequence of equal-length rows,
-    which is first transposed into one; its width must be the header's.
-    Every cell is written as :func:`fmt_cell` writes it.  Each chunk of
-    ``CHUNK`` rows is one ``%`` operation: the row format repeated once
-    per row, applied to the chunk's cells flattened in row order.
+    ``rows`` is a :class:`LazyRows` (a :class:`ColumnRows` among them) or
+    a sequence of equal-length rows, which is first transposed into
+    columns; its width must be the header's.  Every cell is written as
+    :func:`fmt_cell` writes it.  Each chunk of ``CHUNK`` rows is one ``%``
+    operation: the row format repeated once per row, applied to the
+    chunk's cells flattened in row order.
     """
-    if not isinstance(rows, ColumnRows):
+    if not isinstance(rows, LazyRows):
         rows = ColumnRows(*zip(*rows, strict=True))
-    if rows.columns and len(rows.columns) != len(header):
+    if isinstance(rows, ColumnRows) and rows.columns and len(rows.columns) != len(header):
         raise ValueError(f"{path}: {len(header)} header fields for {len(rows.columns)} columns")
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         for line in meta:
             handle.write(f"# {line}\n")
         handle.write(",".join(header) + "\n")
         for start in range(0, len(rows), CHUNK):
-            fields, chunks = zip(*(_column_field(column[start:start + CHUNK]) for column in rows.columns))
+            columns = rows.make(start, min(start + CHUNK, len(rows)))
+            fields, chunks = zip(*map(_column_field, columns))
             row_format = ",".join(fields) + "\n"
             handle.write((row_format * len(chunks[0])) % tuple(chain.from_iterable(zip(*chunks))))
 

@@ -1,11 +1,13 @@
 """Parameter sweeps and regime grids over the pool and punishment multipliers.
 
-Both are thin wrappers over :func:`~pgg_bribery.analysis.classify_regimes`:
-every point is classified once, in one array evaluation, so the results
-are equal, bit for bit, to classifying each point on its own.  A knife-edge
-point gets the token ``knife_edge`` and, in ``notes``, the report of that
-same pass, instead of aborting the sweep.  ``MAX_CELLS`` bounds their size,
-and ``analysis.MAX_TURNS`` their work.
+:func:`sweep_root` and :func:`regime_grid` validate a job and return a
+view of it: the model and its axes.  Nothing is classified there; the
+``sweep`` and ``grid`` rows of :mod:`pgg_bribery.cli` classify one chunk
+of cells at a time with :func:`~pgg_bribery.analysis.classify_regimes`,
+whose cells equal, bit for bit, the point classified on its own, and
+whose ``knife_edge`` token marks a point on a threshold.  Everything that
+a cell could refuse is refused here, before any file opens: the axes,
+``MAX_CELLS``, ``analysis.MAX_TURNS`` and non-finite thresholds.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analysis import BISECTION_STEPS, _check_turns, classify_regimes
+from .analysis import BISECTION_STEPS, _check_turns, _finite_coefficients
 
 # unused here, classify_regime stays as sweeps.classify_regime for perfbench's tracer test
 from .analysis import classify_regime  # noqa: F401
@@ -33,40 +35,27 @@ __all__ = [
 SWEEP_DEFAULTS = {"f": (1.05, 8.0), "r_p": (0.1, 6.0)}
 DEFAULT_STEPS = 200
 # cells one sweep, grid or gradient may ask for: at the cap and n = 5, a grid
-# takes ~2.3-2.9 s and ~72 MB peak RSS on a 2-vCPU VM; a larger one could
-# exhaust memory
+# takes ~3-4 s and ~34 MB peak RSS on a 2-vCPU VM; its memory no longer
+# grows with the cells, but its time does
 MAX_CELLS = 10**6
 
 
 @dataclass(frozen=True, eq=False)
 class SweepResult:
-    """Regime along a 1-D grid; arrays indexed by point, NaN where undefined.
+    """A validated 1-D sweep: ``model`` with ``parameter`` set to each of ``points``."""
 
-    ``points`` holds the swept parameter values, ``token`` the regime
-    tokens and ``notes`` the knife-edge reports keyed by point index.
-    """
-
+    model: Model
     parameter: str
     points: np.ndarray
-    token: np.ndarray
-    x_star: np.ndarray
-    basin: np.ndarray
-    notes: dict[int, str]
 
 
 @dataclass(frozen=True, eq=False)
 class RegimeGrid:
-    """Regime over an (f, r_p) grid; arrays indexed ``[f][r_p]``.
+    """A validated (f, r_p) grid of ``model``, f-major: cell ``(i, j)`` is ``f_values[i]``, ``rp_values[j]``."""
 
-    ``notes`` holds the knife-edge reports keyed by ``(i, j)``.
-    """
-
+    model: Model
     f_values: np.ndarray
     rp_values: np.ndarray
-    token: np.ndarray
-    x_star: np.ndarray
-    basin: np.ndarray
-    notes: dict[tuple[int, int], str]
 
 
 def with_parameter(model: Model, name: str, value: float) -> Model:
@@ -99,14 +88,24 @@ def _axis(model: Model, name: str, lo: float, hi: float, steps: int) -> np.ndarr
         return np.linspace(lo, hi, steps)
 
 
+def _check_finite(model: Model, rp_values) -> None:
+    """Refuse the job when a threshold overflows at any of its cells.
+
+    ``f`` does not enter the thresholds, and each of their terms is affine
+    in ``r_p``, so the ends of the ``r_p`` axis bound every cell's.
+    """
+    for r_p in (rp_values[0], rp_values[-1]):
+        _finite_coefficients(replace(model, r_p=float(r_p)))
+
+
 def sweep_root(
     model: Model, parameter: str, lo: float, hi: float, steps: int = DEFAULT_STEPS
 ) -> SweepResult:
-    """Classify the model and locate x* along a 1-D parameter grid."""
+    """Validate a sweep of the regime and x* along a 1-D parameter grid."""
     values = _axis(model, parameter, lo, hi, steps)
     _check_turns(f"{parameter} sweep", model.n, points=steps, halvings=BISECTION_STEPS)
-    token, x_star, basin, notes = classify_regimes(model, **{parameter: values})
-    return SweepResult(parameter, values, token, x_star, basin, {i: note for (i,), note in notes.items()})
+    _check_finite(model, values if parameter == "r_p" else [model.r_p])
+    return SweepResult(model, parameter, values)
 
 
 def regime_grid(
@@ -118,9 +117,10 @@ def regime_grid(
     f_steps: int = DEFAULT_STEPS,
     rp_steps: int = DEFAULT_STEPS,
 ) -> RegimeGrid:
-    """Basin of full cooperation over an (f, r_p) grid."""
+    """Validate a grid of the basin of full cooperation over (f, r_p)."""
     f_values = _axis(model, "f", f_lo, f_hi, f_steps)
     rp_values = _axis(model, "r_p", rp_lo, rp_hi, rp_steps)
     _check_cells("(f, r_p) grid", f_steps * rp_steps)
     _check_turns("(f, r_p) grid", model.n, cells=f_steps * rp_steps, halvings=BISECTION_STEPS)
-    return RegimeGrid(f_values, rp_values, *classify_regimes(model, f=f_values[:, None], r_p=rp_values[None, :]))
+    _check_finite(model, rp_values)
+    return RegimeGrid(model, f_values, rp_values)

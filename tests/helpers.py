@@ -10,6 +10,7 @@ from pgg_bribery import (
     KnifeEdgeError,
     RegimeKind,
     classify_regime,
+    classify_regimes,
     thresholds,
     with_parameter,
 )
@@ -57,3 +58,13 @@ def draw_bistable_instance(rng: np.random.Generator, bribery: bool):
         if not 0.05 < regime.x_star < 0.95:
             continue
         return model, regime.x_star
+
+
+def sweep_regimes(sweep):
+    """``classify_regimes`` on every point of a ``sweep_root`` view."""
+    return classify_regimes(sweep.model, **{sweep.parameter: sweep.points})
+
+
+def grid_regimes(grid):
+    """``classify_regimes`` on every cell of a ``regime_grid`` view, indexed ``[f][r_p]``."""
+    return classify_regimes(grid.model, f=grid.f_values[:, None], r_p=grid.rp_values[None, :])

@@ -11,8 +11,9 @@ import time
 
 import numpy as np
 
-from helpers import draw_bistable_instance
+from helpers import draw_bistable_instance, sweep_regimes
 
+import pgg_bribery
 from pgg_bribery import (
     RegimeKind,
     RngSeed,
@@ -128,9 +129,9 @@ def test_criterion_3_root_monotonicity_sweeps(capsys):
     ok = True
     for name, model, parameter, lo, hi in sweeps:
         started = time.perf_counter()
-        result = sweep_root(model, parameter, lo, hi, 200)
+        regimes = sweep_regimes(sweep_root(model, parameter, lo, hi, 200))
         elapsed = time.perf_counter() - started
-        roots = result.x_star[result.token == "bistable"].tolist()
+        roots = regimes.x_star[regimes.token == "bistable"].tolist()
         sweep_ok = len(roots) == 200 and strictly_decreasing(roots) and elapsed < 5.0
         ok = ok and sweep_ok
         details.append(f"{name}: {'decreasing' if sweep_ok else 'NOT MONOTONE'} ({elapsed:.2f}s)")
@@ -237,6 +238,9 @@ def test_criterion_9_ode_analysis_consistency(capsys):
         report(9, ok, f"100 bistable instances, both steps, all converged correctly, {elapsed:.1f}s")
 
 
+PACKAGE_ROOT = os.path.dirname(os.path.dirname(pgg_bribery.__file__))
+
+
 def test_criterion_10_verify_is_byte_deterministic(tmp_path, capsys):
     config = tmp_path / "run.cfg"
     config.write_text(
@@ -249,6 +253,8 @@ def test_criterion_10_verify_is_byte_deterministic(tmp_path, capsys):
         out = tmp_path / f"out_{label}"
         env = dict(os.environ)
         env.pop("PGG_BRIBERY_WORKERS", None)
+        # the child imports the package this test imported, as pytest's pythonpath does not reach it
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [PACKAGE_ROOT, env.get("PYTHONPATH")]))
         if workers is not None:
             env["PGG_BRIBERY_WORKERS"] = workers
         proc = subprocess.Popen(

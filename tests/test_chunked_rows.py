@@ -5,17 +5,18 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from helpers import grid_regimes, sweep_regimes
 from pgg_bribery import classify_regimes, gradient_of_selection, q_function, thresholds
 from pgg_bribery.cli import _cells, gradient_rows, grid_rows, sweep_rows
 from pgg_bribery.output import CHUNK, ColumnRows, write_csv
 from pgg_bribery.presets import BG_DEFECTOR_BRIBES_BASE, IPGG_BISTABLE
 from pgg_bribery.sweeps import MAX_CELLS, regime_grid, sweep_root, with_parameter
 
-HEADER = ["a", "b", "c", "d"]
+GRADIENT, SWEEP, GRID = ["x", "q", "g"], ["param", "regime", "x_star", "basin"], ["f", "r_p", "regime", "basin"]
 
 
-def csv_bytes(path, rows) -> bytes:
-    write_csv(path, HEADER[:len(rows.columns)], rows, ["meta"])
+def csv_bytes(path, header, rows) -> bytes:
+    write_csv(path, header, rows, ["meta"])
     return path.read_bytes()
 
 
@@ -24,7 +25,8 @@ def csv_bytes(path, rows) -> bytes:
 def test_gradient_equals_whole_array_columns(tmp_path, model, points):
     xs = np.arange(points) / (points - 1)
     whole = ColumnRows(xs, q_function(model, xs), gradient_of_selection(model, xs))
-    assert csv_bytes(tmp_path / "chunked.csv", gradient_rows(model, points)) == csv_bytes(tmp_path / "whole.csv", whole)
+    chunked = gradient_rows(model, points)
+    assert csv_bytes(tmp_path / "chunked.csv", GRADIENT, chunked) == csv_bytes(tmp_path / "whole.csv", GRADIENT, whole)
 
 
 def test_grid_and_sweep_equal_whole_array_columns(tmp_path):
@@ -32,18 +34,20 @@ def test_grid_and_sweep_equal_whole_array_columns(tmp_path):
     th = thresholds(with_parameter(model, "r_p", 0.5))
     # 97 * 89 cells span three chunks, and the first cell is a knife edge (an empty basin)
     grid = regime_grid(model, th.f_min, 6.0, 0.5, 5.0, 97, 89)
-    assert grid.token.size % CHUNK and grid.token.size > 2 * CHUNK and grid.notes
+    token, _, basin = grid_regimes(grid)  # every cell in one whole-array call
+    assert token.size % CHUNK and token.size > 2 * CHUNK and token[0, 0] == "knife_edge"
     whole = ColumnRows(
         np.repeat(grid.f_values, len(grid.rp_values)),
         np.tile(grid.rp_values, len(grid.f_values)),
-        grid.token.ravel(),
-        _cells(grid.basin.ravel()),
+        token.ravel(),
+        _cells(basin.ravel()),
     )
-    assert csv_bytes(tmp_path / "grid.csv", grid_rows(grid)) == csv_bytes(tmp_path / "whole_grid.csv", whole)
+    assert csv_bytes(tmp_path / "grid.csv", GRID, grid_rows(grid)) == csv_bytes(tmp_path / "whole.csv", GRID, whole)
 
     sweep = sweep_root(model, "f", th.f_min, 6.0, 2 * CHUNK + 5)
-    whole = ColumnRows(sweep.points, sweep.token, _cells(sweep.x_star), _cells(sweep.basin))
-    assert csv_bytes(tmp_path / "sweep.csv", sweep_rows(sweep)) == csv_bytes(tmp_path / "whole_sweep.csv", whole)
+    token, x_star, basin = sweep_regimes(sweep)
+    whole = ColumnRows(sweep.points, token, _cells(x_star), _cells(basin))
+    assert csv_bytes(tmp_path / "sweep.csv", SWEEP, sweep_rows(sweep)) == csv_bytes(tmp_path / "all.csv", SWEEP, whole)
 
 
 @pytest.mark.parametrize("points, message", [(1, "must be >= 2"), (0, "must be >= 2"), (MAX_CELLS + 1, "limit")])
@@ -70,13 +74,29 @@ def test_gradient_csv_working_memory_is_bounded(tmp_path):
 
 
 def test_gradient_columns_are_made_a_chunk_at_a_time():
-    # write_csv's slicing alone, as formatting 200001 traced rows takes seconds
-    def slice_all():
+    # the chunks alone, made as write_csv makes them, as formatting 200001 traced rows takes seconds
+    def make_all():
         rows = gradient_rows(IPGG_BISTABLE, 200_001)
         for start in range(0, len(rows), CHUNK):
-            [column[start:start + CHUNK] for column in rows.columns]
+            rows.make(start, min(start + CHUNK, len(rows)))
 
-    assert traced_peak(slice_all) < 2**20
+    assert traced_peak(make_all) < 2**20
+
+
+# cells classified up front, as whole arrays, peak at ~3.7 MiB for this grid and ~4.4 MiB for this sweep
+def test_grid_csv_working_memory_is_bounded(tmp_path):
+    def write():
+        grid = regime_grid(BG_DEFECTOR_BRIBES_BASE, 1.2, 6.0, 0.5, 5.0, 300, 300)
+        write_csv(tmp_path / "grid.csv", GRID, grid_rows(grid), [])
+
+    assert traced_peak(write) < 2 * 2**20
+
+
+def test_sweep_csv_working_memory_is_bounded(tmp_path):
+    def write():
+        write_csv(tmp_path / "sweep.csv", SWEEP, sweep_rows(sweep_root(IPGG_BISTABLE, "f", 1.05, 8.0, 90_000)), [])
+
+    assert traced_peak(write) < 2.5 * 2**20
 
 
 def test_regime_tokens_are_references_to_four_strings():

@@ -362,6 +362,24 @@ class TestInputContract:
         assert "Traceback" not in captured.err
         assert not out.exists() or not os.listdir(out)
 
+    @pytest.mark.parametrize("argv, r_p, code", [
+        (["grid", "--f-steps", "5", "--rp-steps", "5"], "1e308", 0),
+        (["sweep", "--param", "r_p"], "1e308", 0),
+        (["sweep", "--param", "f"], "1e308", 1),
+        (["grid", "--f-steps", "5", "--rp-steps", "5", "--rp-hi", "1e308"], "2", 1),
+    ], ids=["grid", "sweep_r_p", "sweep_f", "grid_axis_end"])
+    def test_overflowing_thresholds_are_decided_on_the_r_p_axis(self, bistable_cfg, tmp_path, capsys, argv, r_p, code):
+        # r_p = 1e308 overflows the thresholds, but a grid and an r_p sweep take r_p from their axis
+        out = tmp_path / "out"
+        assert main(argv + ["--config", bistable_cfg, "--set", f"r_p={r_p}", "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if code:
+            assert err.startswith("error: ") and "not finite" in err
+            assert not out.exists() or not os.listdir(out)
+        else:
+            assert len(os.listdir(out)) == 1
+
     def test_integrate_rejects_infinite_horizon(self, bistable_cfg, tmp_path, capsys):
         argv = ["integrate", "--config", bistable_cfg, "--x0", "0.9", "--out", str(tmp_path)]
         assert main(argv + ["--set", "t_max=inf"]) == 1
@@ -385,9 +403,9 @@ class TestInputContract:
         assert f"exceeds the limit of {dynamics.MAX_STEPS} steps" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, computes", [
-        (["grid", "--f-steps", "1000", "--rp-steps", "1000"], [("sweeps", "classify_regimes")]),
-        (["grid", "--f-steps", "113", "--rp-steps", "111"], [("sweeps", "classify_regimes")]),
-        (["sweep", "--param", "f", "--steps", "1000000"], [("sweeps", "classify_regimes")]),
+        (["grid", "--f-steps", "1000", "--rp-steps", "1000"], [("cli", "classify_regimes")]),
+        (["grid", "--f-steps", "113", "--rp-steps", "111"], [("cli", "classify_regimes")]),
+        (["sweep", "--param", "f", "--steps", "1000000"], [("cli", "classify_regimes")]),
         (["gradient", "--points", "1000000"], [("cli", "q_function"), ("cli", "gradient_of_selection")]),
     ], ids=["grid_at_the_cap", "grid_just_over", "sweep", "gradient"])
     def test_work_over_the_budget_at_max_n_exits_1_before_it_starts(
@@ -448,25 +466,17 @@ class TestInputContract:
         assert dynamics.budget_steps(7) < math.ceil(dynamics.DEFAULT_T_MAX / 1e-3)
         assert dynamics.integrate(model, 0.9, step=1e-3).converged_to == 0.0
 
-    def test_the_largest_jobs_at_n_5_fit_the_work_budget(self, monkeypatch):
+    def test_the_largest_jobs_at_n_5_fit_the_work_budget(self):
         from pgg_bribery import analysis, sweeps
         from pgg_bribery.cli import gradient_rows
 
-        class Reached(Exception):
-            pass
-
-        def reached(*args, **kwargs):
-            raise Reached
-
-        monkeypatch.setattr(sweeps, "classify_regimes", reached)
         side = int(sweeps.MAX_CELLS**0.5)
         for n in (5, 6):  # integrate at MAX_STEPS and n = 6 runs exactly MAX_TURNS
             model = CoreParams(**{**vars(IPGG_WEAK_POOL), "n": n})
-            with pytest.raises(Reached):
-                sweeps.regime_grid(model, 1.2, 6.0, 0.5, 5.0, side, side)
-            with pytest.raises(Reached):
-                sweeps.sweep_root(model, "r_p", 0.1, 6.0, sweeps.MAX_CELLS)
-            gradient_rows(model, sweeps.MAX_CELLS)  # refuses here, or not at all
+            # each refuses here, before any cell is classified, or not at all
+            assert len(sweeps.regime_grid(model, 1.2, 6.0, 0.5, 5.0, side, side).f_values) == side
+            assert len(sweeps.sweep_root(model, "r_p", 0.1, 6.0, sweeps.MAX_CELLS).points) == sweeps.MAX_CELLS
+            gradient_rows(model, sweeps.MAX_CELLS)
             assert dynamics.budget_steps(n) >= dynamics.MAX_STEPS
         assert 4 * 5 * analysis.SCALAR_TURN * dynamics.budget_steps(6) == analysis.MAX_TURNS
         assert dynamics.budget_steps(7) < dynamics.MAX_STEPS

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import model_strategy
+from helpers import grid_regimes, sweep_regimes
 
 from pgg_bribery import (
     KnifeEdgeError,
@@ -29,28 +30,25 @@ from pgg_bribery.presets import BG_DEFECTOR_BRIBES_BASE, IPGG_WEAK_POOL
 
 
 def scalar_cell(model, f, r_p):
-    """(token, x_star, basin, note) from the scalar functions; None where undefined."""
+    """(token, x_star, basin) from the scalar functions; None where undefined."""
     cell = with_parameter(with_parameter(model, "f", float(f)), "r_p", float(r_p))
     try:
         regime = classify_regime(cell)
-    except KnifeEdgeError as err:
-        return "knife_edge", None, None, str(err)
-    return regime.token, regime.x_star, basin_of_cooperation(cell), None
+    except KnifeEdgeError:
+        return "knife_edge", None, None
+    return regime.token, regime.x_star, basin_of_cooperation(cell)
 
 
 def undefined_as_none(value):
     return None if np.isnan(value) else float(value)
 
 
-def assert_cells_match(model, f_values, rp_values, token, x_star, basin, notes):
+def assert_cells_match(model, f_values, rp_values, token, x_star, basin):
     for i, f in enumerate(f_values):
         for j, r_p in enumerate(rp_values):
             expected = scalar_cell(model, f, r_p)
-            actual = (
-                str(token[i, j]), undefined_as_none(x_star[i, j]), undefined_as_none(basin[i, j]), notes.get((i, j)),
-            )
+            actual = (str(token[i, j]), undefined_as_none(x_star[i, j]), undefined_as_none(basin[i, j]))
             assert actual == expected, (f, r_p)
-    assert len(notes) == np.count_nonzero(token == "knife_edge")
 
 
 @settings(deadline=None, max_examples=60)
@@ -75,19 +73,17 @@ def test_grid_and_sweep_knife_edges_match_the_scalar_reports(model):
     rp_lo = 1.0
     th = thresholds(with_parameter(model, "r_p", rp_lo))
     grid = regime_grid(model, th.f_min, th.f_max, rp_lo, 3.0, 7, 5)
-    assert_cells_match(model, grid.f_values, grid.rp_values, grid.token, grid.x_star, grid.basin, grid.notes)
-    assert set(grid.notes) == {(0, 0), (6, 0)}
-    for (i, j), note in grid.notes.items():
-        assert note == scalar_cell(model, grid.f_values[i], grid.rp_values[j])[3]
+    regimes = grid_regimes(grid)
+    assert_cells_match(model, grid.f_values, grid.rp_values, *regimes)
+    assert {(int(i), int(j)) for i, j in np.argwhere(regimes.token == "knife_edge")} == {(0, 0), (6, 0)}
 
     sweep = sweep_root(with_parameter(model, "r_p", rp_lo), "f", th.f_min, th.f_max, 9)
-    assert sorted(sweep.notes) == [0, 8]
+    regimes = sweep_regimes(sweep)
+    assert np.flatnonzero(regimes.token == "knife_edge").tolist() == [0, 8]
     for i, f in enumerate(sweep.points):
-        token, x_star, basin, note = scalar_cell(model, f, rp_lo)
-        assert (sweep.token[i], undefined_as_none(sweep.x_star[i]), undefined_as_none(sweep.basin[i])) == (
-            token, x_star, basin,
-        )
-        assert sweep.notes.get(i) == note
+        assert (
+            regimes.token[i], undefined_as_none(regimes.x_star[i]), undefined_as_none(regimes.basin[i]),
+        ) == scalar_cell(model, f, rp_lo)
 
 
 # with r_p = 0 the thresholds coincide, and the rule names f_min first
@@ -96,13 +92,16 @@ def test_grid_and_sweep_knife_edges_match_the_scalar_reports(model):
 def test_a_lone_model_equals_the_scalar_classifier(model, edge):
     if edge is not None:
         model = with_parameter(model, "f", getattr(thresholds(model), edge))
-    token, x_star, basin, notes = classify_regimes(model)
+    token, x_star, basin = classify_regimes(model)
     assert token.shape == x_star.shape == basin.shape == () and token.dtype == object
     expected = scalar_cell(model, model.f, model.r_p)
-    assert (str(token), undefined_as_none(x_star), undefined_as_none(basin), notes.get(())) == expected
-    assert (expected[0] == "knife_edge") == (edge is not None) == (set(notes) == {()})
+    assert (str(token), undefined_as_none(x_star), undefined_as_none(basin)) == expected
+    assert (expected[0] == "knife_edge") == (edge is not None)
     if edge is not None:
-        assert ("f_min" if model.r_p == 0.0 else edge) in notes[()]
+        with pytest.raises(KnifeEdgeError) as err:
+            classify_regime(model)
+        name = "f_min" if model.r_p == 0.0 else edge
+        assert err.value.threshold_name == name and f"of {name}=" in str(err.value)
 
 
 def test_classification_refuses_non_finite_thresholds():
@@ -167,7 +166,7 @@ def test_cli_csvs_equal_rows_built_from_the_scalar_functions(weak_cfg, tmp_path,
     expected = []
     for f in np.linspace(f_lo, f_hi, 6):
         for r_p in np.linspace(1.4, 3.0, 4):
-            token, _, basin, _ = scalar_cell(model, f, r_p)
+            token, _, basin = scalar_cell(model, f, r_p)
             expected.append((float(f), float(r_p), token, basin))
     assert data_lines(os.path.join(out, "grid.csv")) == text_of(expected)
 
@@ -177,7 +176,7 @@ def test_cli_csvs_equal_rows_built_from_the_scalar_functions(weak_cfg, tmp_path,
     ]) == 0
     expected = []
     for f in np.linspace(th.f_min, th.f_max, 7):
-        token, x_star, basin, _ = scalar_cell(model, f, model.r_p)
+        token, x_star, basin = scalar_cell(model, f, model.r_p)
         expected.append((float(f), token, x_star, basin))
     assert data_lines(os.path.join(out, "sweep.csv")) == text_of(expected)
 

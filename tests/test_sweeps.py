@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
+from helpers import grid_regimes, sweep_regimes
 from pgg_bribery import (
+    KnifeEdgeError,
     RegimeKind,
     bribery_offset,
+    classify_regime,
     interior_root,
     regime_grid,
     sweep_root,
@@ -16,8 +19,9 @@ from pgg_bribery.presets import BG_COOP_BRIBES, BG_DEFECTOR_BRIBES_BASE, IPGG_BI
 
 
 def bistable_roots(result):
-    bistable = result.token == "bistable"
-    return result.points[bistable].tolist(), result.x_star[bistable].tolist()
+    regimes = sweep_regimes(result)
+    bistable = regimes.token == "bistable"
+    return result.points[bistable].tolist(), regimes.x_star[bistable].tolist()
 
 
 class TestRootSweeps:
@@ -63,32 +67,38 @@ class TestRootSweeps:
         th = thresholds(IPGG_WEAK_POOL)
         lo, hi, steps = 1.0, 9.0, 161
         result = sweep_root(IPGG_WEAK_POOL, "f", lo, hi, steps)
-        kinds = [token for token in result.token if token != "knife_edge"]
+        token = sweep_regimes(result).token
+        kinds = [cell for cell in token if cell != "knife_edge"]
         tokens = "".join(
             {"defection_dominant": "D", "bistable": "B", "cooperation_dominant": "C"}[k]
             for k in kinds
         )
         assert tokens == "D" * tokens.count("D") + "B" * tokens.count("B") + "C" * tokens.count("C")
         cell = (hi - lo) / (steps - 1)
-        first_b = result.points[np.argmax(result.token == RegimeKind.BISTABLE.value)]
-        first_c = result.points[np.argmax(result.token == RegimeKind.COOPERATION_DOMINANT.value)]
+        first_b = result.points[np.argmax(token == RegimeKind.BISTABLE.value)]
+        first_c = result.points[np.argmax(token == RegimeKind.COOPERATION_DOMINANT.value)]
         assert abs(first_b - th.f_min) <= cell + 1e-9
         assert abs(first_c - th.f_max) <= cell + 1e-9
 
     def test_root_present_exactly_when_bistable(self):
         result = sweep_root(IPGG_WEAK_POOL, "f", 1.0, 9.0, 33)
-        for i, (token, x_star) in enumerate(zip(result.token, result.x_star)):
+        regimes = sweep_regimes(result)
+        for f, token, x_star in zip(result.points, regimes.token, regimes.x_star):
             if token == "knife_edge":
-                assert result.notes[i]
+                with pytest.raises(KnifeEdgeError):
+                    classify_regime(with_parameter(IPGG_WEAK_POOL, "f", f))
                 continue
             assert (not np.isnan(x_star)) == (token == RegimeKind.BISTABLE.value)
 
     def test_knife_edge_points_are_carried_not_fatal(self):
         th = thresholds(IPGG_WEAK_POOL)
         result = sweep_root(IPGG_WEAK_POOL, "f", th.f_min, th.f_max, 3)
-        assert result.token[0] == "knife_edge" and "f_min" in result.notes[0]
-        assert result.token[-1] == "knife_edge" and "f_max" in result.notes[2]
-        assert result.token[1] == RegimeKind.BISTABLE.value
+        token, _, basin = sweep_regimes(result)
+        assert token.tolist() == ["knife_edge", RegimeKind.BISTABLE.value, "knife_edge"]
+        assert np.isnan(basin[[0, 2]]).all() and not np.isnan(basin[1])
+        for f, name in ((result.points[0], "f_min"), (result.points[2], "f_max")):
+            with pytest.raises(KnifeEdgeError, match=f"of {name}="):
+                classify_regime(with_parameter(IPGG_WEAK_POOL, "f", f))
 
     def test_grid_is_strictly_increasing(self):
         result = sweep_root(IPGG_WEAK_POOL, "f", 2.5, 7.0, 10)
@@ -108,12 +118,14 @@ class TestRegimeGrid:
     def test_cell_count_and_axes(self):
         grid = regime_grid(BG_DEFECTOR_BRIBES_BASE, 2.0, 4.0, 2.5, 4.0, 3, 4)
         assert len(grid.f_values) == 3 and len(grid.rp_values) == 4
-        assert grid.token.shape == grid.basin.shape == grid.x_star.shape == (3, 4)
+        token, x_star, basin = grid_regimes(grid)
+        assert token.shape == basin.shape == x_star.shape == (3, 4)
 
     def test_basin_sign_flip_between_poor_and_rich_pools(self):
         grid = regime_grid(BG_DEFECTOR_BRIBES_BASE, 2.0, 4.0, 2.5, 4.0, 2, 2)
+        cells = grid_regimes(grid).basin
         basin = {
-            (f, r_p): grid.basin[i, j]
+            (f, r_p): cells[i, j]
             for i, f in enumerate(grid.f_values)
             for j, r_p in enumerate(grid.rp_values)
         }
@@ -122,6 +134,6 @@ class TestRegimeGrid:
 
     def test_rich_pool_rows_are_fully_cooperative(self):
         # above f_max for every r_p in the window: basin saturates at 1
-        grid = regime_grid(IPGG_BISTABLE, 20.0, 30.0, 1.0, 2.0, 3, 3)
-        assert (grid.token == RegimeKind.COOPERATION_DOMINANT.value).all()
-        assert (grid.basin == 1.0).all()
+        regimes = grid_regimes(regime_grid(IPGG_BISTABLE, 20.0, 30.0, 1.0, 2.0, 3, 3))
+        assert (regimes.token == RegimeKind.COOPERATION_DOMINANT.value).all()
+        assert (regimes.basin == 1.0).all()

@@ -27,7 +27,7 @@ from pgg_bribery import (
     thresholds,
     with_parameter,
 )
-from pgg_bribery.cli import gradient_rows, grid_rows, sweep_rows
+from pgg_bribery.cli import gradient_rows
 from pgg_bribery.output import write_csv, write_plot
 from pgg_bribery.presets import BG_COOP_BRIBES_BASE, BG_DEFECTOR_BRIBES_BASE, IPGG_BASE, REGIMES
 
@@ -73,11 +73,10 @@ def main(argv=None):
         ("roots_bg_defector_bribes_rp", with_parameter(BG_DEFECTOR_BRIBES_BASE, "f", 4.5), "r_p", 0.5, 4.0),
     ]
     for name, model, parameter, lo, hi in root_sweeps:
-        result = sweep_root(model, parameter, lo, hi, 200)
         emit(
             os.path.join(args.out, f"{name}.csv"),
             ["param", "regime", "x_star", "basin"],
-            sweep_rows(result),
+            sweep_root(model, parameter, lo, hi, 200),
             f"interior root sweep over {parameter}, {name}",
         )
 
@@ -85,11 +84,10 @@ def main(argv=None):
         ("basin_grid_coop_bribes", BG_COOP_BRIBES_BASE),
         ("basin_grid_defector_bribes", BG_DEFECTOR_BRIBES_BASE),
     ):
-        grid = regime_grid(model, 1.2, 6.0, 0.5, 5.0, 49, 45)
         emit(
             os.path.join(args.out, f"{name}.csv"),
             ["f", "r_p", "regime", "basin"],
-            grid_rows(grid),
+            regime_grid(model, 1.2, 6.0, 0.5, 5.0, 49, 45),
             f"basin of full cooperation, {name}",
         )
 

@@ -11,13 +11,13 @@ subcommands; the pool policy is in :mod:`pgg_bribery.montecarlo`.
 Leaving it unset runs everything serially in this process, and no
 setting changes any emitted value.
 
-:func:`gradient_rows`, :func:`sweep_rows` and :func:`grid_rows` build the
-CSV rows of the ``gradient``, ``sweep`` and ``grid`` subcommands; the
-figure script writes its artifacts with the same builders.  Each is a
-``LazyRows`` whose chunks ``write_csv`` asks for one at a time: a sweep
-or grid chunk is one ``classify_regimes`` call on that chunk's cells, so
-no array or Python value of the whole file is ever held.  Anything that
-may refuse the input is checked before the file opens.
+:func:`gradient_rows` builds the CSV rows of the ``gradient``
+subcommand, and the ``sweep`` and ``grid`` views of
+:mod:`pgg_bribery.sweeps` are their own rows; the figure script writes
+its artifacts from the same rows.  Each is a ``LazyRows`` whose chunks
+``write_csv`` asks for one at a time, so no array or Python value of the
+whole file is ever held.  A job's size is checked before any work
+starts; a chunk that refuses its cells leaves no file.
 """
 
 from __future__ import annotations
@@ -33,10 +33,8 @@ from .analysis import (
     KnifeEdgeError,
     RegimeKind,
     _check_turns,
-    _finite_coefficients,
     avg_payoff,
     classify_regime,
-    classify_regimes,
     gradient_of_selection,
     q_function,
     thresholds,
@@ -46,7 +44,7 @@ from .dynamics import basin_of_cooperation, integrate
 from .games import ParameterError, _payoff_tables
 from .montecarlo import MAX_WORKERS, RngSeed, _avg_request, _estimate_all, _run_tasks
 from .output import ColumnRows, LazyRows, fmt_float, fmt_quantity, write_csv, write_plot
-from .sweeps import DEFAULT_STEPS, SWEEP_DEFAULTS, RegimeGrid, SweepResult, _check_cells, regime_grid, sweep_root
+from .sweeps import DEFAULT_STEPS, SWEEP_DEFAULTS, _check_cells, regime_grid, sweep_root
 from .verify import run_battery
 
 EXIT_OK = 0
@@ -166,49 +164,18 @@ def _emit(config: RunConfig, args, filename: str, header: list[str], rows, extra
     return EXIT_OK
 
 
-def _cells(values: np.ndarray) -> list:
-    # NaN marks an undefined value, written as an empty cell
-    return [None if value != value else value for value in values.tolist()]
-
-
 def gradient_rows(model, points: int) -> LazyRows:
     """Rows (x, Q(x), G(x)) at ``points`` evenly spaced x in [0, 1], made a chunk at a time."""
-    # a chunk is made after the file opens: refuse what a chunk would refuse before it does
     if points < 2:
         raise ConfigError(f"--points must be >= 2, got {points}")
     _check_cells("gradient", points)
     _check_turns("gradient", model.n, evaluations_per_point=2, points=points)
-    _finite_coefficients(model)
 
     def make(start, stop):
         x = np.arange(start, stop) / (points - 1)
         return x, q_function(model, x), gradient_of_selection(model, x)
 
     return LazyRows(points, make)
-
-
-def sweep_rows(sweep: SweepResult) -> LazyRows:
-    """Rows (value, regime, x_star, basin) of a sweep, classified a chunk at a time."""
-
-    def make(start, stop):
-        points = sweep.points[start:stop]
-        token, x_star, basin = classify_regimes(sweep.model, **{sweep.parameter: points})
-        return points, token, _cells(x_star), _cells(basin)
-
-    return LazyRows(len(sweep.points), make)
-
-
-def grid_rows(grid: RegimeGrid) -> LazyRows:
-    """Rows (f, r_p, regime, basin) of a grid, f-major, classified a chunk at a time."""
-    n_rp = len(grid.rp_values)
-
-    def make(start, stop):
-        cell = np.arange(start, stop)
-        f, r_p = grid.f_values[cell // n_rp], grid.rp_values[cell % n_rp]
-        token, _, basin = classify_regimes(grid.model, f=f, r_p=r_p)
-        return f, r_p, token, _cells(basin)
-
-    return LazyRows(len(grid.f_values) * n_rp, make)
 
 
 def _cmd_gradient(config: RunConfig, args) -> int:
@@ -260,7 +227,7 @@ def _cmd_sweep(config: RunConfig, args) -> int:
     lo, hi = SWEEP_DEFAULTS[args.param]
     lo = args.lo if args.lo is not None else lo
     hi = args.hi if args.hi is not None else hi
-    rows = sweep_rows(sweep_root(config.model, args.param, lo, hi, args.steps))
+    rows = sweep_root(config.model, args.param, lo, hi, args.steps)
     extras = [("param", args.param), ("lo", fmt_float(lo)), ("hi", fmt_float(hi)), ("steps", str(args.steps))]
     return _emit(config, args, "sweep.csv", ["param", "regime", "x_star", "basin"], rows, extras)
 
@@ -275,7 +242,7 @@ def _cmd_grid(config: RunConfig, args) -> int:
         ("rp_lo", fmt_float(args.rp_lo)), ("rp_hi", fmt_float(args.rp_hi)),
         ("f_steps", str(args.f_steps)), ("rp_steps", str(args.rp_steps)),
     ]
-    return _emit(config, args, "grid.csv", ["f", "r_p", "regime", "basin"], grid_rows(grid), extras)
+    return _emit(config, args, "grid.csv", ["f", "r_p", "regime", "basin"], grid, extras)
 
 
 def _cmd_integrate(config: RunConfig, args) -> int:

@@ -7,7 +7,8 @@ files are byte-stable and round-trip to the exact double.  A leading
 making every artifact self-describing; readers skip those lines.
 :func:`write_csv` formats ``CHUNK`` rows with one ``%`` operation: the
 row format repeated once per row, applied to the chunk's cells in row
-order.
+order.  Both writers write ``<path>.partial`` and rename it over the
+target at the end: a failure part-way leaves no file, and an old one untouched.
 
 SVG output is a convenience rendering of any emitted CSV (line plot, or
 heatmap for the regime-grid schema); numeric results live in the CSV.
@@ -16,6 +17,7 @@ heatmap for the regime-grid schema); numeric results live in the CSV.
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager, suppress
 from itertools import chain
 from math import isfinite
 
@@ -83,7 +85,6 @@ class ColumnRows(LazyRows):
     def __init__(self, *columns):
         if len({len(column) for column in columns}) > 1:
             raise ValueError(f"columns of unequal length: {[len(column) for column in columns]}")
-        self.columns = columns
         super().__init__(len(columns[0]) if columns else 0, lambda start, stop: [c[start:stop] for c in columns])
 
 
@@ -107,26 +108,46 @@ def _column_field(values) -> tuple[str, list]:
     return "%s", [value if type(value) is str else fmt_cell(value) for value in values]
 
 
+@contextmanager
+def _all_or_nothing(path):
+    """A handle on ``<path>.partial``, renamed over ``path`` at the end, removed on any exception."""
+    partial = os.fspath(path) + ".partial"
+    try:
+        with open(partial, "w", encoding="utf-8", newline="\n") as handle:
+            yield handle
+        os.replace(partial, path)
+    except BaseException:
+        with suppress(OSError):
+            os.remove(partial)
+        raise
+
+
 def write_csv(path, header: list[str], rows, meta: list[str]) -> None:
-    """Write ``meta`` as ``#`` lines, then ``header`` and ``rows``.
+    """Write ``meta`` as ``#`` lines, then ``header`` and ``rows``, or no file at all.
 
     ``rows`` is a :class:`LazyRows` (a :class:`ColumnRows` among them) or
     a sequence of equal-length rows, which is first transposed into
-    columns; its width must be the header's.  Every cell is written as
-    :func:`fmt_cell` writes it.  Each chunk of ``CHUNK`` rows is one ``%``
-    operation: the row format repeated once per row, applied to the
-    chunk's cells flattened in row order.
+    columns.  A chunk of another width than the header's, or with a
+    column of another length than the chunk's, raises ``ValueError``.
+    Every cell is written as :func:`fmt_cell` writes it.  Each chunk of
+    ``CHUNK`` rows is one ``%`` operation: the row format repeated once
+    per row, applied to the chunk's cells flattened in row order.
     """
     if not isinstance(rows, LazyRows):
         rows = ColumnRows(*zip(*rows, strict=True))
-    if isinstance(rows, ColumnRows) and rows.columns and len(rows.columns) != len(header):
-        raise ValueError(f"{path}: {len(header)} header fields for {len(rows.columns)} columns")
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+    with _all_or_nothing(path) as handle:
         for line in meta:
             handle.write(f"# {line}\n")
         handle.write(",".join(header) + "\n")
         for start in range(0, len(rows), CHUNK):
-            columns = rows.make(start, min(start + CHUNK, len(rows)))
+            stop = min(start + CHUNK, len(rows))
+            columns = rows.make(start, stop)
+            lengths = [len(column) for column in columns]
+            if len(lengths) != len(header) or lengths.count(stop - start) != len(lengths):
+                raise ValueError(
+                    f"{path}: {len(header)} header fields for {len(lengths)} columns of {lengths} rows, "
+                    f"in rows {start} to {stop}"
+                )
             fields, chunks = zip(*map(_column_field, columns))
             row_format = ",".join(fields) + "\n"
             handle.write((row_format * len(chunks[0])) % tuple(chain.from_iterable(zip(*chunks))))
@@ -350,7 +371,7 @@ def write_plot(csv_path, svg_path=None) -> str:
         raise OSError(f"cannot read {csv_path}: {err}") from err
     svg_path = svg_path or os.path.splitext(csv_path)[0] + ".svg"
     try:
-        with open(svg_path, "w", encoding="utf-8", newline="\n") as handle:
+        with _all_or_nothing(svg_path) as handle:
             handle.write(svg)
     except OSError as err:
         raise OSError(f"cannot write {svg_path}: {err}") from err

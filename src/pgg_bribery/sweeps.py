@@ -1,26 +1,26 @@
 """Parameter sweeps and regime grids over the pool and punishment multipliers.
 
-:func:`sweep_root` and :func:`regime_grid` validate a job and return a
-view of it: the model and its axes.  Nothing is classified there; the
-``sweep`` and ``grid`` rows of :mod:`pgg_bribery.cli` classify one chunk
-of cells at a time with :func:`~pgg_bribery.analysis.classify_regimes`,
+:func:`sweep_root` and :func:`regime_grid` check a job's size (the axes,
+``MAX_CELLS``, ``analysis.MAX_TURNS``) and return a view of it, the model
+and its axes, which is also its CSV rows: each chunk that ``write_csv``
+asks for is one :func:`~pgg_bribery.analysis.classify_regimes` call,
 whose cells equal, bit for bit, the point classified on its own, and
-whose ``knife_edge`` token marks a point on a threshold.  Everything that
-a cell could refuse is refused here, before any file opens: the axes,
-``MAX_CELLS``, ``analysis.MAX_TURNS`` and non-finite thresholds.
+whose ``knife_edge`` token marks a point on a threshold.  A cell that a
+chunk refuses, such as a non-finite threshold, raises there.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
-from .analysis import BISECTION_STEPS, _check_turns, _finite_coefficients
+from .analysis import BISECTION_STEPS, _check_turns, classify_regimes
 
 # unused here, classify_regime stays as sweeps.classify_regime for perfbench's tracer test
 from .analysis import classify_regime  # noqa: F401
 from .games import Model
+from .output import LazyRows
 
 __all__ = [
     "SweepResult",
@@ -40,22 +40,36 @@ DEFAULT_STEPS = 200
 MAX_CELLS = 10**6
 
 
-@dataclass(frozen=True, eq=False)
-class SweepResult:
-    """A validated 1-D sweep: ``model`` with ``parameter`` set to each of ``points``."""
-
-    model: Model
-    parameter: str
-    points: np.ndarray
+def _cells(values: np.ndarray) -> list:
+    # NaN marks an undefined value, written as an empty cell
+    return [None if value != value else value for value in values.tolist()]
 
 
-@dataclass(frozen=True, eq=False)
-class RegimeGrid:
-    """A validated (f, r_p) grid of ``model``, f-major: cell ``(i, j)`` is ``f_values[i]``, ``rp_values[j]``."""
+class SweepResult(LazyRows):
+    """Rows (value, regime, x_star, basin) of ``model`` with ``parameter`` set to each of ``points``."""
 
-    model: Model
-    f_values: np.ndarray
-    rp_values: np.ndarray
+    def __init__(self, model: Model, parameter: str, points: np.ndarray):
+        self.model, self.parameter, self.points = model, parameter, points
+        super().__init__(len(points), self._make)
+
+    def _make(self, start: int, stop: int):
+        points = self.points[start:stop]
+        token, x_star, basin = classify_regimes(self.model, **{self.parameter: points})
+        return points, token, _cells(x_star), _cells(basin)
+
+
+class RegimeGrid(LazyRows):
+    """Rows (f, r_p, regime, basin) of ``model``, f-major: row ``i * len(rp_values) + j`` is cell (i, j)."""
+
+    def __init__(self, model: Model, f_values: np.ndarray, rp_values: np.ndarray):
+        self.model, self.f_values, self.rp_values = model, f_values, rp_values
+        super().__init__(len(f_values) * len(rp_values), self._make)
+
+    def _make(self, start: int, stop: int):
+        i, j = np.divmod(np.arange(start, stop), len(self.rp_values))
+        f, r_p = self.f_values[i], self.rp_values[j]
+        token, _, basin = classify_regimes(self.model, f=f, r_p=r_p)
+        return f, r_p, token, _cells(basin)
 
 
 def with_parameter(model: Model, name: str, value: float) -> Model:
@@ -88,23 +102,12 @@ def _axis(model: Model, name: str, lo: float, hi: float, steps: int) -> np.ndarr
         return np.linspace(lo, hi, steps)
 
 
-def _check_finite(model: Model, rp_values) -> None:
-    """Refuse the job when a threshold overflows at any of its cells.
-
-    ``f`` does not enter the thresholds, and each of their terms is affine
-    in ``r_p``, so the ends of the ``r_p`` axis bound every cell's.
-    """
-    for r_p in (rp_values[0], rp_values[-1]):
-        _finite_coefficients(replace(model, r_p=float(r_p)))
-
-
 def sweep_root(
     model: Model, parameter: str, lo: float, hi: float, steps: int = DEFAULT_STEPS
 ) -> SweepResult:
-    """Validate a sweep of the regime and x* along a 1-D parameter grid."""
+    """The rows of the regime, x* and basin along a 1-D parameter grid, validated."""
     values = _axis(model, parameter, lo, hi, steps)
     _check_turns(f"{parameter} sweep", model.n, points=steps, halvings=BISECTION_STEPS)
-    _check_finite(model, values if parameter == "r_p" else [model.r_p])
     return SweepResult(model, parameter, values)
 
 
@@ -117,10 +120,9 @@ def regime_grid(
     f_steps: int = DEFAULT_STEPS,
     rp_steps: int = DEFAULT_STEPS,
 ) -> RegimeGrid:
-    """Validate a grid of the basin of full cooperation over (f, r_p)."""
+    """The rows of the regime and basin of full cooperation over an (f, r_p) grid, validated."""
     f_values = _axis(model, "f", f_lo, f_hi, f_steps)
     rp_values = _axis(model, "r_p", rp_lo, rp_hi, rp_steps)
     _check_cells("(f, r_p) grid", f_steps * rp_steps)
     _check_turns("(f, r_p) grid", model.n, cells=f_steps * rp_steps, halvings=BISECTION_STEPS)
-    _check_finite(model, rp_values)
     return RegimeGrid(model, f_values, rp_values)

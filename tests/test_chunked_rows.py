@@ -7,10 +7,10 @@ import pytest
 
 from helpers import grid_regimes, sweep_regimes
 from pgg_bribery import classify_regimes, gradient_of_selection, q_function, thresholds
-from pgg_bribery.cli import _cells, gradient_rows, grid_rows, sweep_rows
+from pgg_bribery.cli import gradient_rows
 from pgg_bribery.output import CHUNK, ColumnRows, write_csv
 from pgg_bribery.presets import BG_DEFECTOR_BRIBES_BASE, IPGG_BISTABLE
-from pgg_bribery.sweeps import MAX_CELLS, regime_grid, sweep_root, with_parameter
+from pgg_bribery.sweeps import MAX_CELLS, _cells, regime_grid, sweep_root, with_parameter
 
 GRADIENT, SWEEP, GRID = ["x", "q", "g"], ["param", "regime", "x_star", "basin"], ["f", "r_p", "regime", "basin"]
 
@@ -42,12 +42,12 @@ def test_grid_and_sweep_equal_whole_array_columns(tmp_path):
         token.ravel(),
         _cells(basin.ravel()),
     )
-    assert csv_bytes(tmp_path / "grid.csv", GRID, grid_rows(grid)) == csv_bytes(tmp_path / "whole.csv", GRID, whole)
+    assert csv_bytes(tmp_path / "grid.csv", GRID, grid) == csv_bytes(tmp_path / "whole.csv", GRID, whole)
 
     sweep = sweep_root(model, "f", th.f_min, 6.0, 2 * CHUNK + 5)
     token, x_star, basin = sweep_regimes(sweep)
     whole = ColumnRows(sweep.points, token, _cells(x_star), _cells(basin))
-    assert csv_bytes(tmp_path / "sweep.csv", SWEEP, sweep_rows(sweep)) == csv_bytes(tmp_path / "all.csv", SWEEP, whole)
+    assert csv_bytes(tmp_path / "sweep.csv", SWEEP, sweep) == csv_bytes(tmp_path / "all.csv", SWEEP, whole)
 
 
 @pytest.mark.parametrize("points, message", [(1, "must be >= 2"), (0, "must be >= 2"), (MAX_CELLS + 1, "limit")])
@@ -87,14 +87,14 @@ def test_gradient_columns_are_made_a_chunk_at_a_time():
 def test_grid_csv_working_memory_is_bounded(tmp_path):
     def write():
         grid = regime_grid(BG_DEFECTOR_BRIBES_BASE, 1.2, 6.0, 0.5, 5.0, 300, 300)
-        write_csv(tmp_path / "grid.csv", GRID, grid_rows(grid), [])
+        write_csv(tmp_path / "grid.csv", GRID, grid, [])
 
     assert traced_peak(write) < 2 * 2**20
 
 
 def test_sweep_csv_working_memory_is_bounded(tmp_path):
     def write():
-        write_csv(tmp_path / "sweep.csv", SWEEP, sweep_rows(sweep_root(IPGG_BISTABLE, "f", 1.05, 8.0, 90_000)), [])
+        write_csv(tmp_path / "sweep.csv", SWEEP, sweep_root(IPGG_BISTABLE, "f", 1.05, 8.0, 90_000), [])
 
     assert traced_peak(write) < 2.5 * 2**20
 

@@ -403,9 +403,9 @@ class TestInputContract:
         assert f"exceeds the limit of {dynamics.MAX_STEPS} steps" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, computes", [
-        (["grid", "--f-steps", "1000", "--rp-steps", "1000"], [("cli", "classify_regimes")]),
-        (["grid", "--f-steps", "113", "--rp-steps", "111"], [("cli", "classify_regimes")]),
-        (["sweep", "--param", "f", "--steps", "1000000"], [("cli", "classify_regimes")]),
+        (["grid", "--f-steps", "1000", "--rp-steps", "1000"], [("sweeps", "classify_regimes")]),
+        (["grid", "--f-steps", "113", "--rp-steps", "111"], [("sweeps", "classify_regimes")]),
+        (["sweep", "--param", "f", "--steps", "1000000"], [("sweeps", "classify_regimes")]),
         (["gradient", "--points", "1000000"], [("cli", "q_function"), ("cli", "gradient_of_selection")]),
     ], ids=["grid_at_the_cap", "grid_just_over", "sweep", "gradient"])
     def test_work_over_the_budget_at_max_n_exits_1_before_it_starts(

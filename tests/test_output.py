@@ -1,11 +1,16 @@
-"""The chunked CSV writer against the per-row ``fmt_cell`` loop."""
+"""The chunked CSV writer against the per-row ``fmt_cell`` loop, and its all-or-nothing files."""
+
+import os
 
 import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from pgg_bribery.output import CHUNK, ColumnRows, fmt_cell, write_csv
+from pgg_bribery import output
+from pgg_bribery.cli import gradient_rows
+from pgg_bribery.output import CHUNK, ColumnRows, LazyRows, fmt_cell, write_csv, write_plot
+from pgg_bribery.presets import IPGG_BISTABLE
 
 SPECIAL_FLOATS = [
     float("nan"), float("inf"), float("-inf"), 0.0, -0.0,
@@ -93,3 +98,60 @@ def test_a_header_of_another_width_is_refused_before_writing(tmp_path, header, r
     with pytest.raises(ValueError, match=f"{len(header)} header fields for 2 columns"):
         write_csv(tmp_path / "out.csv", header, rows, [])
     assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("header, rows", [
+    (["x", "q"], gradient_rows(IPGG_BISTABLE, 3)),
+    (["a", "b"], LazyRows(CHUNK + 1, lambda start, stop: [range(start, stop)] * (3 if start else 2))),
+], ids=["gradient", "second_chunk"])
+def test_a_lazy_chunk_of_another_width_is_refused(tmp_path, header, rows):
+    with pytest.raises(ValueError, match="2 header fields for 3 columns"):
+        write_csv(tmp_path / "out.csv", header, rows, [])
+    assert os.listdir(tmp_path) == []
+
+
+def test_a_lazy_chunk_with_a_column_of_another_length_is_refused(tmp_path):
+    rows = LazyRows(5, lambda start, stop: [range(start, stop), range(start, stop - 1)])
+    with pytest.raises(ValueError, match=r"2 header fields for 2 columns of \[5, 4\] rows, in rows 0 to 5"):
+        write_csv(tmp_path / "out.csv", ["a", "b"], rows, [])
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
+def test_a_failing_chunk_leaves_an_existing_file_untouched(tmp_path, error):
+    def make(start, stop):
+        if start:
+            raise error("second chunk")
+        return [np.arange(start, stop, dtype=float)]
+
+    path = tmp_path / "out.csv"
+    path.write_bytes(b"# old\na\n1\n")
+    with pytest.raises(error, match="second chunk"):
+        write_csv(path, ["a"], LazyRows(2 * CHUNK, make), ["new"])
+    assert path.read_bytes() == b"# old\na\n1\n"
+    assert os.listdir(tmp_path) == ["out.csv"]
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o027])
+def test_a_written_csv_has_the_mode_of_a_plain_open(tmp_path, umask):
+    previous = os.umask(umask)
+    try:
+        with open(tmp_path / "plain.csv", "w"):
+            pass
+        write_csv(tmp_path / "out.csv", ["a"], [(1.0,)], [])
+    finally:
+        os.umask(previous)
+    assert (tmp_path / "out.csv").stat().st_mode == (tmp_path / "plain.csv").stat().st_mode == 0o100666 & ~umask
+
+
+def test_a_failing_svg_write_leaves_an_existing_file_untouched(tmp_path, monkeypatch):
+    csv_path = tmp_path / "out.csv"
+    write_csv(csv_path, ["x", "y"], [(0.0, 1.0), (1.0, 2.0)], [])
+    write_plot(str(csv_path))
+    before = (tmp_path / "out.svg").read_bytes()
+    # a lone surrogate cannot be encoded: the write fails after the file is opened
+    monkeypatch.setattr(output, "render_csv_plot", lambda path: "<svg>\ud800</svg>\n")
+    with pytest.raises(UnicodeEncodeError):
+        write_plot(str(csv_path))
+    assert (tmp_path / "out.svg").read_bytes() == before
+    assert sorted(os.listdir(tmp_path)) == ["out.csv", "out.svg"]

@@ -73,10 +73,11 @@ def main(argv=None):
         ("roots_bg_defector_bribes_rp", with_parameter(BG_DEFECTOR_BRIBES_BASE, "f", 4.5), "r_p", 0.5, 4.0),
     ]
     for name, model, parameter, lo, hi in root_sweeps:
+        sweep = sweep_root(model, parameter, lo, hi, 200)
         emit(
             os.path.join(args.out, f"{name}.csv"),
-            ["param", "regime", "x_star", "basin"],
-            sweep_root(model, parameter, lo, hi, 200),
+            sweep.HEADER,
+            sweep,
             f"interior root sweep over {parameter}, {name}",
         )
 
@@ -84,10 +85,11 @@ def main(argv=None):
         ("basin_grid_coop_bribes", BG_COOP_BRIBES_BASE),
         ("basin_grid_defector_bribes", BG_DEFECTOR_BRIBES_BASE),
     ):
+        grid = regime_grid(model, 1.2, 6.0, 0.5, 5.0, 49, 45)
         emit(
             os.path.join(args.out, f"{name}.csv"),
-            ["f", "r_p", "regime", "basin"],
-            regime_grid(model, 1.2, 6.0, 0.5, 5.0, 49, 45),
+            grid.HEADER,
+            grid,
             f"basin of full cooperation, {name}",
         )
 

@@ -11,13 +11,11 @@ subcommands; the pool policy is in :mod:`pgg_bribery.montecarlo`.
 Leaving it unset runs everything serially in this process, and no
 setting changes any emitted value.
 
-:func:`gradient_rows` builds the CSV rows of the ``gradient``
-subcommand, and the ``sweep`` and ``grid`` views of
-:mod:`pgg_bribery.sweeps` are their own rows; the figure script writes
-its artifacts from the same rows.  Each is a ``LazyRows`` whose chunks
-``write_csv`` asks for one at a time, so no array or Python value of the
-whole file is ever held.  A job's size is checked before any work
-starts; a chunk that refuses its cells leaves no file.
+:func:`gradient_rows` builds the ``gradient`` rows, and the ``sweep`` and
+``grid`` views of :mod:`pgg_bribery.sweeps` are their own rows.  Each is
+a ``LazyRows`` that ``write_csv`` makes one chunk at a time, so no array
+or Python value of the whole file is ever held.  A job's size is checked
+before any work starts; a chunk that refuses its cells leaves no file.
 """
 
 from __future__ import annotations
@@ -227,9 +225,9 @@ def _cmd_sweep(config: RunConfig, args) -> int:
     lo, hi = SWEEP_DEFAULTS[args.param]
     lo = args.lo if args.lo is not None else lo
     hi = args.hi if args.hi is not None else hi
-    rows = sweep_root(config.model, args.param, lo, hi, args.steps)
+    sweep = sweep_root(config.model, args.param, lo, hi, args.steps)
     extras = [("param", args.param), ("lo", fmt_float(lo)), ("hi", fmt_float(hi)), ("steps", str(args.steps))]
-    return _emit(config, args, "sweep.csv", ["param", "regime", "x_star", "basin"], rows, extras)
+    return _emit(config, args, "sweep.csv", sweep.HEADER, sweep, extras)
 
 
 def _cmd_grid(config: RunConfig, args) -> int:
@@ -242,7 +240,7 @@ def _cmd_grid(config: RunConfig, args) -> int:
         ("rp_lo", fmt_float(args.rp_lo)), ("rp_hi", fmt_float(args.rp_hi)),
         ("f_steps", str(args.f_steps)), ("rp_steps", str(args.rp_steps)),
     ]
-    return _emit(config, args, "grid.csv", ["f", "r_p", "regime", "basin"], grid, extras)
+    return _emit(config, args, "grid.csv", grid.HEADER, grid, extras)
 
 
 def _cmd_integrate(config: RunConfig, args) -> int:

@@ -7,8 +7,8 @@ files are byte-stable and round-trip to the exact double.  A leading
 making every artifact self-describing; readers skip those lines.
 :func:`write_csv` formats ``CHUNK`` rows with one ``%`` operation: the
 row format repeated once per row, applied to the chunk's cells in row
-order.  Both writers write ``<path>.partial`` and rename it over the
-target at the end: a failure part-way leaves no file, and an old one untouched.
+order.  Both writers write a missing or regular-file target whole or not
+at all, and any other target through (see :func:`_all_or_nothing`).
 
 SVG output is a convenience rendering of any emitted CSV (line plot, or
 heatmap for the regime-grid schema); numeric results live in the CSV.
@@ -17,6 +17,7 @@ heatmap for the regime-grid schema); numeric results live in the CSV.
 from __future__ import annotations
 
 import os
+import stat
 from contextlib import contextmanager, suppress
 from itertools import chain
 from math import isfinite
@@ -110,10 +111,20 @@ def _column_field(values) -> tuple[str, list]:
 
 @contextmanager
 def _all_or_nothing(path):
-    """A handle on ``<path>.partial``, renamed over ``path`` at the end, removed on any exception."""
-    partial = os.fspath(path) + ".partial"
+    """A handle on ``path``, written whole or not at all if ``path`` is missing or a regular file.
+
+    Such a target is written as ``<path>.<pid>.partial``, made anew with a plain ``open``'s mode,
+    renamed over ``path`` at the end, and removed on any exception.  Any other target (a symlink,
+    a device, a FIFO) is written through, as ``open(path, "w")`` writes it.
+    """
+    if os.path.lexists(path) and not stat.S_ISREG(os.lstat(path).st_mode):
+        with open(path, "w", encoding="utf-8", newline="\n") as handle:
+            yield handle
+        return
+    partial = f"{os.fspath(path)}.{os.getpid()}.partial"
+    handle = open(partial, "x", encoding="utf-8", newline="\n")
     try:
-        with open(partial, "w", encoding="utf-8", newline="\n") as handle:
+        with handle:
             yield handle
         os.replace(partial, path)
     except BaseException:
@@ -127,11 +138,11 @@ def write_csv(path, header: list[str], rows, meta: list[str]) -> None:
 
     ``rows`` is a :class:`LazyRows` (a :class:`ColumnRows` among them) or
     a sequence of equal-length rows, which is first transposed into
-    columns.  A chunk of another width than the header's, or with a
-    column of another length than the chunk's, raises ``ValueError``.
-    Every cell is written as :func:`fmt_cell` writes it.  Each chunk of
-    ``CHUNK`` rows is one ``%`` operation: the row format repeated once
-    per row, applied to the chunk's cells flattened in row order.
+    columns.  A chunk whose columns are not one per header field, each of
+    the chunk's length, raises ``ValueError``.  Each cell is written as
+    :func:`fmt_cell` writes it, each chunk of ``CHUNK`` rows with one ``%``
+    operation: the row format repeated once per row, applied to the
+    chunk's cells flattened in row order.
     """
     if not isinstance(rows, LazyRows):
         rows = ColumnRows(*zip(*rows, strict=True))
@@ -143,11 +154,9 @@ def write_csv(path, header: list[str], rows, meta: list[str]) -> None:
             stop = min(start + CHUNK, len(rows))
             columns = rows.make(start, stop)
             lengths = [len(column) for column in columns]
-            if len(lengths) != len(header) or lengths.count(stop - start) != len(lengths):
-                raise ValueError(
-                    f"{path}: {len(header)} header fields for {len(lengths)} columns of {lengths} rows, "
-                    f"in rows {start} to {stop}"
-                )
+            if lengths != [stop - start] * len(header):
+                raise ValueError(f"{path}: {len(header)} header fields for {len(lengths)} columns "
+                                 f"of {lengths} rows, in rows {start} to {stop}")
             fields, chunks = zip(*map(_column_field, columns))
             row_format = ",".join(fields) + "\n"
             handle.write((row_format * len(chunks[0])) % tuple(chain.from_iterable(zip(*chunks))))

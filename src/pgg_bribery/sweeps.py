@@ -2,11 +2,11 @@
 
 :func:`sweep_root` and :func:`regime_grid` check a job's size (the axes,
 ``MAX_CELLS``, ``analysis.MAX_TURNS``) and return a view of it, the model
-and its axes, which is also its CSV rows: each chunk that ``write_csv``
-asks for is one :func:`~pgg_bribery.analysis.classify_regimes` call,
-whose cells equal, bit for bit, the point classified on its own, and
-whose ``knife_edge`` token marks a point on a threshold.  A cell that a
-chunk refuses, such as a non-finite threshold, raises there.
+and its axes, which is also its CSV rows under its ``HEADER``: each chunk
+is one :func:`~pgg_bribery.analysis.classify_regimes` call, whose cells
+equal, bit for bit, the point classified on its own, and whose
+``knife_edge`` token marks a point on a threshold.  A cell that a chunk
+refuses, such as a non-finite threshold, raises there.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ def _cells(values: np.ndarray) -> list:
 
 class SweepResult(LazyRows):
     """Rows (value, regime, x_star, basin) of ``model`` with ``parameter`` set to each of ``points``."""
+    HEADER = ("param", "regime", "x_star", "basin")
 
     def __init__(self, model: Model, parameter: str, points: np.ndarray):
         self.model, self.parameter, self.points = model, parameter, points
@@ -60,6 +61,7 @@ class SweepResult(LazyRows):
 
 class RegimeGrid(LazyRows):
     """Rows (f, r_p, regime, basin) of ``model``, f-major: row ``i * len(rp_values) + j`` is cell (i, j)."""
+    HEADER = ("f", "r_p", "regime", "basin")
 
     def __init__(self, model: Model, f_values: np.ndarray, rp_values: np.ndarray):
         self.model, self.f_values, self.rp_values = model, f_values, rp_values

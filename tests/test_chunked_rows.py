@@ -12,7 +12,7 @@ from pgg_bribery.output import CHUNK, ColumnRows, write_csv
 from pgg_bribery.presets import BG_DEFECTOR_BRIBES_BASE, IPGG_BISTABLE
 from pgg_bribery.sweeps import MAX_CELLS, _cells, regime_grid, sweep_root, with_parameter
 
-GRADIENT, SWEEP, GRID = ["x", "q", "g"], ["param", "regime", "x_star", "basin"], ["f", "r_p", "regime", "basin"]
+GRADIENT = ["x", "q", "g"]
 
 
 def csv_bytes(path, header, rows) -> bytes:
@@ -42,12 +42,12 @@ def test_grid_and_sweep_equal_whole_array_columns(tmp_path):
         token.ravel(),
         _cells(basin.ravel()),
     )
-    assert csv_bytes(tmp_path / "grid.csv", GRID, grid) == csv_bytes(tmp_path / "whole.csv", GRID, whole)
+    assert csv_bytes(tmp_path / "grid.csv", grid.HEADER, grid) == csv_bytes(tmp_path / "whole.csv", grid.HEADER, whole)
 
     sweep = sweep_root(model, "f", th.f_min, 6.0, 2 * CHUNK + 5)
     token, x_star, basin = sweep_regimes(sweep)
     whole = ColumnRows(sweep.points, token, _cells(x_star), _cells(basin))
-    assert csv_bytes(tmp_path / "sweep.csv", SWEEP, sweep) == csv_bytes(tmp_path / "all.csv", SWEEP, whole)
+    assert csv_bytes(tmp_path / "sweep.csv", sweep.HEADER, sweep) == csv_bytes(tmp_path / "all.csv", sweep.HEADER, whole)
 
 
 @pytest.mark.parametrize("points, message", [(1, "must be >= 2"), (0, "must be >= 2"), (MAX_CELLS + 1, "limit")])
@@ -87,14 +87,15 @@ def test_gradient_columns_are_made_a_chunk_at_a_time():
 def test_grid_csv_working_memory_is_bounded(tmp_path):
     def write():
         grid = regime_grid(BG_DEFECTOR_BRIBES_BASE, 1.2, 6.0, 0.5, 5.0, 300, 300)
-        write_csv(tmp_path / "grid.csv", GRID, grid, [])
+        write_csv(tmp_path / "grid.csv", grid.HEADER, grid, [])
 
     assert traced_peak(write) < 2 * 2**20
 
 
 def test_sweep_csv_working_memory_is_bounded(tmp_path):
     def write():
-        write_csv(tmp_path / "sweep.csv", SWEEP, sweep_root(IPGG_BISTABLE, "f", 1.05, 8.0, 90_000), [])
+        sweep = sweep_root(IPGG_BISTABLE, "f", 1.05, 8.0, 90_000)
+        write_csv(tmp_path / "sweep.csv", sweep.HEADER, sweep, [])
 
     assert traced_peak(write) < 2.5 * 2**20
 

@@ -1,6 +1,8 @@
 """The chunked CSV writer against the per-row ``fmt_cell`` loop, and its all-or-nothing files."""
 
 import os
+import stat
+import threading
 
 import hypothesis.strategies as st
 import numpy as np
@@ -81,7 +83,11 @@ def test_one_format_per_chunk_writes_the_per_row_bytes(tmp_path, cols):
 def test_unequal_columns_are_refused_before_writing(tmp_path):
     with pytest.raises(ValueError, match="unequal length"):
         write_csv(tmp_path / "out.csv", ["a", "b"], ColumnRows([1.0, 2.0, 3.0], [4.0]), [])
-    assert not (tmp_path / "out.csv").exists()
+    # a lazy chunk's columns are checked as the chunk is made
+    short = LazyRows(5, lambda start, stop: [range(start, stop), range(start, stop - 1)])
+    with pytest.raises(ValueError, match=r"2 header fields for 2 columns of \[5, 4\] rows, in rows 0 to 5"):
+        write_csv(tmp_path / "out.csv", ["a", "b"], short, [])
+    assert os.listdir(tmp_path) == []
 
 
 def test_ragged_rows_are_refused_before_writing(tmp_path):
@@ -90,30 +96,15 @@ def test_ragged_rows_are_refused_before_writing(tmp_path):
     assert not (tmp_path / "out.csv").exists()
 
 
-@pytest.mark.parametrize("header, rows", [
-    (["a", "b", "c"], ColumnRows([1.0, 2.0], [3.0, 4.0])),
-    (["a"], [(1.0, 2.0)]),
-], ids=["wide_header", "narrow_header"])
-def test_a_header_of_another_width_is_refused_before_writing(tmp_path, header, rows):
-    with pytest.raises(ValueError, match=f"{len(header)} header fields for 2 columns"):
+@pytest.mark.parametrize("header, rows, columns", [
+    (["a", "b", "c"], ColumnRows([1.0, 2.0], [3.0, 4.0]), 2),
+    (["a"], [(1.0, 2.0)], 2),
+    (["x", "q"], gradient_rows(IPGG_BISTABLE, 3), 3),
+    (["a", "b"], LazyRows(CHUNK + 1, lambda start, stop: [range(start, stop)] * (3 if start else 2)), 3),
+], ids=["wide_header", "narrow_header", "gradient", "second_chunk"])
+def test_a_header_of_another_width_is_refused_before_writing(tmp_path, header, rows, columns):
+    with pytest.raises(ValueError, match=f"{len(header)} header fields for {columns} columns"):
         write_csv(tmp_path / "out.csv", header, rows, [])
-    assert not (tmp_path / "out.csv").exists()
-
-
-@pytest.mark.parametrize("header, rows", [
-    (["x", "q"], gradient_rows(IPGG_BISTABLE, 3)),
-    (["a", "b"], LazyRows(CHUNK + 1, lambda start, stop: [range(start, stop)] * (3 if start else 2))),
-], ids=["gradient", "second_chunk"])
-def test_a_lazy_chunk_of_another_width_is_refused(tmp_path, header, rows):
-    with pytest.raises(ValueError, match="2 header fields for 3 columns"):
-        write_csv(tmp_path / "out.csv", header, rows, [])
-    assert os.listdir(tmp_path) == []
-
-
-def test_a_lazy_chunk_with_a_column_of_another_length_is_refused(tmp_path):
-    rows = LazyRows(5, lambda start, stop: [range(start, stop), range(start, stop - 1)])
-    with pytest.raises(ValueError, match=r"2 header fields for 2 columns of \[5, 4\] rows, in rows 0 to 5"):
-        write_csv(tmp_path / "out.csv", ["a", "b"], rows, [])
     assert os.listdir(tmp_path) == []
 
 
@@ -142,6 +133,38 @@ def test_a_written_csv_has_the_mode_of_a_plain_open(tmp_path, umask):
     finally:
         os.umask(previous)
     assert (tmp_path / "out.csv").stat().st_mode == (tmp_path / "plain.csv").stat().st_mode == 0o100666 & ~umask
+
+
+def test_a_file_at_the_partial_name_is_neither_reused_nor_removed(tmp_path):
+    partial = tmp_path / f"out.csv.{os.getpid()}.partial"
+    partial.write_bytes(b"not the writer's\n")
+    with pytest.raises(FileExistsError):
+        write_csv(tmp_path / "out.csv", ["a"], [(1.0,)], [])
+    assert partial.read_bytes() == b"not the writer's\n"
+    assert os.listdir(tmp_path) == [partial.name]
+
+
+def test_a_symlink_target_is_written_through(tmp_path):
+    real, link = tmp_path / "real.csv", tmp_path / "link.csv"
+    real.write_bytes(b"old\n")
+    link.symlink_to(real)
+    write_csv(link, ["a"], [(1.0,)], [])
+    assert link.is_symlink() and real.read_bytes() == b"a\n1\n"
+    assert sorted(os.listdir(tmp_path)) == ["link.csv", "real.csv"]
+
+
+def test_a_plot_to_a_fifo_is_written_through_and_leaves_the_fifo(tmp_path):
+    csv_path, fifo = tmp_path / "out.csv", tmp_path / "out.fifo"
+    write_csv(csv_path, ["x", "y"], [(0.0, 1.0), (1.0, 2.0)], [])
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    write_plot(str(csv_path), str(fifo))
+    reader.join(timeout=10)
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert received == [output.render_csv_plot(str(csv_path)).encode("utf-8")]
+    assert sorted(os.listdir(tmp_path)) == ["out.csv", "out.fifo"]
 
 
 def test_a_failing_svg_write_leaves_an_existing_file_untouched(tmp_path, monkeypatch):

@@ -289,8 +289,18 @@ def _cmd_verify(config: RunConfig, args) -> int:
     return EXIT_VERIFY
 
 
+def _is_stdout(path) -> bool:
+    """Whether ``path`` is the file this process's stdout writes to, as ``/dev/stdout`` is."""
+    try:
+        return os.path.samestat(os.stat(path), os.fstat(1))
+    except OSError:
+        return False
+
+
 def _cmd_plot(args) -> int:
-    print(f"wrote {write_plot(args.csv_path, args.out_svg)}")
+    path = write_plot(args.csv_path, args.out_svg)
+    # a notice on stdout would write over the start of an SVG written there
+    print(f"wrote {path}", file=sys.stderr if _is_stdout(path) else sys.stdout)
     return EXIT_OK
 
 

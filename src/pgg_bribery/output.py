@@ -1,14 +1,17 @@
 """Deterministic CSV and SVG emission.
 
 CSV files are UTF-8 with LF line endings, ``,`` separators and ``.``
-decimal points.  Floats are printed with 17 significant digits so the
-files are byte-stable and round-trip to the exact double.  A leading
-``#`` comment block echoes the configuration and the subcommand options,
-making every artifact self-describing; readers skip those lines.
-:func:`write_csv` formats ``CHUNK`` rows with one ``%`` operation: the
-row format repeated once per row, applied to the chunk's cells in row
-order.  Both writers write a missing or regular-file target whole or not
-at all, and any other target through (see :func:`_all_or_nothing`).
+decimal points.  A float is printed as ``"%.17g"`` prints it, with 17
+significant digits, so the files are byte-stable and round-trip to the
+exact double.  A leading ``#`` comment block echoes the configuration and
+the subcommand options, making every artifact self-describing; readers
+skip those lines.  :func:`write_csv` formats ``CHUNK`` rows at a time, a
+float column in numpy (:func:`_float_cells`): the 17 digits of a double
+printed without an exponent come from an exact two-product, and any
+other double, or one whose digits are not certain, goes through
+``"%.17g"`` itself.  Both writers write a missing or regular-file target
+whole or not at all, and any other target through (see
+:func:`_all_or_nothing`).
 
 SVG output is a convenience rendering of any emitted CSV (line plot, or
 heatmap for the regime-grid schema); numeric results live in the CSV.
@@ -19,7 +22,6 @@ from __future__ import annotations
 import os
 import stat
 from contextlib import contextmanager, suppress
-from itertools import chain
 from math import isfinite
 
 import numpy as np
@@ -91,22 +93,190 @@ class ColumnRows(LazyRows):
 
 CHUNK = 4096  # rows formatted per write
 
+# "%.17g" in numpy.  A nonzero finite double v whose decimal exponent e is in
+# [-4, 16] is one "%.17g" prints without an exponent, and its 17 significant
+# digits are the integer nearest v * 10**(16 - e).  Every 10**s with s <= 20 is
+# a double, so Dekker's two-product gives that product exactly as p + err, p an
+# integer-valued double and |err| <= 8: the integer is p + floor(err + 1/2).  A
+# tie, which "%.17g" rounds to even, and an integer of other than 17 digits (a
+# log10 off by one near a power of ten) leave the lane to "%.17g" itself, as do
+# inf, nan and every exponent outside [-4, 16].  A cell is 24 bytes, three
+# little-endian uint64 words: its text, its separator, then NUL.
+_SPLITTER = 2.0**27 + 1  # Veltkamp's: splits a double into halves of at most 26 significant bits
 
-def _column_field(values) -> tuple[str, list]:
-    """The row-format field of one column chunk and the values it formats.
 
-    A chunk of floats keeps its values under ``%.17g`` (the bytes of
-    :func:`fmt_float`); any other chunk becomes text, strings as they are
-    and every other cell through :func:`fmt_cell`.  A ``float64`` array
-    holds only floats, so it skips the per-value type scan.
+def _halves(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    big = _SPLITTER * a
+    high = big - (big - a)
+    return high, a - high
+
+
+def _words(rows) -> np.ndarray:
+    """Rows of at most 24 bytes, padded with NUL, as rows of three little-endian uint64 words."""
+    return np.frombuffer(b"".join(row.ljust(24, b"\0") for row in rows), "<u8").reshape(-1, 3)
+
+
+def _marks(point: int, end: int, sep: int) -> bytes:
+    row = bytearray(24)
+    row[end] = sep
+    if point:
+        row[point] = ord(".")
+    return bytes(row)
+
+
+_POW10 = np.array([float(10**s) for s in range(21)])
+_POW10_HIGH, _POW10_LOW = _halves(_POW10)
+# the four ASCII digits of 0..9999 as one uint32, and how many of them end it as zeros
+_QUAD_TEXT = np.empty((10, 10, 10, 10, 4), np.uint8)
+_DIGITS = np.frombuffer(b"0123456789", np.uint8)
+_QUAD_TEXT[..., 0], _QUAD_TEXT[..., 1] = _DIGITS[:, None, None, None], _DIGITS[:, None, None]
+_QUAD_TEXT[..., 2], _QUAD_TEXT[..., 3] = _DIGITS[:, None], _DIGITS
+_QUAD_TEXT = _QUAD_TEXT.reshape(-1, 4).view("<u4")[:, 0]
+_DIGIT_TEXT = _DIGITS.astype("<u4")
+_QUAD_ZEROS = np.zeros((10, 10, 10, 10), np.int64)
+_QUAD_ZEROS[..., 0], _QUAD_ZEROS[..., 0, 0], _QUAD_ZEROS[:, 0, 0, 0], _QUAD_ZEROS[0, 0, 0, 0] = 1, 2, 3, 4
+_QUAD_ZEROS = _QUAD_ZEROS.ravel()
+# by 20 * point + end, where the point (0 for none) and the separator go: the digit bytes
+# kept in place, those moved up by one past the point, and the point and separator themselves
+_LAYOUTS = [(point, end) for point in range(18) for end in range(20)]
+_STAY = _words(b"\xff" * (min(point, end) if point else end) for point, end in _LAYOUTS)
+_MOVE = _words(b"\0" * (point + 1) + b"\xff" * (end - point - 1) if point else b"" for point, end in _LAYOUTS)
+_MARKS = {sep: _words(_marks(point, end, sep) for point, end in _LAYOUTS) for sep in b",\n"}
+# the sign and "0.000" before the digits, by 2 * (e + 4) + (v < 0), and its length in bits
+_PREFIXES = [("-" if negative else "") + ("0." + "0" * (-1 - e) if e < 0 else "")
+             for e in range(-4, 17) for negative in (False, True)]
+_PREFIX = np.frombuffer(b"".join(prefix.encode().ljust(8, b"\0") for prefix in _PREFIXES), "<u8")
+_PREFIX_BITS = np.array([[8 * len(prefix)] * 3 for prefix in _PREFIXES], np.uint64)
+
+
+def _seventeen_digits(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The decimal exponent e of each of ``values``, its 17 digits as one integer, and where they are certain.
+
+    A lane is certain where it prints without an exponent, its digits are 17 long and it is
+    no tie; any other lane has e = 0 and the digits 10**16.
+    """
+    a = np.abs(values)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e = np.floor(np.log10(a))
+    certain = (e >= -4) & (e <= 16)  # False for 0, inf and nan
+    a[~certain], e[~certain] = 1.0, 0.0
+    e = e.astype(np.intp)
+    # a * 10**(16 - e) = product + err exactly, as every product of halves is exact
+    scale = 16 - e
+    power_high, power_low = np.take(_POW10_HIGH, scale), np.take(_POW10_LOW, scale)
+    product = a * np.take(_POW10, scale)
+    high, low = _halves(a)
+    err = np.subtract(product, high * power_high)
+    err -= low * power_high
+    err -= high * power_low
+    np.subtract(low * power_low, err, out=err)
+    # the nearest integer is product + floor(err + 1/2); where err + 1/2 lands on an
+    # integer, a tie or within an ulp of one, the lane is left to "%.17g"
+    err += 0.5
+    whole = np.floor(err)
+    certain &= err != whole
+    digits = product.astype(np.int64)
+    digits += whole.astype(np.int64)
+    certain &= (digits >= 10**16) & (digits < 10**17)
+    digits[~certain] = 10**16  # so that every lane's groups of four index the digit tables
+    return e, digits, certain
+
+
+def _digit_text(digits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The 17 ASCII digits of each of ``digits`` at bytes 0..16 of three words, and how many end it as zeros."""
+    first = digits // 10**13
+    rest = digits - first * 10**13
+    second = rest // 10**9
+    rest -= second * 10**9
+    third = rest // 10**5
+    rest -= third * 10**5
+    fourth = rest // 10
+    rest -= fourth * 10
+    text = np.empty((len(digits), 3), "<u8")
+    quads = text.view("<u4")
+    for column, quad in enumerate((first, second, third, fourth)):
+        quads[:, column] = np.take(_QUAD_TEXT, quad)
+    quads[:, 4], quads[:, 5] = np.take(_DIGIT_TEXT, rest), 0
+    zeros = np.take(_QUAD_ZEROS, first)
+    for quad, width in ((second, 4), (third, 4), (fourth, 4), (rest, 1)):
+        zeros += width
+        np.copyto(zeros, np.take(_QUAD_ZEROS, quad), where=quad != 0)
+    return text, zeros
+
+
+def _float_cells(values: np.ndarray, empty, sep: int) -> np.ndarray:
+    """``"%.17g" % v`` of each of ``values`` and the byte ``sep``, as ``S24`` (wider if a ``"%.17g"`` needs it).
+
+    A lane in ``empty`` is ``sep`` alone.  A lane that prints with an exponent, is not
+    finite, or whose digits are not certain is ``"%.17g"``'s own text.
+    """
+    e, digits, certain = _seventeen_digits(values)
+    text, zeros = _digit_text(digits)
+    # %g drops trailing zeros after the point, then the point if no digit follows it;
+    # the digits kept and the point's place (0 for none) pick the lane's layout row
+    kept = np.maximum(17 - zeros, e + 1)
+    point = np.where((kept > e + 1) & (e >= 0), e + 1, 0)
+    layout = 20 * point + kept + (point > 0)
+    moved = np.empty_like(text)
+    moved.view(np.uint8).reshape(-1)[1:] = text.view(np.uint8).reshape(-1)[:-1]
+    text &= np.take(_STAY, layout, axis=0)
+    moved &= np.take(_MOVE, layout, axis=0)
+    text |= moved
+    text |= np.take(_MARKS[sep], layout, axis=0)
+    zero = values == 0
+    text[zero] = [ord("0") | sep << 8, 0, 0]
+    # moved up by the prefix's bytes, with each word's top bytes carried into the next
+    code = 2 * (e + 4) + np.signbit(values)
+    moved.reshape(-1)[1:] = text.reshape(-1)[:-1]
+    bits = np.take(_PREFIX_BITS, code, axis=0)
+    text <<= bits
+    moved >>= np.subtract(64, bits, out=bits)
+    moved[:, 0] = np.take(_PREFIX, code)
+    text |= moved
+    cells = text.view("S24")[:, 0]
+    slow = ~(certain | zero)
+    if empty is not None:
+        slow &= ~empty
+        cells[empty] = bytes([sep])
+    if slow.any():
+        texts = [b"%.17g%c" % (value, sep) for value in values[slow].tolist()]
+        cells = cells.astype(f"S{max(24, *map(len, texts))}")  # the widest, "-2.2250738585072014e-308,", has 25
+        cells[slow] = texts
+    return cells
+
+
+def _floats(values):
+    """A column chunk as ``(float64 values, their empty cells or None)``, or None if it holds other cells.
+
+    A float array, and a list of floats and ``None`` (an empty cell), are floats.
     """
     if isinstance(values, np.ndarray):
-        if values.dtype == np.float64:
-            return "%.17g", values.tolist()
+        if values.dtype.kind == "f" and values.itemsize <= 8:
+            return values.astype(np.float64, copy=False), None
         values = values.tolist()
-    if all(type(value) is float for value in values):
-        return "%.17g", values
-    return "%s", [value if type(value) is str else fmt_cell(value) for value in values]
+    kinds = set(map(type, values))
+    if kinds <= {float, type(None)}:
+        return np.array(values, np.float64), np.array([value is None for value in values]) if type(None) in kinds else None
+    return None
+
+
+def _chunk_bytes(columns) -> bytes:
+    """A chunk's lines: each row's cells joined by ``,``, each line ended by ``\\n``.
+
+    Float columns are formatted by :func:`_float_cells`; any other column's cells are
+    written as :func:`fmt_cell` writes them.
+    """
+    lines = None
+    for index, values in enumerate(columns, start=1 - len(columns)):
+        sep = ord("\n") if index == 0 else ord(",")
+        floats = _floats(values)
+        if floats is None:
+            cells = np.array([((value if type(value) is str else fmt_cell(value)) + chr(sep)).encode() for value in values])
+        else:
+            cells = _float_cells(*floats, sep)
+        lines = cells if lines is None else np.strings.add(lines, cells)
+    lines = tuple(lines.tolist())
+    return (b"%s" * len(lines)) % lines  # a join would hold a buffer of 80 bytes per line
 
 
 @contextmanager
@@ -115,14 +285,14 @@ def _all_or_nothing(path):
 
     Such a target is written as ``<path>.<pid>.partial``, made anew with a plain ``open``'s mode,
     renamed over ``path`` at the end, and removed on any exception.  Any other target (a symlink,
-    a device, a FIFO) is written through, as ``open(path, "w")`` writes it.
+    a device, a FIFO) is written through, as ``open(path, "wb")`` writes it.
     """
     if os.path.lexists(path) and not stat.S_ISREG(os.lstat(path).st_mode):
-        with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        with open(path, "wb") as handle:
             yield handle
         return
     partial = f"{os.fspath(path)}.{os.getpid()}.partial"
-    handle = open(partial, "x", encoding="utf-8", newline="\n")
+    handle = open(partial, "xb")
     try:
         with handle:
             yield handle
@@ -140,16 +310,17 @@ def write_csv(path, header: list[str], rows, meta: list[str]) -> None:
     a sequence of equal-length rows, which is first transposed into
     columns.  A chunk whose columns are not one per header field, each of
     the chunk's length, raises ``ValueError``.  Each cell is written as
-    :func:`fmt_cell` writes it, each chunk of ``CHUNK`` rows with one ``%``
-    operation: the row format repeated once per row, applied to the
-    chunk's cells flattened in row order.
+    :func:`fmt_cell` writes it, ``CHUNK`` rows at a time: a column chunk
+    that is a float array, or a list of floats and ``None``, through
+    :func:`_float_cells`, which gives the bytes of ``"%.17g"`` for every
+    float; any other, cell by cell through :func:`fmt_cell`.
     """
     if not isinstance(rows, LazyRows):
         rows = ColumnRows(*zip(*rows, strict=True))
     with _all_or_nothing(path) as handle:
         for line in meta:
-            handle.write(f"# {line}\n")
-        handle.write(",".join(header) + "\n")
+            handle.write(f"# {line}\n".encode())
+        handle.write((",".join(header) + "\n").encode())
         for start in range(0, len(rows), CHUNK):
             stop = min(start + CHUNK, len(rows))
             columns = rows.make(start, stop)
@@ -157,9 +328,7 @@ def write_csv(path, header: list[str], rows, meta: list[str]) -> None:
             if lengths != [stop - start] * len(header):
                 raise ValueError(f"{path}: {len(header)} header fields for {len(lengths)} columns "
                                  f"of {lengths} rows, in rows {start} to {stop}")
-            fields, chunks = zip(*map(_column_field, columns))
-            row_format = ",".join(fields) + "\n"
-            handle.write((row_format * len(chunks[0])) % tuple(chain.from_iterable(zip(*chunks))))
+            handle.write(_chunk_bytes(columns))
 
 
 def read_csv(path) -> tuple[list[str], list[str], list[list[str]]]:
@@ -381,7 +550,7 @@ def write_plot(csv_path, svg_path=None) -> str:
     svg_path = svg_path or os.path.splitext(csv_path)[0] + ".svg"
     try:
         with _all_or_nothing(svg_path) as handle:
-            handle.write(svg)
+            handle.write(svg.encode())
     except OSError as err:
         raise OSError(f"cannot write {svg_path}: {err}") from err
     return svg_path

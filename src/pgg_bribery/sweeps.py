@@ -35,7 +35,7 @@ __all__ = [
 SWEEP_DEFAULTS = {"f": (1.05, 8.0), "r_p": (0.1, 6.0)}
 DEFAULT_STEPS = 200
 # cells one sweep, grid or gradient may ask for: at the cap and n = 5, a grid
-# takes ~3-4 s and ~34 MB peak RSS on a 2-vCPU VM; its memory no longer
+# takes ~2.5 s and ~35 MB peak RSS on a 2-vCPU VM; its memory no longer
 # grows with the cells, but its time does
 MAX_CELLS = 10**6
 

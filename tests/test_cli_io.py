@@ -9,7 +9,7 @@ import pytest
 
 from pgg_bribery import ConfigError, CoreParams, dynamics, parse_config
 from pgg_bribery.cli import main
-from pgg_bribery.output import fmt_float, read_csv
+from pgg_bribery.output import fmt_float, read_csv, render_csv_plot
 from pgg_bribery.presets import IPGG_WEAK_POOL
 
 WEAK_POOL_DOC = """\
@@ -322,6 +322,17 @@ class TestPlot:
         main(["plot", os.path.join(out, "gradient.csv"), "--out-svg", a])
         main(["plot", os.path.join(out, "gradient.csv"), "--out-svg", b])
         assert Path(a).read_bytes() == Path(b).read_bytes()
+
+    def test_a_plot_to_stdout_is_the_whole_svg(self, bistable_cfg, tmp_path, capfd):
+        out = str(tmp_path / "s")
+        main(["gradient", "--config", bistable_cfg, "--out", out, "--points", "11"])
+        csv_path = os.path.join(out, "gradient.csv")
+        capfd.readouterr()
+        # the SVG is written through /dev/stdout, so the notice goes to stderr
+        assert main(["plot", csv_path, "--out-svg", "/dev/stdout"]) == 0
+        captured = capfd.readouterr()
+        assert captured.out == render_csv_plot(csv_path)
+        assert captured.err == "wrote /dev/stdout\n"
 
     @pytest.mark.parametrize("header", ["f,r_p,regime,basin", "x,q,g"], ids=["heatmap", "line_plot"])
     def test_a_csv_without_data_rows_is_refused(self, tmp_path, capsys, header):

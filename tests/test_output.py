@@ -3,6 +3,7 @@
 import os
 import stat
 import threading
+from decimal import Decimal
 
 import hypothesis.strategies as st
 import numpy as np
@@ -70,14 +71,48 @@ def test_chunks_of_one_column_may_differ_in_kind(tmp_path):
     [["%s", "%%", "%(a)s", "%.17g", "100%"], [1.5, 2.5, 3.5, 4.5, 5.5]],
     [np.array([0.1, float("nan"), -0.0, 1e300])],
     [np.array([0.1, 1 / 3, float("inf"), -0.0], dtype=np.float32), ["a", "%d", "b", "%"]],
-], ids=["percent_strings", "one_column", "float32_array"])
-def test_one_format_per_chunk_writes_the_per_row_bytes(tmp_path, cols):
-    # cells are the operands of the chunk's one `%`, never part of its format
+    [np.array([0.1, 1e-5, -0.0, float("nan"), float("-inf"), -123456.789, 1e17, 2.5e-300, 0.00012, 1e16])],
+], ids=["percent_strings", "one_column", "float32_array", "fixed_and_exponent_float64"])
+def test_cells_stay_literal_and_floats_keep_their_bytes(tmp_path, cols):
+    # a cell such as "%s" is written as it is; a float32 cell as the double it widens to
     header = [f"c{i}" for i in range(len(cols))]
     cols = [np.concatenate([col] * (CHUNK // 2)) if isinstance(col, np.ndarray) else col * (CHUNK // 2)
             for col in cols]
     write_csv(tmp_path / "out.csv", header, ColumnRows(*cols), [])
     assert (tmp_path / "out.csv").read_bytes() == reference_bytes(header, zip(*cols), [])
+
+
+def edge_floats() -> list[float]:
+    """Powers of ten and their neighbours, the notation edges, 18-digit ties, zeros, subnormals, non-finite."""
+    values = []
+    for k in range(-6, 19):
+        power = float(f"1e{k}")  # the double nearest 10**k
+        values += [power, np.nextafter(power, 0.0), np.nextafter(power, np.inf), 1.5 * power, 9.5 * power]
+    # exactly halfway between two 17-digit decimals: "%.17g" rounds them to even
+    ties = [10**15 + 0.25, 10**15 + 0.75, 10**14 + 0.125, 10**14 + 0.375, 2.0**49 + 0.625]
+    assert all(len(Decimal(tie).as_tuple().digits) == 18 for tie in ties)
+    values += ties + [0.0, 5e-324, 2.225073858507201e-308, 1.7976931348623157e308, np.inf, np.nan, 1 / 3, 0.1]
+    return [float(value) for value in values] + [-float(value) for value in values]
+
+
+def test_float_columns_are_percent_17g_byte_for_byte(tmp_path):
+    edges = np.array(edge_floats())
+    rng = np.random.default_rng(7)
+    spread = 10.0 ** rng.uniform(-7, 19, CHUNK + 1) * rng.choice([-1.0, 1.0], CHUNK + 1)
+    patterns = rng.integers(0, 2**64, CHUNK + 1, dtype=np.uint64).view(np.float64)
+    for rows in (len(edges), CHUNK - 1, CHUNK, CHUNK + 1):
+        columns = np.resize(edges, rows), spread[:rows], patterns[:rows]
+        write_csv(tmp_path / "out.csv", ["v", "w", "u"], ColumnRows(*columns), [])
+        expected = "".join(f"{v:.17g},{w:.17g},{u:.17g}\n" for v, w, u in zip(*(c.tolist() for c in columns)))
+        assert (tmp_path / "out.csv").read_bytes() == ("v,w,u\n" + expected).encode()
+
+
+def test_at_most_one_float_in_a_hundred_is_formatted_by_python():
+    # the lanes "%.17g" formats one at a time: the numpy digits of the rest are certain
+    x, q, g = gradient_rows(IPGG_BISTABLE, 200_001).make(0, CHUNK)
+    for values in (np.linspace(0, 1, 10**5), x, q, g):
+        _, _, certain = output._seventeen_digits(values)
+        assert np.mean(~certain & (values != 0)) <= 0.01
 
 
 def test_unequal_columns_are_refused_before_writing(tmp_path):

@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from math import isfinite
 
 import numpy as np
 
@@ -171,7 +172,12 @@ def gradient_rows(model, points: int) -> LazyRows:
 
     def make(start, stop):
         x = np.arange(start, stop) / (points - 1)
-        return x, q_function(model, x), gradient_of_selection(model, x)
+        # finite thresholds do not bound Q: it may overflow, and G(x) = x (1 - x) Q(x) with it
+        with np.errstate(over="ignore", invalid="ignore"):
+            q, g = q_function(model, x), gradient_of_selection(model, x)
+        if not np.isfinite(q).all():
+            raise ValueError(f"Q(x) at x = {fmt_float(x[~np.isfinite(q)][0])} overflows double precision")
+        return x, q, g
 
     return LazyRows(points, make)
 
@@ -183,7 +189,10 @@ def _cmd_gradient(config: RunConfig, args) -> int:
 
 def _cmd_payoffs(config: RunConfig, args) -> int:
     n = config.model.n
-    rows = ColumnRows(range(n), range(n - 1, -1, -1), *_payoff_tables(config.model))
+    pay_c, pay_d = _payoff_tables(config.model)
+    if not all(map(isfinite, pay_c + pay_d)):
+        raise ValueError("the payoffs overflow double precision")
+    rows = ColumnRows(range(n), range(n - 1, -1, -1), pay_c, pay_d)
     return _emit(config, args, "payoffs.csv", ["n_c", "n_d", "pi_c", "pi_d"], rows)
 
 

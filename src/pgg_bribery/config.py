@@ -97,10 +97,9 @@ def _parse_int(key: str, raw: str, line: int | None) -> int:
 
 def config_from_pairs(pairs: dict[str, tuple[str, int | None]]) -> RunConfig:
     """Validate raw pairs into a RunConfig, naming the offending key on error."""
-    remaining = dict(pairs)
-    if "model" not in remaining:
+    if "model" not in pairs:
         raise ConfigError("missing required key 'model'")
-    model_raw, model_line = remaining.pop("model")
+    model_raw, model_line = pairs["model"]
     model = model_raw.lower()
     if model not in ("ipgg", "bg"):
         raise ConfigError(f"model must be 'ipgg' or 'bg', got {model_raw!r}", model_line)
@@ -112,15 +111,15 @@ def config_from_pairs(pairs: dict[str, tuple[str, int | None]]) -> RunConfig:
 
     values: dict[str, float | int] = {}
     for key in CORE_FIELDS:
-        if key not in remaining:
+        if key not in pairs:
             raise ConfigError(f"missing required key {key!r}")
-        raw, line = remaining.pop(key)
+        raw, line = pairs[key]
         values[key] = _parse_int(key, raw, line) if key == "n" else _parse_float(key, raw, line)
 
     bg_values: dict[str, float] = {}
     for key in BRIBERY_FIELDS:
-        if key in remaining:
-            raw, line = remaining.pop(key)
+        if key in pairs:
+            raw, line = pairs[key]
             if model != "bg":
                 raise ConfigError(f"key {key!r} only applies to model = bg", line)
             bg_values[key] = _parse_float(key, raw, line)
@@ -129,8 +128,8 @@ def config_from_pairs(pairs: dict[str, tuple[str, int | None]]) -> RunConfig:
 
     controls = dict(CONTROL_DEFAULTS)
     for key in CONTROL_DEFAULTS:
-        if key in remaining:
-            raw, line = remaining.pop(key)
+        if key in pairs:
+            raw, line = pairs[key]
             controls[key] = (
                 _parse_int(key, raw, line) if key in ("samples", "seed") else _parse_float(key, raw, line)
             )

@@ -76,7 +76,7 @@ def integrate(
     when ``t_max / step`` exceeds ``MAX_STEPS``, when the run has not
     converged once its steps reach the work budget ``analysis.MAX_TURNS``
     (see :func:`budget_steps`), and when a step leaves [0, 1] (or gives
-    NaN), naming the step and its time.
+    NaN), naming the step and its time, and the overflow if x is not finite.
     """
     if not 0 <= x0 <= 1:
         raise ValueError(f"x0 must be in [0, 1], got {x0}")
@@ -104,7 +104,8 @@ def integrate(
         k4 = g(x + step * k3)
         x += step * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
         if not 0.0 <= x <= 1.0:
-            raise ValueError(f"step {len(states)} (t = {len(states) * step:g}) left [0, 1]: x = {x!r}")
+            cause = "" if math.isfinite(x) else ": the step overflows double precision"
+            raise ValueError(f"step {len(states)} (t = {len(states) * step:g}) left [0, 1]: x = {x!r}{cause}")
         states.append(x)
         k1 = g(x)
         converged = abs(k1) < conv_tol

@@ -5,11 +5,13 @@ decimal points.  A float is printed as ``"%.17g"`` prints it, with 17
 significant digits, so the files are byte-stable and round-trip to the
 exact double.  A leading ``#`` comment block echoes the configuration and
 the subcommand options, making every artifact self-describing; readers
-skip those lines.  :func:`write_csv` formats ``CHUNK`` rows at a time, a
-float column in numpy (:func:`_float_cells`): the 17 digits of a double
-printed without an exponent come from an exact two-product, and any
-other double, or one whose digits are not certain, goes through
-``"%.17g"`` itself.  Both writers write a missing or regular-file target
+skip those lines.  :func:`write_csv` formats ``CHUNK`` rows at a time.  A
+float column chunk is a numpy float array, its masked cells (``numpy.ma``)
+empty, formatted in numpy (:func:`_float_cells`): the 17 digits of a
+double printed without an exponent come from an exact two-product, and
+any other double, or one whose digits are not certain, goes through
+``"%.17g"`` itself.  Any other column is written cell by cell with
+:func:`fmt_cell`.  Both writers write a missing or regular-file target
 whole or not at all, and any other target through (see
 :func:`_all_or_nothing`).
 
@@ -78,11 +80,11 @@ class LazyRows:
 
 
 class ColumnRows(LazyRows):
-    """Rows held as equal-length columns: lists, tuples, ranges or numpy arrays.
+    """Rows held as equal-length columns: lists, tuples, ranges or numpy arrays, masked or not.
 
     :func:`write_csv` slices them ``CHUNK`` rows at a time, so a numpy
-    column becomes Python values and text one chunk at a time, never for
-    the whole file at once.
+    column becomes text one chunk at a time, never for the whole file at
+    once.
     """
 
     def __init__(self, *columns):
@@ -126,16 +128,13 @@ def _marks(point: int, end: int, sep: int) -> bytes:
 
 _POW10 = np.array([float(10**s) for s in range(21)])
 _POW10_HIGH, _POW10_LOW = _halves(_POW10)
-# the four ASCII digits of 0..9999 as one uint32, and how many of them end it as zeros
+# the four ASCII digits of 0..9999 as one uint32
 _QUAD_TEXT = np.empty((10, 10, 10, 10, 4), np.uint8)
 _DIGITS = np.frombuffer(b"0123456789", np.uint8)
 _QUAD_TEXT[..., 0], _QUAD_TEXT[..., 1] = _DIGITS[:, None, None, None], _DIGITS[:, None, None]
 _QUAD_TEXT[..., 2], _QUAD_TEXT[..., 3] = _DIGITS[:, None], _DIGITS
 _QUAD_TEXT = _QUAD_TEXT.reshape(-1, 4).view("<u4")[:, 0]
 _DIGIT_TEXT = _DIGITS.astype("<u4")
-_QUAD_ZEROS = np.zeros((10, 10, 10, 10), np.int64)
-_QUAD_ZEROS[..., 0], _QUAD_ZEROS[..., 0, 0], _QUAD_ZEROS[:, 0, 0, 0], _QUAD_ZEROS[0, 0, 0, 0] = 1, 2, 3, 4
-_QUAD_ZEROS = _QUAD_ZEROS.ravel()
 # by 20 * point + end, where the point (0 for none) and the separator go: the digit bytes
 # kept in place, those moved up by one past the point, and the point and separator themselves
 _LAYOUTS = [(point, end) for point in range(18) for end in range(20)]
@@ -197,18 +196,16 @@ def _digit_text(digits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     for column, quad in enumerate((first, second, third, fourth)):
         quads[:, column] = np.take(_QUAD_TEXT, quad)
     quads[:, 4], quads[:, 5] = np.take(_DIGIT_TEXT, rest), 0
-    zeros = np.take(_QUAD_ZEROS, first)
-    for quad, width in ((second, 4), (third, 4), (fourth, 4), (rest, 1)):
-        zeros += width
-        np.copyto(zeros, np.take(_QUAD_ZEROS, quad), where=quad != 0)
+    # the first digit is not 0, so every lane has a last digit that is not
+    zeros = (text.view(np.uint8)[:, 16::-1] != ord("0")).argmax(axis=1)
     return text, zeros
 
 
 def _float_cells(values: np.ndarray, empty, sep: int) -> np.ndarray:
     """``"%.17g" % v`` of each of ``values`` and the byte ``sep``, as ``S24`` (wider if a ``"%.17g"`` needs it).
 
-    A lane in ``empty`` is ``sep`` alone.  A lane that prints with an exponent, is not
-    finite, or whose digits are not certain is ``"%.17g"``'s own text.
+    A lane in the mask ``empty`` (``numpy.ma.nomask``, False, for none) is ``sep`` alone.  A lane
+    that prints with an exponent, is not finite, or whose digits are not certain is ``"%.17g"``'s own text.
     """
     e, digits, certain = _seventeen_digits(values)
     text, zeros = _digit_text(digits)
@@ -234,10 +231,8 @@ def _float_cells(values: np.ndarray, empty, sep: int) -> np.ndarray:
     moved[:, 0] = np.take(_PREFIX, code)
     text |= moved
     cells = text.view("S24")[:, 0]
-    slow = ~(certain | zero)
-    if empty is not None:
-        slow &= ~empty
-        cells[empty] = bytes([sep])
+    slow = ~(certain | zero | empty)
+    cells[empty] = bytes([sep])
     if slow.any():
         texts = [b"%.17g%c" % (value, sep) for value in values[slow].tolist()]
         cells = cells.astype(f"S{max(24, *map(len, texts))}")  # the widest, "-2.2250738585072014e-308,", has 25
@@ -245,35 +240,21 @@ def _float_cells(values: np.ndarray, empty, sep: int) -> np.ndarray:
     return cells
 
 
-def _floats(values):
-    """A column chunk as ``(float64 values, their empty cells or None)``, or None if it holds other cells.
-
-    A float array, and a list of floats and ``None`` (an empty cell), are floats.
-    """
-    if isinstance(values, np.ndarray):
-        if values.dtype.kind == "f" and values.itemsize <= 8:
-            return values.astype(np.float64, copy=False), None
-        values = values.tolist()
-    kinds = set(map(type, values))
-    if kinds <= {float, type(None)}:
-        return np.array(values, np.float64), np.array([value is None for value in values]) if type(None) in kinds else None
-    return None
-
-
 def _chunk_bytes(columns) -> bytes:
     """A chunk's lines: each row's cells joined by ``,``, each line ended by ``\\n``.
 
-    Float columns are formatted by :func:`_float_cells`; any other column's cells are
-    written as :func:`fmt_cell` writes them.
+    A float array is formatted by :func:`_float_cells` as the doubles ``float()`` gives its
+    cells, its masked cells empty; any other column's cells, ``tolist()``'s for an array
+    (a masked cell is None), are written as :func:`fmt_cell` writes them.
     """
     lines = None
     for index, values in enumerate(columns, start=1 - len(columns)):
         sep = ord("\n") if index == 0 else ord(",")
-        floats = _floats(values)
-        if floats is None:
-            cells = np.array([((value if type(value) is str else fmt_cell(value)) + chr(sep)).encode() for value in values])
+        if isinstance(values, np.ndarray) and values.dtype.kind == "f":
+            cells = _float_cells(np.ma.getdata(values).astype(np.float64, copy=False), np.ma.getmask(values), sep)
         else:
-            cells = _float_cells(*floats, sep)
+            values = values.tolist() if isinstance(values, np.ndarray) else values
+            cells = np.array([((value if type(value) is str else fmt_cell(value)) + chr(sep)).encode() for value in values])
         lines = cells if lines is None else np.strings.add(lines, cells)
     lines = tuple(lines.tolist())
     return (b"%s" * len(lines)) % lines  # a join would hold a buffer of 80 bytes per line
@@ -311,9 +292,9 @@ def write_csv(path, header: list[str], rows, meta: list[str]) -> None:
     columns.  A chunk whose columns are not one per header field, each of
     the chunk's length, raises ``ValueError``.  Each cell is written as
     :func:`fmt_cell` writes it, ``CHUNK`` rows at a time: a column chunk
-    that is a float array, or a list of floats and ``None``, through
-    :func:`_float_cells`, which gives the bytes of ``"%.17g"`` for every
-    float; any other, cell by cell through :func:`fmt_cell`.
+    that is a float array through :func:`_float_cells`, which gives the
+    bytes of ``"%.17g"`` for every float and an empty cell for every
+    masked one; any other, cell by cell through :func:`fmt_cell`.
     """
     if not isinstance(rows, LazyRows):
         rows = ColumnRows(*zip(*rows, strict=True))

@@ -5,8 +5,10 @@
 and its axes, which is also its CSV rows under its ``HEADER``: each chunk
 is one :func:`~pgg_bribery.analysis.classify_regimes` call, whose cells
 equal, bit for bit, the point classified on its own, and whose
-``knife_edge`` token marks a point on a threshold.  A cell that a chunk
-refuses, such as a non-finite threshold, raises there.
+``knife_edge`` token marks a point on a threshold.  Its ``x_star`` and
+``basin`` columns are float arrays; masked cells (an undefined value)
+are empty.  A cell that a chunk refuses, such as a non-finite threshold,
+raises there.
 """
 
 from __future__ import annotations
@@ -40,11 +42,6 @@ DEFAULT_STEPS = 200
 MAX_CELLS = 10**6
 
 
-def _cells(values: np.ndarray) -> list:
-    # NaN marks an undefined value, written as an empty cell
-    return [None if value != value else value for value in values.tolist()]
-
-
 class SweepResult(LazyRows):
     """Rows (value, regime, x_star, basin) of ``model`` with ``parameter`` set to each of ``points``."""
     HEADER = ("param", "regime", "x_star", "basin")
@@ -56,7 +53,7 @@ class SweepResult(LazyRows):
     def _make(self, start: int, stop: int):
         points = self.points[start:stop]
         token, x_star, basin = classify_regimes(self.model, **{self.parameter: points})
-        return points, token, _cells(x_star), _cells(basin)
+        return points, token, np.ma.masked_invalid(x_star), np.ma.masked_invalid(basin)
 
 
 class RegimeGrid(LazyRows):
@@ -71,7 +68,7 @@ class RegimeGrid(LazyRows):
         i, j = np.divmod(np.arange(start, stop), len(self.rp_values))
         f, r_p = self.f_values[i], self.rp_values[j]
         token, _, basin = classify_regimes(self.model, f=f, r_p=r_p)
-        return f, r_p, token, _cells(basin)
+        return f, r_p, token, np.ma.masked_invalid(basin)
 
 
 def with_parameter(model: Model, name: str, value: float) -> Model:

@@ -10,7 +10,7 @@ from pgg_bribery import classify_regimes, gradient_of_selection, q_function, thr
 from pgg_bribery.cli import gradient_rows
 from pgg_bribery.output import CHUNK, ColumnRows, write_csv
 from pgg_bribery.presets import BG_DEFECTOR_BRIBES_BASE, IPGG_BISTABLE
-from pgg_bribery.sweeps import MAX_CELLS, _cells, regime_grid, sweep_root, with_parameter
+from pgg_bribery.sweeps import MAX_CELLS, regime_grid, sweep_root, with_parameter
 
 GRADIENT = ["x", "q", "g"]
 
@@ -40,13 +40,13 @@ def test_grid_and_sweep_equal_whole_array_columns(tmp_path):
         np.repeat(grid.f_values, len(grid.rp_values)),
         np.tile(grid.rp_values, len(grid.f_values)),
         token.ravel(),
-        _cells(basin.ravel()),
+        np.ma.masked_invalid(basin.ravel()),
     )
     assert csv_bytes(tmp_path / "grid.csv", grid.HEADER, grid) == csv_bytes(tmp_path / "whole.csv", grid.HEADER, whole)
 
     sweep = sweep_root(model, "f", th.f_min, 6.0, 2 * CHUNK + 5)
     token, x_star, basin = sweep_regimes(sweep)
-    whole = ColumnRows(sweep.points, token, _cells(x_star), _cells(basin))
+    whole = ColumnRows(sweep.points, token, np.ma.masked_invalid(x_star), np.ma.masked_invalid(basin))
     assert csv_bytes(tmp_path / "sweep.csv", sweep.HEADER, sweep) == csv_bytes(tmp_path / "all.csv", sweep.HEADER, whole)
 
 

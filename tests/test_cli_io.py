@@ -391,6 +391,25 @@ class TestInputContract:
         else:
             assert len(os.listdir(out)) == 1
 
+    @pytest.mark.parametrize("argv, code, message", [
+        (["gradient", "--points", "3"], 1, "error: Q(x) at x = 0 overflows double precision"),
+        (["payoffs"], 1, "error: the payoffs overflow double precision"),
+        (["integrate", "--x0", "0.5"], 1, "left [0, 1]: x = nan: the step overflows double precision"),
+        (["simulate", "--set", "samples=1000"], 1, "error: the sampled payoffs overflow double precision"),
+        (["thresholds"], 0, "regime=cooperation_dominant"),
+        (["roots"], 0, "no interior root: F above f_max"),
+        (["basins"], 0, "basin=1.0"),
+    ], ids=["gradient", "payoffs", "integrate", "simulate", "thresholds", "roots", "basins"])
+    def test_payoffs_that_overflow_with_finite_thresholds(self, weak_cfg, tmp_path, capsys, argv, code, message):
+        # f * c / n is inf, so Q and the payoffs are not finite; f_min = f_max = 5 decide the regime
+        out = tmp_path / "out"
+        overrides = ["--set", "c=1e200", "--set", "f=1e200", "--set", "b=1", "--set", "r_p=1"]
+        assert main(argv + ["--config", weak_cfg, *overrides, "--out", str(out)]) == code
+        captured = capsys.readouterr()
+        assert message in (captured.err if code else captured.out)
+        assert "Traceback" not in captured.err and "RuntimeWarning" not in captured.err
+        assert not out.exists() or not os.listdir(out)
+
     def test_integrate_rejects_infinite_horizon(self, bistable_cfg, tmp_path, capsys):
         argv = ["integrate", "--config", bistable_cfg, "--x0", "0.9", "--out", str(tmp_path)]
         assert main(argv + ["--set", "t_max=inf"]) == 1

@@ -27,24 +27,28 @@ ROW_COUNTS = st.sampled_from([0, 1, CHUNK - 1, CHUNK, CHUNK + 1]) | st.integers(
 
 
 def reference_bytes(header, rows, meta) -> bytes:
-    """What the writer wrote row by row, one ``fmt_cell`` per cell."""
+    """What the writer wrote row by row, one ``fmt_cell`` per cell; a masked cell is ``None``."""
     lines = [f"# {line}\n" for line in meta] + [",".join(header) + "\n"]
-    lines += [",".join(fmt_cell(cell) for cell in row) + "\n" for row in rows]
+    lines += [",".join(fmt_cell(None if cell is np.ma.masked else cell) for cell in row) + "\n" for row in rows]
     return "".join(lines).encode("utf-8")
 
 
 @st.composite
 def columns(draw):
-    """Equal-length columns: float arrays, float lists, mixed-cell lists, string lists.
+    """Equal-length columns: float arrays, masked float arrays, float lists, mixed-cell lists, string lists.
 
     Each column repeats a short drawn pattern, so chunk-sized row counts stay cheap.
     """
     rows = draw(ROW_COUNTS)
     result = []
-    for kind in draw(st.lists(st.sampled_from(["array", "floats", "cells", "text"]), min_size=1, max_size=4)):
-        cells = {"array": FLOATS, "floats": FLOATS, "cells": CELLS, "text": TEXT}[kind]
+    kinds = st.sampled_from(["array", "masked", "floats", "cells", "text"])
+    for kind in draw(st.lists(kinds, min_size=1, max_size=4)):
+        cells = {"array": FLOATS, "masked": FLOATS, "floats": FLOATS, "cells": CELLS, "text": TEXT}[kind]
         pattern = draw(st.lists(cells, min_size=1, max_size=9))
         values = [pattern[i % len(pattern)] for i in range(rows)]
+        if kind == "masked":
+            mask = draw(st.lists(st.booleans(), min_size=len(pattern), max_size=len(pattern)))
+            values = np.ma.array(values, dtype=float, mask=[mask[i % len(mask)] for i in range(rows)])
         result.append(np.array(values, dtype=float) if kind == "array" else values)
     return result
 
@@ -54,7 +58,9 @@ def columns(draw):
 def test_write_csv_matches_the_per_row_loop(tmp_path_factory, cols, as_row_list):
     path = tmp_path_factory.mktemp("csv") / "out.csv"
     header = [f"c{i}" for i in range(len(cols))]
-    rows = list(zip(*cols)) if as_row_list else ColumnRows(*cols)
+    # a row holds cells, so a masked cell there is None
+    cells = [col.tolist() if np.ma.isMaskedArray(col) else col for col in cols]
+    rows = list(zip(*cells)) if as_row_list else ColumnRows(*cols)
     write_csv(path, header, rows, ["meta line", "key=value"])
     assert path.read_bytes() == reference_bytes(header, zip(*cols), ["meta line", "key=value"])
 
@@ -72,12 +78,15 @@ def test_chunks_of_one_column_may_differ_in_kind(tmp_path):
     [np.array([0.1, float("nan"), -0.0, 1e300])],
     [np.array([0.1, 1 / 3, float("inf"), -0.0], dtype=np.float32), ["a", "%d", "b", "%"]],
     [np.array([0.1, 1e-5, -0.0, float("nan"), float("-inf"), -123456.789, 1e17, 2.5e-300, 0.00012, 1e16])],
-], ids=["percent_strings", "one_column", "float32_array", "fixed_and_exponent_float64"])
+    [np.ma.array([0.5, float("nan"), 1 / 3, -0.0], mask=[0, 0, 1, 0]), np.ma.array([1, 2, 3, 4], mask=[1, 0, 0, 0]),
+     np.ma.array(["a", "b", "%s", "d"], mask=[0, 1, 0, 0]), np.longdouble(1) / np.arange(1, 5)],
+], ids=["percent_strings", "one_column", "float32_array", "fixed_and_exponent_float64", "masked_and_longdouble"])
 def test_cells_stay_literal_and_floats_keep_their_bytes(tmp_path, cols):
-    # a cell such as "%s" is written as it is; a float32 cell as the double it widens to
+    # a cell such as "%s" is written as it is; a float32 or longdouble cell as the double
+    # float() gives it; a masked cell, of any dtype, is empty and an unmasked nan is "nan"
     header = [f"c{i}" for i in range(len(cols))]
-    cols = [np.concatenate([col] * (CHUNK // 2)) if isinstance(col, np.ndarray) else col * (CHUNK // 2)
-            for col in cols]
+    cols = [(np.ma if np.ma.isMaskedArray(col) else np).concatenate([col] * (CHUNK // 2))
+            if isinstance(col, np.ndarray) else col * (CHUNK // 2) for col in cols]
     write_csv(tmp_path / "out.csv", header, ColumnRows(*cols), [])
     assert (tmp_path / "out.csv").read_bytes() == reference_bytes(header, zip(*cols), [])
 

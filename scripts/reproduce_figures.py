@@ -56,12 +56,8 @@ def main(argv=None):
     lines = []
 
     for name, model in REGIMES.items():
-        emit(
-            os.path.join(args.out, f"gradient_{name}.csv"),
-            ["x", "q", "g"],
-            gradient_rows(model, 1001),
-            f"selection gradient, {name}",
-        )
+        rows = gradient_rows(model, 1001)
+        emit(os.path.join(args.out, f"gradient_{name}.csv"), rows.HEADER, rows, f"selection gradient, {name}")
         describe(name, model, lines)
 
     root_sweeps = [

@@ -2,7 +2,8 @@
 
 Every subcommand reads a flat key-value configuration (``--config`` file
 and/or repeated ``--set key=value`` overrides) and emits deterministic
-CSV files into ``--out``.  Exit codes: 0 success, 1 configuration or
+CSV files into ``--out`` under ``#`` lines that echo the configuration,
+then the options as parsed.  Exit codes: 0 success, 1 configuration or
 validation failure, 2 verification failure, 3 I/O failure.
 
 The optional environment variable ``PGG_BRIBERY_WORKERS``, an integer
@@ -13,9 +14,10 @@ setting changes any emitted value.
 
 :func:`gradient_rows` builds the ``gradient`` rows, and the ``sweep`` and
 ``grid`` views of :mod:`pgg_bribery.sweeps` are their own rows.  Each is
-a ``LazyRows`` that ``write_csv`` makes one chunk at a time, so no array
-or Python value of the whole file is ever held.  A job's size is checked
-before any work starts; a chunk that refuses its cells leaves no file.
+a ``LazyRows``, with a ``HEADER``, that ``write_csv`` makes one chunk at a
+time, so no array or Python value of the whole file is ever held.  A
+job's size is checked before any work starts; a chunk that refuses its
+cells leaves no file.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from .config import ConfigError, RunConfig, config_from_pairs, parse_pairs
 from .dynamics import basin_of_cooperation, integrate
 from .games import ParameterError, _payoff_tables
 from .montecarlo import MAX_WORKERS, RngSeed, _avg_request, _estimate_all, _run_tasks
-from .output import ColumnRows, LazyRows, fmt_float, fmt_quantity, write_csv, write_plot
+from .output import ColumnRows, LazyRows, fmt_cell, fmt_float, fmt_quantity, write_csv, write_plot
 from .sweeps import DEFAULT_STEPS, SWEEP_DEFAULTS, _check_cells, regime_grid, sweep_root
 from .verify import run_battery
 
@@ -52,6 +54,8 @@ EXIT_VERIFY = 2
 EXIT_IO = 3
 
 WORKERS_ENV = "PGG_BRIBERY_WORKERS"
+# the options every subcommand shares, which no CSV echoes; an option added to them belongs here
+SHARED_OPTIONS = ("command", "config", "overrides", "out")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -146,24 +150,24 @@ def _workers() -> int | None:
     return workers
 
 
-def _meta(config: RunConfig, command: str, extras: list[tuple[str, str]] = ()) -> list[str]:
-    lines = [f"pgg-bribery {command}"]
-    lines.append(" ".join(f"{key}={value}" for key, value in config.metadata_items()))
-    if extras:
-        lines.append(" ".join(f"{key}={value}" for key, value in extras))
-    return lines
-
-
-def _emit(config: RunConfig, args, filename: str, header: list[str], rows, extras=()) -> int:
-    """Write ``rows`` to ``--out``/``filename`` under the run's ``#`` header."""
+def _emit(config: RunConfig, args, filename: str, header, rows) -> int:
+    """Write ``rows`` to ``--out``/``filename`` under ``#`` lines: the configuration, then the parsed options."""
+    meta = [f"pgg-bribery {args.command}", " ".join(f"{key}={value}" for key, value in config.metadata_items())]
+    options = [f"{key}={fmt_cell(value)}" for key, value in vars(args).items() if key not in SHARED_OPTIONS]
+    if options:
+        meta.append(" ".join(options))
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, filename)
-    write_csv(path, header, rows, _meta(config, args.command, extras))
+    write_csv(path, header, rows, meta)
     print(f"wrote {path}")
     return EXIT_OK
 
 
-def gradient_rows(model, points: int) -> LazyRows:
+class GradientRows(LazyRows):
+    HEADER = ("x", "q", "g")
+
+
+def gradient_rows(model, points: int) -> GradientRows:
     """Rows (x, Q(x), G(x)) at ``points`` evenly spaced x in [0, 1], made a chunk at a time."""
     if points < 2:
         raise ConfigError(f"--points must be >= 2, got {points}")
@@ -179,12 +183,12 @@ def gradient_rows(model, points: int) -> LazyRows:
             raise ValueError(f"Q(x) at x = {fmt_float(x[~np.isfinite(q)][0])} overflows double precision")
         return x, q, g
 
-    return LazyRows(points, make)
+    return GradientRows(points, make)
 
 
 def _cmd_gradient(config: RunConfig, args) -> int:
     rows = gradient_rows(config.model, args.points)
-    return _emit(config, args, "gradient.csv", ["x", "q", "g"], rows, [("points", str(args.points))])
+    return _emit(config, args, "gradient.csv", rows.HEADER, rows)
 
 
 def _cmd_payoffs(config: RunConfig, args) -> int:
@@ -232,24 +236,15 @@ def _cmd_basins(config: RunConfig, args) -> int:
 
 def _cmd_sweep(config: RunConfig, args) -> int:
     lo, hi = SWEEP_DEFAULTS[args.param]
-    lo = args.lo if args.lo is not None else lo
-    hi = args.hi if args.hi is not None else hi
-    sweep = sweep_root(config.model, args.param, lo, hi, args.steps)
-    extras = [("param", args.param), ("lo", fmt_float(lo)), ("hi", fmt_float(hi)), ("steps", str(args.steps))]
-    return _emit(config, args, "sweep.csv", sweep.HEADER, sweep, extras)
+    args.lo = lo if args.lo is None else args.lo
+    args.hi = hi if args.hi is None else args.hi
+    sweep = sweep_root(config.model, args.param, args.lo, args.hi, args.steps)
+    return _emit(config, args, "sweep.csv", sweep.HEADER, sweep)
 
 
 def _cmd_grid(config: RunConfig, args) -> int:
-    grid = regime_grid(
-        config.model, args.f_lo, args.f_hi, args.rp_lo, args.rp_hi,
-        args.f_steps, args.rp_steps,
-    )
-    extras = [
-        ("f_lo", fmt_float(args.f_lo)), ("f_hi", fmt_float(args.f_hi)),
-        ("rp_lo", fmt_float(args.rp_lo)), ("rp_hi", fmt_float(args.rp_hi)),
-        ("f_steps", str(args.f_steps)), ("rp_steps", str(args.rp_steps)),
-    ]
-    return _emit(config, args, "grid.csv", grid.HEADER, grid, extras)
+    grid = regime_grid(config.model, args.f_lo, args.f_hi, args.rp_lo, args.rp_hi, args.f_steps, args.rp_steps)
+    return _emit(config, args, "grid.csv", grid.HEADER, grid)
 
 
 def _cmd_integrate(config: RunConfig, args) -> int:
@@ -257,7 +252,7 @@ def _cmd_integrate(config: RunConfig, args) -> int:
         config.model, args.x0, step=config.step, t_max=config.t_max, conv_tol=config.conv_tol
     )
     rows = ColumnRows(trajectory.times, trajectory.states)
-    _emit(config, args, "trajectory.csv", ["t", "x"], rows, [("x0", fmt_float(args.x0))])
+    _emit(config, args, "trajectory.csv", ["t", "x"], rows)
     target = "none" if trajectory.converged_to is None else fmt_quantity(trajectory.converged_to)
     print(f"converged_to={target}")
     return EXIT_OK
@@ -280,7 +275,7 @@ def _cmd_simulate(config: RunConfig, args) -> int:
             f"std_error={fmt_quantity(estimate.std_error)} closed_form={fmt_quantity(closed)}"
         )
     header = ["strategy", "x", "mean", "std_error", "n_samples", "closed_form"]
-    return _emit(config, args, "simulate.csv", header, rows, [("x", fmt_float(args.x))])
+    return _emit(config, args, "simulate.csv", header, rows)
 
 
 def _cmd_verify(config: RunConfig, args) -> int:

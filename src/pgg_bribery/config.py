@@ -7,9 +7,11 @@ plus ``games.BRIBERY_FIELDS`` (h, gamma, p, q) for ``bg`` only, which
 builds a :class:`BriberyParams`, a :class:`CoreParams` with those four
 more.  Numeric controls (step, t_max, conv_tol, samples, seed) are
 optional; the integration defaults are :mod:`pgg_bribery.dynamics`' own,
-and ``samples`` is at most ``montecarlo.MAX_SAMPLES``.  ``RunConfig.model`` is the
-validated parameter record, so every game invariant is checked on load; a
-pool multiplier outside (1, n) is reported by its
+and ``samples`` is at most ``montecarlo.MAX_SAMPLES``.  ``n``, ``samples``
+and ``seed`` are integers, the rest floats, read in one pass (core,
+bribery, controls) that reports the first fault.  ``RunConfig.model`` is
+the validated parameter record, so every game invariant is checked on
+load; a pool multiplier outside (1, n) is reported by its
 ``validation_warnings``, not raised.
 """
 
@@ -81,18 +83,12 @@ def parse_pairs(text: str) -> dict[str, tuple[str, int | None]]:
     return pairs
 
 
-def _parse_float(key: str, raw: str, line: int | None) -> float:
+def _parse(key: str, raw: str, line: int | None) -> float | int:
+    kind, noun = (int, "an integer") if key in ("n", "samples", "seed") else (float, "a number")
     try:
-        return float(raw)
+        return kind(raw)
     except ValueError:
-        raise ConfigError(f"{key} must be a number, got {raw!r}", line) from None
-
-
-def _parse_int(key: str, raw: str, line: int | None) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"{key} must be an integer, got {raw!r}", line) from None
+        raise ConfigError(f"{key} must be {noun}, got {raw!r}", line) from None
 
 
 def config_from_pairs(pairs: dict[str, tuple[str, int | None]]) -> RunConfig:
@@ -104,35 +100,23 @@ def config_from_pairs(pairs: dict[str, tuple[str, int | None]]) -> RunConfig:
     if model not in ("ipgg", "bg"):
         raise ConfigError(f"model must be 'ipgg' or 'bg', got {model_raw!r}", model_line)
 
-    known = set(CORE_FIELDS) | set(BRIBERY_FIELDS) | set(CONTROL_DEFAULTS)
+    keys = CORE_FIELDS + BRIBERY_FIELDS + tuple(CONTROL_DEFAULTS)
     for key, (_, line) in pairs.items():
-        if key != "model" and key not in known:
+        if key != "model" and key not in keys:
             raise ConfigError(f"unknown key {key!r}", line)
 
     values: dict[str, float | int] = {}
-    for key in CORE_FIELDS:
-        if key not in pairs:
-            raise ConfigError(f"missing required key {key!r}")
-        raw, line = pairs[key]
-        values[key] = _parse_int(key, raw, line) if key == "n" else _parse_float(key, raw, line)
-
-    bg_values: dict[str, float] = {}
-    for key in BRIBERY_FIELDS:
+    for key in keys:
+        bg_only = key in BRIBERY_FIELDS
         if key in pairs:
             raw, line = pairs[key]
-            if model != "bg":
+            if bg_only and model != "bg":
                 raise ConfigError(f"key {key!r} only applies to model = bg", line)
-            bg_values[key] = _parse_float(key, raw, line)
-        elif model == "bg":
-            raise ConfigError(f"missing required key {key!r} for model = bg")
+            values[key] = _parse(key, raw, line)
+        elif key in CORE_FIELDS or (bg_only and model == "bg"):
+            raise ConfigError(f"missing required key {key!r}" + (" for model = bg" if bg_only else ""))
 
-    controls = dict(CONTROL_DEFAULTS)
-    for key in CONTROL_DEFAULTS:
-        if key in pairs:
-            raw, line = pairs[key]
-            controls[key] = (
-                _parse_int(key, raw, line) if key in ("samples", "seed") else _parse_float(key, raw, line)
-            )
+    controls = {key: values.pop(key, default) for key, default in CONTROL_DEFAULTS.items()}
     for key in ("step", "t_max", "conv_tol"):
         if not 0 < controls[key] < math.inf:
             raise ConfigError(f"{key} must be finite and > 0, got {controls[key]}")
@@ -143,7 +127,7 @@ def config_from_pairs(pairs: dict[str, tuple[str, int | None]]) -> RunConfig:
     if controls["seed"] < 0:
         raise ConfigError(f"seed must be >= 0, got {controls['seed']}")
     try:
-        built = BriberyParams(**values, **bg_values) if model == "bg" else CoreParams(**values)
+        built = BriberyParams(**values) if model == "bg" else CoreParams(**values)
     except ParameterError as err:
         raise ConfigError(str(err)) from None
     return RunConfig(built, **controls)

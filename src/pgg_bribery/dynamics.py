@@ -73,21 +73,19 @@ def integrate(
     None when ``t_max`` is exhausted first.  Every step is recorded, at
     time ``k * step``.  Each step reuses the G(x) of the convergence test
     as its k1, so it costs four evaluations of G.  Raises ``ValueError``
-    when ``t_max / step`` exceeds ``MAX_STEPS``, when the run has not
+    when ``step``, ``t_max`` or ``conv_tol`` is not finite and > 0, when
+    ``t_max / step`` exceeds ``MAX_STEPS``, when the run has not
     converged once its steps reach the work budget ``analysis.MAX_TURNS``
     (see :func:`budget_steps`), and when a step leaves [0, 1] (or gives
     NaN), naming the step and its time, and the overflow if x is not finite.
     """
     if not 0 <= x0 <= 1:
         raise ValueError(f"x0 must be in [0, 1], got {x0}")
-    if not step > 0:
-        raise ValueError(f"step must be > 0, got {step}")
-    if not 0 < t_max < math.inf:
-        raise ValueError(f"t_max must be finite and > 0, got {t_max}")
+    for key, value in (("step", step), ("t_max", t_max), ("conv_tol", conv_tol)):
+        if not 0 < value < math.inf:
+            raise ValueError(f"{key} must be finite and > 0, got {value}")
     if t_max / step > MAX_STEPS:
         raise ValueError(f"t_max/step = {t_max / step:g} exceeds the limit of {MAX_STEPS} steps")
-    if not conv_tol > 0:
-        raise ValueError(f"conv_tol must be > 0, got {conv_tol}")
     max_steps = math.ceil(t_max / step)
     # the budget charges the steps run, not those t_max allows: most runs converge long before
     last_step = min(max_steps, budget_steps(model.n))

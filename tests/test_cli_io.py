@@ -122,6 +122,25 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="must be an integer"):
             parse_config(WEAK_POOL_DOC.replace("n = 5", "n = 5.5"))
 
+    @pytest.mark.parametrize("doc, message", [
+        (WEAK_POOL_DOC.replace("r_p = 1.4\n", "") + "foo = 1\n", "line 9: unknown key 'foo'"),
+        (WEAK_POOL_DOC + "h = 1\nsamples = many\n", "line 10: key 'h' only applies to model = bg"),
+        (WEAK_POOL_DOC.replace("n = 5", "n = 5.0").replace("r_p = 1.4\n", ""), "line 2: n must be an integer, got '5.0'"),
+        (WEAK_POOL_DOC.replace("b = 12\n", "").replace("f = 2", "f = two"), "missing required key 'b'"),
+        (BG_DOC.replace("q = 0.8\n", "") + "seed = -1\n", "missing required key 'q' for model = bg"),
+        (BG_DOC.replace("p = 0.3", "p = lots") + "step = 0\n", "line 12: p must be a number, got 'lots'"),
+        (WEAK_POOL_DOC + "samples = 1\nseed = x\n", "line 11: seed must be an integer, got 'x'"),
+        (WEAK_POOL_DOC.replace("ipgg", "pgg") + "foo = 1\n", "line 1: model must be 'ipgg' or 'bg', got 'pgg'"),
+        ("n = 5\nh = 1\nfoo = 1\nmodel = ipgg\n", "line 3: unknown key 'foo'"),
+    ], ids=[
+        "unknown+missing", "bg_key+bad_control", "bad_n+missing", "missing+bad_f", "missing_bg_key+bad_seed",
+        "bad_bg_key+bad_step", "parse_before_range", "bad_model+unknown", "unknown+bg_key+missing",
+    ])
+    def test_the_first_of_several_faults_is_reported(self, doc, message):
+        with pytest.raises(ConfigError) as info:
+            parse_config(doc)
+        assert str(info.value) == message
+
     def test_controls_parse_and_validate(self):
         config = parse_config(WEAK_POOL_DOC + "step = 0.05\nconv_tol = 1e-8\nsamples = 5000\n")
         assert config.step == 0.05 and config.conv_tol == 1e-8 and config.samples == 5000
@@ -208,6 +227,20 @@ class TestSubcommands:
         _, header, rows = read_csv(os.path.join(out, "grid.csv"))
         assert header == ["f", "r_p", "regime", "basin"]
         assert len(rows) == 4
+
+    @pytest.mark.parametrize("argv, filename, options", [
+        (["sweep", "--param", "f"], "sweep.csv", ["param=f lo=1.05 hi=8 steps=200"]),
+        (["sweep", "--param", "r_p"], "sweep.csv", ["param=r_p lo=0.10000000000000001 hi=6 steps=200"]),
+        (["grid"], "grid.csv", ["f_lo=1.05 f_hi=8 rp_lo=0.10000000000000001 rp_hi=6 f_steps=41 rp_steps=41"]),
+        (["gradient"], "gradient.csv", ["points=1001"]),
+        (["simulate", "--set", "samples=100"], "simulate.csv", ["x=0.5"]),
+        (["payoffs"], "payoffs.csv", []),
+    ], ids=["sweep-f", "sweep-r_p", "grid", "gradient", "simulate", "payoffs"])
+    def test_the_options_line_echoes_the_defaults(self, weak_cfg, tmp_path, argv, filename, options):
+        assert main(argv + ["--config", weak_cfg, "--out", str(tmp_path)]) == 0
+        meta, _, _ = read_csv(tmp_path / filename)
+        assert meta[0] == f"pgg-bribery {argv[0]}"
+        assert meta[1].startswith("model=ipgg n=5 b=12.0 ") and meta[2:] == options
 
     def test_integrate_trajectory(self, bistable_cfg, tmp_path, capsys):
         out = str(tmp_path / "t")

@@ -1,5 +1,6 @@
 """Replicator integration and basin-of-attraction values."""
 
+import math
 import tracemalloc
 from dataclasses import replace
 
@@ -22,7 +23,7 @@ from pgg_bribery import (
 )
 from pgg_bribery.analysis import q_callable
 from pgg_bribery.cli import main
-from pgg_bribery.config import RunConfig
+from pgg_bribery.config import ConfigError, RunConfig, config_from_pairs
 from pgg_bribery.dynamics import DEFAULT_CONV_TOL, DEFAULT_STEP, DEFAULT_T_MAX
 from pgg_bribery.montecarlo import generator
 from pgg_bribery.presets import (
@@ -169,6 +170,15 @@ class TestIntegrate:
     def test_precondition_errors(self, kwargs):
         with pytest.raises(ValueError):
             integrate(IPGG_BISTABLE, **kwargs)
+
+    @pytest.mark.parametrize("key", ["step", "conv_tol"])
+    def test_non_finite_controls_are_refused_as_the_config_refuses_them(self, key):
+        message = f"{key} must be finite and > 0, got inf"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            integrate(IPGG_BISTABLE, 0.5, **{key: math.inf})
+        pairs = {name: (value, None) for name, value in RunConfig(IPGG_BISTABLE).metadata_items()}
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            config_from_pairs({**pairs, key: ("inf", None)})
 
 
 class TestReferenceLoop:

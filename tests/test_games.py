@@ -5,10 +5,11 @@ import importlib
 import math
 import pkgutil
 from dataclasses import fields, replace
+from fractions import Fraction
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 
 from conftest import bribery_params_strategy, core_params_strategy
 
@@ -100,13 +101,18 @@ class TestReductions:
         assert group_payoff(quiet, "D", comp) == pytest.approx(pi_d, abs=1e-12)
 
     @given(core_params_strategy(), st.integers(0, 7))
+    # f within an ulp of n: the exact gap, 1.1e-16, is below the payoffs' rounding, and gap is 0.0
+    @example(CoreParams(n=3, b=0.0, c=1.0, tau=1.0, f=2.9999999999999996, alpha=0.5, beta=0.0, r_p=1.0), 0)
     def test_bare_dilemma_gap(self, params, k):
         quiet = replace(params, beta=0.0)
         n_c = k % quiet.n
         comp = GroupComposition(n_c, quiet.n - 1 - n_c)
         gap = group_payoff(quiet, "D", comp) - group_payoff(quiet, "C", comp)
         assert gap == pytest.approx(quiet.c - quiet.f * quiet.c / quiet.n, abs=1e-12)
-        if quiet.f < quiet.n:
+        exact = Fraction(quiet.c) - Fraction(quiet.f) * Fraction(quiet.c) / quiet.n
+        # a payoff takes at most six rounded steps over b, f c (n_c + 1) / n, c and tau: it is within
+        # 6 u S of exact, S their sum and u = 2**-53, so the gap is within 12 u S < 16 ulp(S)
+        if exact > 16 * math.ulp(quiet.b + quiet.f * quiet.c + quiet.c + quiet.tau):
             assert gap > 0
 
     @given(bribery_params_strategy(), st.integers(0, 7), st.booleans())

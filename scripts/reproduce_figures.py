@@ -18,6 +18,7 @@ Every artifact is deterministic; rerunning overwrites byte-identical files.
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 from pgg_bribery import (
     basin_of_cooperation,
@@ -25,7 +26,6 @@ from pgg_bribery import (
     regime_grid,
     sweep_root,
     thresholds,
-    with_parameter,
 )
 from pgg_bribery.cli import gradient_rows
 from pgg_bribery.output import write_csv, write_plot
@@ -66,7 +66,7 @@ def main(argv=None):
         ("roots_bg_coop_bribes_f", BG_COOP_BRIBES_BASE, "f", 2.0, 11.0),
         ("roots_bg_coop_bribes_rp", BG_COOP_BRIBES_BASE, "r_p", 2.4, 5.0),
         ("roots_bg_defector_bribes_f", BG_DEFECTOR_BRIBES_BASE, "f", 1.0, 10.0),
-        ("roots_bg_defector_bribes_rp", with_parameter(BG_DEFECTOR_BRIBES_BASE, "f", 4.5), "r_p", 0.5, 4.0),
+        ("roots_bg_defector_bribes_rp", replace(BG_DEFECTOR_BRIBES_BASE, f=4.5), "r_p", 0.5, 4.0),
     ]
     for name, model, parameter, lo, hi in root_sweeps:
         sweep = sweep_root(model, parameter, lo, hi, 200)
@@ -94,7 +94,7 @@ def main(argv=None):
     for f in (2.0, 4.0):
         values = []
         for r_p in (2.5, 4.0):
-            model = with_parameter(with_parameter(BG_DEFECTOR_BRIBES_BASE, "f", f), "r_p", r_p)
+            model = replace(BG_DEFECTOR_BRIBES_BASE, f=f, r_p=r_p)
             values.append(basin_of_cooperation(model))
         trend = "stronger leader helps" if values[1] > values[0] else "stronger leader hurts"
         lines.append(f"  f={f}: basin(r_p=2.5)={values[0]:.4f} basin(r_p=4)={values[1]:.4f} -> {trend}")

@@ -46,7 +46,7 @@ from .montecarlo import (
     evolve_finite_population,
     realize_event,
 )
-from .sweeps import RegimeGrid, SweepResult, regime_grid, sweep_root, with_parameter
+from .sweeps import RegimeGrid, SweepResult, regime_grid, sweep_root
 from .verify import run_battery
 
 __version__ = "0.1.0"
@@ -93,5 +93,4 @@ __all__ = [
     "stability_at",
     "sweep_root",
     "thresholds",
-    "with_parameter",
 ]

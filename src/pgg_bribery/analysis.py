@@ -24,7 +24,8 @@ co-player, which is what makes it a polynomial with fixed sign structure.
 All threshold, root and stability computations use Q.
 
 :func:`coefficients` is the one definition of Q's coefficients and of the
-thresholds, for one model or for numpy arrays of ``f`` and ``r_p``.
+thresholds, for one model or for numpy arrays of ``f`` and ``r_p``, and
+the one place where such overrides are checked, by the model's record.
 :func:`classify_regime` classifies one model on Python floats and
 :func:`classify_regimes` arrays of cells.  Both locate x* with one
 bisection body of ``BISECTION_STEPS`` halvings, so every cell equals
@@ -36,6 +37,7 @@ from __future__ import annotations
 
 import enum
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from math import ceil, comb, exp, isfinite, lgamma, log, log1p, log2, prod
 from typing import Callable, NamedTuple
@@ -129,6 +131,17 @@ class Regime:
     def token(self) -> str:
         return self.kind.value
 
+    @property
+    def basin(self) -> float:
+        """Share of initial states attracted to full cooperation: 1 - x*, or 1 if x = 1 is stable and 0 if not."""
+        return 1.0 - self.x_star if self.x_star is not None else float(self.stable_at_one)
+
+
+# for arrays, a cell's integer code indexes its token and, off the bistable lanes, its basin
+_DEFECTION, _BISTABLE, _COOPERATION, _KNIFE = range(4)
+_TOKENS = np.array([kind.value for kind in RegimeKind] + [KNIFE_EDGE], dtype=object)
+_BASINS = np.array([0.0, np.nan, 1.0, np.nan])
+
 
 @dataclass(frozen=True)
 class Thresholds:
@@ -189,13 +202,34 @@ class Coefficients(NamedTuple):
     f_max: float | np.ndarray
 
 
+def _refusal(model: Model, name: str, *cells) -> ParameterError | None:
+    """The record's error for the first of ``cells`` it refuses as ``name``, or None."""
+    try:
+        for cell in cells:
+            replace(model, **{name: float(cell)})
+    except ParameterError as err:
+        return err
+    return None
+
+
 def coefficients(model: Model, f=None, r_p=None) -> Coefficients:
     """The one definition of the Q coefficients and the thresholds.
 
     ``f`` and ``r_p`` replace the model's values when given; they may be
     numpy arrays, and the fields then broadcast elementwise with the same
-    floating-point operations, in the same order, as for scalars.
+    floating-point operations, in the same order, as for scalars.  The
+    model's record checks them: the first cell, in ``np.ravel`` order, that
+    it refuses raises its ``ParameterError`` with the cell's index.  One
+    model's fields change with ``dataclasses.replace``.
     """
+    for name, values in (("f", f), ("r_p", r_p)):
+        flat = () if values is None else np.ravel(values)
+        # the record accepts an interval of each field, so a refused cell, NaN
+        # included, is refused as the min or the max of every prefix that holds it
+        if len(flat) and _refusal(model, name, flat.min(), flat.max()):
+            lows, highs = np.minimum.accumulate(flat), np.maximum.accumulate(flat)
+            index = bisect_left(range(flat.size), True, key=lambda i: bool(_refusal(model, name, lows[i], highs[i])))
+            raise ParameterError(f"{_refusal(model, name, flat[index])} (index {index} of {name})")
     n = model.n
     f = model.f if f is None else f
     r_p = model.r_p if r_p is None else r_p
@@ -451,12 +485,6 @@ class Regimes(NamedTuple):
     basin: np.ndarray
 
 
-# a cell's integer code indexes its token and, off the bistable lanes, its basin
-_DEFECTION, _BISTABLE, _COOPERATION, _KNIFE = range(4)
-_TOKENS = np.array([kind.value for kind in RegimeKind] + [KNIFE_EDGE], dtype=object)
-_BASINS = np.array([0.0, np.nan, 1.0, np.nan])
-
-
 def _by_code(table: np.ndarray, code: np.ndarray) -> np.ndarray:
     # through ravel, as a 0-d index array would pick a scalar, not a 0-d array
     return table[code.ravel()].reshape(code.shape)
@@ -468,20 +496,11 @@ def classify_regimes(model: Model, f=None, r_p=None) -> Regimes:
     ``f`` and ``r_p`` replace the model's values and broadcast against
     each other (pass ``f[:, None]`` and ``r_p[None, :]`` for a grid).
     Every cell equals the scalar result bit for bit.  Raises the record's
-    ``ParameterError`` at the first cell it refuses, and ``ValueError``
-    when any threshold is not finite.  Its working arrays are a few
-    times the cells' size: the ``grid`` and ``sweep`` rows pass it one
-    ``output.CHUNK`` of cells at a time.
+    ``ParameterError`` at the first cell it refuses (:func:`coefficients`
+    asks it), and ``ValueError`` when any threshold is not finite.  Its
+    working arrays are a few times the cells' size: the ``grid`` and
+    ``sweep`` rows pass it one ``output.CHUNK`` of cells at a time.
     """
-    for name, values in (("f", f), ("r_p", r_p)):
-        # the record's bounds: finite, f > 0, r_p >= 0
-        bad = values is not None and ~(np.isfinite(values) & (values > 0 if name == "f" else values >= 0))
-        if np.any(bad):
-            index = int(np.argmax(bad))
-            try:
-                replace(model, **{name: float(np.ravel(values)[index])})
-            except ParameterError as err:
-                raise ParameterError(f"{err} (index {index} of {name})") from None
     with np.errstate(over="ignore", invalid="ignore"):
         co = coefficients(model, f, r_p)
     f, f_min, f_max = np.broadcast_arrays(co.f, co.f_min, co.f_max)

@@ -18,7 +18,6 @@ import numpy as np
 from .analysis import (
     MAX_TURNS,
     SCALAR_TURN,
-    RegimeKind,
     _finite_coefficients,
     _g_of,
     classify_regime,
@@ -131,15 +130,8 @@ def budget_steps(n: int) -> int:
 
 
 def basin_of_cooperation(model: Model) -> float:
-    """Measure of initial states attracted to full cooperation.
+    """Measure of initial states attracted to full cooperation: ``classify_regime(model).basin``.
 
-    0 when defection dominates, 1 - x* in the bistable regime (the
-    interior equilibrium separates the two basins), 1 when cooperation
-    dominates.  Knife-edge classification errors propagate.
+    Knife-edge classification errors propagate.
     """
-    regime = classify_regime(model)
-    if regime.kind is RegimeKind.DEFECTION_DOMINANT:
-        return 0.0
-    if regime.kind is RegimeKind.COOPERATION_DOMINANT:
-        return 1.0
-    return 1.0 - regime.x_star
+    return classify_regime(model).basin

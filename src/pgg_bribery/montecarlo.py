@@ -86,7 +86,7 @@ import numpy as np
 
 from .dynamics import Trajectory
 from .games import BriberyParams, GroupComposition, Model, is_cooperator
-from .games import _check_group, _payoff_tables
+from .games import _as_int, _check_group, _payoff_tables
 
 __all__ = [
     "RngSeed",
@@ -113,6 +113,8 @@ class RngSeed:
     stream_id: int = 0
 
     def __post_init__(self):
+        for name in ("master_seed", "stream_id"):
+            object.__setattr__(self, name, _as_int(getattr(self, name), name))
         if self.master_seed < 0 or self.stream_id < 0:
             raise ValueError("master_seed and stream_id must be >= 0")
 
@@ -472,6 +474,7 @@ def _chunk_task(model, focal_c, n_c, x, seed, index, size) -> tuple[int, float, 
 
 def _chunk_tasks(model, focal_c, n_c, x, n: int, seed: RngSeed) -> list[partial]:
     """One estimate as its zero-argument chunk tasks: ``n`` focal payoffs from the ``seed`` substreams."""
+    n = _as_int(n, "n")
     if n < 2:
         raise ValueError(f"need n >= 2 samples, got {n}")
     if n > MAX_SAMPLES:
@@ -596,6 +599,8 @@ def evolve_finite_population(
     The uniforms come from the ``seed`` stream in blocks of
     :data:`UNIFORM_BLOCK`, as Python floats, consumed in order.
     """
+    population_size = _as_int(population_size, "population_size")
+    rounds = _as_int(rounds, "rounds")
     if population_size < 2 * model.n:
         raise ValueError(
             f"population_size must be >= 2n = {2 * model.n}, got {population_size}"

@@ -8,7 +8,9 @@ equal, bit for bit, the point classified on its own, and whose
 ``knife_edge`` token marks a point on a threshold.  Its ``x_star`` and
 ``basin`` columns are float arrays; masked cells (an undefined value)
 are empty.  A cell that a chunk refuses, such as a non-finite threshold,
-raises there.
+raises there.  The model's record checks the axes' ends, and
+``classify_regimes`` every cell; a field of one model changes with
+``dataclasses.replace``.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ __all__ = [
     "SweepResult",
     "RegimeGrid",
     "SWEEP_DEFAULTS",
-    "with_parameter",
     "sweep_root",
     "regime_grid",
 ]
@@ -71,13 +72,6 @@ class RegimeGrid(LazyRows):
         return f, r_p, token, np.ma.masked_invalid(basin)
 
 
-def with_parameter(model: Model, name: str, value: float) -> Model:
-    """Copy of the model with the swept parameter replaced."""
-    if name not in SWEEP_DEFAULTS:
-        raise ValueError(f"swept parameter must be {' or '.join(map(repr, SWEEP_DEFAULTS))}, got {name!r}")
-    return replace(model, **{name: value})
-
-
 def _check_cells(what: str, cells: int) -> None:
     """Refuse a job of more than ``MAX_CELLS`` cells, before its arrays are built."""
     if cells > MAX_CELLS:
@@ -93,8 +87,8 @@ def _axis(model: Model, name: str, lo: float, hi: float, steps: int) -> np.ndarr
     # every parameter constraint is an interval, so valid ends make a valid
     # axis; checking the ends here also refuses an infinite end with the
     # record's message, before linspace turns it into NaN cells
-    with_parameter(model, name, lo)
-    with_parameter(model, name, hi)
+    replace(model, **{name: lo})
+    replace(model, **{name: hi})
     # near the largest double, (steps - 1) * step may round past it inside
     # linspace, which then sets that last point to hi: no point overflows
     with np.errstate(over="ignore"):
@@ -105,6 +99,8 @@ def sweep_root(
     model: Model, parameter: str, lo: float, hi: float, steps: int = DEFAULT_STEPS
 ) -> SweepResult:
     """The rows of the regime, x* and basin along a 1-D parameter grid, validated."""
+    if parameter not in SWEEP_DEFAULTS:
+        raise ValueError(f"swept parameter must be {' or '.join(map(repr, SWEEP_DEFAULTS))}, got {parameter!r}")
     values = _axis(model, parameter, lo, hi, steps)
     _check_turns(f"{parameter} sweep", model.n, points=steps, halvings=BISECTION_STEPS)
     return SweepResult(model, parameter, values)

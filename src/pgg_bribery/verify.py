@@ -51,7 +51,6 @@ from .montecarlo import (
     realize_event,
 )
 from .presets import BG_COOP_BRIBES, BG_DEFECTOR_BRIBES, IPGG_BISTABLE, IPGG_RICH_POOL, IPGG_WEAK_POOL
-from .sweeps import with_parameter
 
 __all__ = ["CheckRow", "SuiteResult", "run_battery", "draw_core_params", "draw_bribery_params"]
 
@@ -238,7 +237,7 @@ def _check_root_bracketing(seed: int) -> SuiteResult:
         f = th.f_min + rng.uniform(0.1, 0.9) * (th.f_max - th.f_min)
         if f <= 0.01:
             continue
-        bistable = with_parameter(model, "f", f)
+        bistable = replace(model, f=f)
         x_star = interior_root(bistable)
         if not 1e-5 < x_star < 1.0 - 1e-5:
             continue

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from pgg_bribery import (
@@ -12,7 +14,6 @@ from pgg_bribery import (
     classify_regime,
     classify_regimes,
     thresholds,
-    with_parameter,
 )
 
 
@@ -48,7 +49,7 @@ def draw_bistable_instance(rng: np.random.Generator, bribery: bool):
         f = th.f_min + rng.uniform(0.25, 0.75) * (th.f_max - th.f_min)
         if f <= 0.05:
             continue
-        model = with_parameter(model, "f", f)
+        model = replace(model, f=f)
         try:
             regime = classify_regime(model)
         except KnifeEdgeError:

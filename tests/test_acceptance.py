@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -29,7 +30,6 @@ from pgg_bribery import (
     q_function,
     sweep_root,
     thresholds,
-    with_parameter,
 )
 from pgg_bribery.cli import main
 from pgg_bribery.montecarlo import generator
@@ -43,7 +43,7 @@ from pgg_bribery.presets import (
 )
 from pgg_bribery.verify import draw_bribery_params, draw_core_params, mc_battery_cases
 
-BG_RICH_POOL = with_parameter(BG_DEFECTOR_BRIBES_BASE, "f", 4.0)
+BG_RICH_POOL = replace(BG_DEFECTOR_BRIBES_BASE, f=4.0)
 
 
 def report(criterion, ok, detail):
@@ -120,10 +120,10 @@ def test_criterion_2_bribery_defection_dominance(tmp_path, capsys):
 
 def test_criterion_3_root_monotonicity_sweeps(capsys):
     sweeps = [
-        ("ipgg f at r_p=1.4", with_parameter(IPGG_WEAK_POOL, "r_p", 1.4), "f", 2.25, 7.75),
+        ("ipgg f at r_p=1.4", replace(IPGG_WEAK_POOL, r_p=1.4), "f", 2.25, 7.75),
         ("ipgg r_p at f=3", IPGG_BISTABLE, "r_p", 1.1, 5.0),
-        ("bg f at r_p=2.5 (p>q)", with_parameter(BG_COOP_BRIBES_BASE, "r_p", 2.5), "f", 2.0, 11.0),
-        ("bg r_p at f=2 (p>q)", with_parameter(BG_COOP_BRIBES_BASE, "f", 2.0), "r_p", 2.4, 5.0),
+        ("bg f at r_p=2.5 (p>q)", replace(BG_COOP_BRIBES_BASE, r_p=2.5), "f", 2.0, 11.0),
+        ("bg r_p at f=2 (p>q)", replace(BG_COOP_BRIBES_BASE, f=2.0), "r_p", 2.4, 5.0),
     ]
     details = []
     ok = True
@@ -144,7 +144,7 @@ def test_criterion_4_basin_sign_flip(capsys):
     basin = {}
     for f in (2.0, 4.0):
         for r_p in (2.5, 4.0):
-            model = with_parameter(with_parameter(BG_DEFECTOR_BRIBES_BASE, "f", f), "r_p", r_p)
+            model = replace(BG_DEFECTOR_BRIBES_BASE, f=f, r_p=r_p)
             basin[(f, r_p)] = basin_of_cooperation(model)
     elapsed = time.perf_counter() - started
     poor_gain = basin[(2.0, 4.0)] - basin[(2.0, 2.5)]

@@ -25,7 +25,6 @@ from pgg_bribery import (
     q_function,
     stability_at,
     thresholds,
-    with_parameter,
 )
 from pgg_bribery.analysis import _log_space_weight
 from pgg_bribery.presets import (
@@ -211,8 +210,8 @@ class TestRegimes:
         th = thresholds(IPGG_WEAK_POOL)
         for boundary in (th.f_min, th.f_max, th.f_max + 5e-10):
             with pytest.raises(KnifeEdgeError):
-                classify_regime(with_parameter(IPGG_WEAK_POOL, "f", boundary))
-        classify_regime(with_parameter(IPGG_WEAK_POOL, "f", th.f_min + 1e-6))
+                classify_regime(replace(IPGG_WEAK_POOL, f=boundary))
+        classify_regime(replace(IPGG_WEAK_POOL, f=th.f_min + 1e-6))
 
     def test_degenerate_punishment_is_flagged(self):
         inert = replace(IPGG_WEAK_POOL, beta=0.0)

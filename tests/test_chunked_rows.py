@@ -1,6 +1,7 @@
 """The chunk-made ``gradient``, ``sweep`` and ``grid`` rows against whole-array rows, and their memory."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from pgg_bribery import classify_regimes, gradient_of_selection, q_function, thr
 from pgg_bribery.cli import gradient_rows
 from pgg_bribery.output import CHUNK, ColumnRows, write_csv
 from pgg_bribery.presets import BG_DEFECTOR_BRIBES_BASE, IPGG_BISTABLE
-from pgg_bribery.sweeps import MAX_CELLS, regime_grid, sweep_root, with_parameter
+from pgg_bribery.sweeps import MAX_CELLS, regime_grid, sweep_root
 
 GRADIENT = ["x", "q", "g"]
 
@@ -31,7 +32,7 @@ def test_gradient_equals_whole_array_columns(tmp_path, model, points):
 
 def test_grid_and_sweep_equal_whole_array_columns(tmp_path):
     model = BG_DEFECTOR_BRIBES_BASE
-    th = thresholds(with_parameter(model, "r_p", 0.5))
+    th = thresholds(replace(model, r_p=0.5))
     # 97 * 89 cells span three chunks, and the first cell is a knife edge (an empty basin)
     grid = regime_grid(model, th.f_min, 6.0, 0.5, 5.0, 97, 89)
     token, _, basin = grid_regimes(grid)  # every cell in one whole-array call

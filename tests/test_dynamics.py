@@ -19,7 +19,6 @@ from pgg_bribery import (
     integrate,
     interior_root,
     thresholds,
-    with_parameter,
 )
 from pgg_bribery.analysis import q_callable
 from pgg_bribery.cli import main
@@ -84,7 +83,7 @@ def _bistable_draws():
 def _wide_group():
     core = CoreParams(n=40, b=12, c=1, tau=1, f=3, alpha=0.3, beta=0.2, r_p=0.2)
     th = thresholds(core)
-    return with_parameter(core, "f", 0.5 * (th.f_min + th.f_max))
+    return replace(core, f=0.5 * (th.f_min + th.f_max))
 
 
 RK4_CASES = (
@@ -210,6 +209,6 @@ class TestBasin:
         assert basin_of_cooperation(replace(inert, f=6.0)) == 1.0
 
     def test_knife_edge_propagates(self):
-        edge = with_parameter(BG_DEFECTOR_BRIBES_BASE, "f", thresholds(BG_DEFECTOR_BRIBES_BASE).f_min)
+        edge = replace(BG_DEFECTOR_BRIBES_BASE, f=thresholds(BG_DEFECTOR_BRIBES_BASE).f_min)
         with pytest.raises(KnifeEdgeError):
             basin_of_cooperation(edge)

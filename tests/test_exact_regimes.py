@@ -8,6 +8,7 @@ checks the thresholds, the knife-edge band and the bisection together.
 """
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -19,7 +20,6 @@ from pgg_bribery import (
     RegimeKind,
     classify_regime,
     classify_regimes,
-    with_parameter,
 )
 from pgg_bribery.analysis import BISECTION_STEPS, BRACKET, KNIFE_EDGE, KNIFE_EDGE_TOL, ROOT_TOL
 from pgg_bribery.montecarlo import RngSeed, generator
@@ -110,7 +110,7 @@ def test_scalar_regimes_equal_the_exact_regimes():
         if i % 10 < 2:
             exact = ExactQ(model)
             threshold = exact.f_min if i % 10 == 0 else exact.f_max
-            models += [with_parameter(model, "f", f) for f in (float(threshold + k * BAND) for k in PROBES) if f > 0.0]
+            models += [replace(model, f=f) for f in (float(threshold + k * BAND) for k in PROBES) if f > 0.0]
         for probe in models:
             try:
                 regime = classify_regime(probe)
@@ -126,14 +126,14 @@ def test_scalar_regimes_equal_the_exact_regimes():
 @pytest.mark.parametrize("model", [IPGG_WEAK_POOL, BG_DEFECTOR_BRIBES_BASE])
 def test_array_regimes_equal_the_exact_regimes(model):
     rp_values = np.linspace(0.0, 3.0, 13)
-    first = ExactQ(with_parameter(model, "r_p", float(rp_values[1])))
+    first = ExactQ(replace(model, r_p=float(rp_values[1])))
     edges = [float(threshold + k * BAND) for threshold in (first.f_min, first.f_max) for k in PROBES]
     f_values = np.array(sorted(set(np.linspace(0.5, 12.0, 24)) | set(edges)))
     regimes = classify_regimes(model, f=f_values[:, None], r_p=rp_values[None, :])
     seen = set()
     for i, f in enumerate(f_values):
         for j, r_p in enumerate(rp_values):
-            cell = with_parameter(with_parameter(model, "r_p", float(r_p)), "f", float(f))
+            cell = replace(model, r_p=float(r_p), f=float(f))
             seen.add(check(ExactQ(cell), str(regimes.token[i, j]), float(regimes.x_star[i, j])))
     assert seen == {KNIFE_EDGE, *(kind.value for kind in RegimeKind)}
 

@@ -60,6 +60,14 @@ class TestReproducibility:
         b = generator(RngSeed(123, 1)).random(100_000)
         assert abs(np.corrcoef(a, b)[0, 1]) < 0.01
 
+    @pytest.mark.parametrize("args", [(1.5,), (True,), ("7",), (7, 0.5), (7, False)])
+    def test_non_integer_seeds_are_refused(self, args):
+        with pytest.raises(ValueError, match="must be an integer"):
+            RngSeed(*args)
+
+    def test_whole_float_seeds_address_the_int_streams(self):
+        assert generator(RngSeed(7.0, 3.0)).random() == generator(RngSeed(7, 3)).random()
+
     def test_worker_pool_size_never_changes_values(self):
         comp = GroupComposition(2, 2)
         serial = estimate_expected_payoff(IPGG_WEAK_POOL, "C", comp, 600_000, RngSeed(5))
@@ -323,6 +331,18 @@ class TestEventOracle:
         expected = group_payoff(model, focal, comp)
         assert abs(estimate.mean - expected) < 4 * estimate.std_error
 
+    @pytest.mark.parametrize("n", [1000.5, "1000", True])
+    def test_a_non_integer_sample_count_is_refused(self, n):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            estimate_expected_payoff(IPGG_WEAK_POOL, "C", GroupComposition(2, 2), n, RngSeed(0))
+        with pytest.raises(ValueError, match="n must be an integer"):
+            estimate_avg_payoff(IPGG_WEAK_POOL, 0.5, "C", n, RngSeed(0))
+
+    def test_a_whole_float_sample_count_is_the_int(self):
+        comp = GroupComposition(2, 2)
+        whole = estimate_expected_payoff(IPGG_WEAK_POOL, "C", comp, 1000.0, RngSeed(0))
+        assert whole == estimate_expected_payoff(IPGG_WEAK_POOL, "C", comp, 1000, RngSeed(0))
+
     def test_estimate_needs_two_samples(self):
         with pytest.raises(ValueError):
             estimate_expected_payoff(IPGG_WEAK_POOL, "C", GroupComposition(2, 2), 1, RngSeed(0))
@@ -416,6 +436,18 @@ class TestImitationWalk:
     def test_population_must_cover_two_groups(self):
         with pytest.raises(ValueError):
             evolve_finite_population(IPGG_BISTABLE, 9, 0.5, 100, seed=RngSeed(0))
+
+    @pytest.mark.parametrize("size, rounds, name", [
+        (100.5, 100, "population_size"), (100, 10.5, "rounds"), (100, True, "rounds"),
+    ])
+    def test_non_integer_sizes_are_refused(self, size, rounds, name):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            evolve_finite_population(IPGG_BISTABLE, size, 0.5, rounds, seed=RngSeed(0))
+
+    def test_whole_float_sizes_walk_as_ints(self):
+        a = evolve_finite_population(IPGG_BISTABLE, 100.0, 0.6, 2000.0, seed=RngSeed(5))
+        b = evolve_finite_population(IPGG_BISTABLE, 100, 0.6, 2000, seed=RngSeed(5))
+        assert np.array_equal(a.times, b.times) and np.array_equal(a.states, b.states)
 
     @pytest.mark.parametrize("strength", [1000.0, -1000.0])
     def test_extreme_selection_strength_does_not_overflow(self, strength):

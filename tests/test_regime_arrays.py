@@ -3,10 +3,11 @@
 import os
 from dataclasses import replace
 
+import hypothesis.extra.numpy as hnp
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from conftest import model_strategy
 from helpers import grid_regimes, sweep_regimes
@@ -17,21 +18,21 @@ from pgg_bribery import (
     basin_of_cooperation,
     classify_regime,
     classify_regimes,
+    coefficients,
     gradient_of_selection,
     q_function,
     regime_grid,
     sweep_root,
     thresholds,
-    with_parameter,
 )
 from pgg_bribery.cli import main
 from pgg_bribery.output import fmt_cell
-from pgg_bribery.presets import BG_DEFECTOR_BRIBES_BASE, IPGG_WEAK_POOL
+from pgg_bribery.presets import BG_DEFECTOR_BRIBES_BASE, IPGG_BISTABLE, IPGG_WEAK_POOL
 
 
 def scalar_cell(model, f, r_p):
     """(token, x_star, basin) from the scalar functions; None where undefined."""
-    cell = with_parameter(with_parameter(model, "f", float(f)), "r_p", float(r_p))
+    cell = replace(model, f=float(f), r_p=float(r_p))
     try:
         regime = classify_regime(cell)
     except KnifeEdgeError:
@@ -60,7 +61,7 @@ def assert_cells_match(model, f_values, rp_values, token, x_star, basin):
 def test_array_core_equals_scalar_oracle(model, rp_list, f_list):
     rp_values = np.array(sorted(set(rp_list)))
     # cells exactly on, and just off, each threshold of the first r_p
-    th = thresholds(with_parameter(model, "r_p", float(rp_values[0])))
+    th = thresholds(replace(model, r_p=float(rp_values[0])))
     edges = [th.f_min, th.f_max, th.f_min + 2e-9, th.f_max - 2e-9]
     f_values = np.array(sorted(set(f_list) | {f for f in edges if f > 0.0}))
     regimes = classify_regimes(model, f=f_values[:, None], r_p=rp_values[None, :])
@@ -71,13 +72,13 @@ def test_array_core_equals_scalar_oracle(model, rp_list, f_list):
 @pytest.mark.parametrize("model", [IPGG_WEAK_POOL, BG_DEFECTOR_BRIBES_BASE])
 def test_grid_and_sweep_knife_edges_match_the_scalar_reports(model):
     rp_lo = 1.0
-    th = thresholds(with_parameter(model, "r_p", rp_lo))
+    th = thresholds(replace(model, r_p=rp_lo))
     grid = regime_grid(model, th.f_min, th.f_max, rp_lo, 3.0, 7, 5)
     regimes = grid_regimes(grid)
     assert_cells_match(model, grid.f_values, grid.rp_values, *regimes)
     assert {(int(i), int(j)) for i, j in np.argwhere(regimes.token == "knife_edge")} == {(0, 0), (6, 0)}
 
-    sweep = sweep_root(with_parameter(model, "r_p", rp_lo), "f", th.f_min, th.f_max, 9)
+    sweep = sweep_root(replace(model, r_p=rp_lo), "f", th.f_min, th.f_max, 9)
     regimes = sweep_regimes(sweep)
     assert np.flatnonzero(regimes.token == "knife_edge").tolist() == [0, 8]
     for i, f in enumerate(sweep.points):
@@ -87,11 +88,11 @@ def test_grid_and_sweep_knife_edges_match_the_scalar_reports(model):
 
 
 # with r_p = 0 the thresholds coincide, and the rule names f_min first
-@pytest.mark.parametrize("model", [IPGG_WEAK_POOL, BG_DEFECTOR_BRIBES_BASE, with_parameter(IPGG_WEAK_POOL, "r_p", 0.0)])
+@pytest.mark.parametrize("model", [IPGG_WEAK_POOL, BG_DEFECTOR_BRIBES_BASE, replace(IPGG_WEAK_POOL, r_p=0.0)])
 @pytest.mark.parametrize("edge", ["f_min", "f_max", None])
 def test_a_lone_model_equals_the_scalar_classifier(model, edge):
     if edge is not None:
-        model = with_parameter(model, "f", getattr(thresholds(model), edge))
+        model = replace(model, f=getattr(thresholds(model), edge))
     token, x_star, basin = classify_regimes(model)
     assert token.shape == x_star.shape == basin.shape == () and token.dtype == object
     expected = scalar_cell(model, model.f, model.r_p)
@@ -105,26 +106,56 @@ def test_a_lone_model_equals_the_scalar_classifier(model, edge):
 
 
 def test_classification_refuses_non_finite_thresholds():
-    overflowing = with_parameter(IPGG_WEAK_POOL, "r_p", 1e308)  # beta*tau*r_p*n*(n+1) overflows
+    overflowing = replace(IPGG_WEAK_POOL, r_p=1e308)  # beta*tau*r_p*n*(n+1) overflows
     with pytest.raises(ValueError, match="not finite"):
         classify_regime(overflowing)
     with pytest.raises(ValueError, match="not finite"):
         classify_regimes(IPGG_WEAK_POOL, r_p=np.array([1.0, 1e308]))
 
 
-@pytest.mark.parametrize("model, overrides, name, index", [
-    (IPGG_WEAK_POOL, dict(f=np.array([np.nan])), "f", 0),
-    (IPGG_WEAK_POOL, dict(f=-1.0), "f", 0),
-    (IPGG_WEAK_POOL, dict(r_p=-2.0), "r_p", 0),
-    (BG_DEFECTOR_BRIBES_BASE, dict(f=np.array([[2.0], [np.inf], [-1.0]]), r_p=np.array([[1.0, 2.0]])), "f", 1),
-    (BG_DEFECTOR_BRIBES_BASE, dict(r_p=np.array([0.0, -0.0, -1e-300, np.nan])), "r_p", 2),
-], ids=["nan_f", "negative_f", "negative_r_p", "grid_inf_f", "sweep_negative_r_p"])
-def test_overrides_that_the_record_refuses_are_refused(model, overrides, name, index):
-    with pytest.raises(ParameterError) as record:
-        with_parameter(model, name, float(np.asarray(overrides[name]).flat[index]))
-    with pytest.raises(ParameterError) as arrays:
-        classify_regimes(model, **overrides)
-    assert str(arrays.value) == f"{record.value} (index {index} of {name})"
+def first_refusal(model, overrides):
+    """The message a per-cell ``replace`` loop refuses first, with its index, or None."""
+    for name in ("f", "r_p"):
+        for index, value in enumerate(np.ravel(overrides.get(name, []))):
+            try:
+                replace(model, **{name: float(value)})
+            except ParameterError as err:
+                return f"{err} (index {index} of {name})"
+    return None
+
+
+@st.composite
+def override_arrays(draw):
+    """``f`` and/or ``r_p`` arrays of mutually broadcastable shapes, some cells set to refusable values."""
+    shapes = draw(hnp.mutually_broadcastable_shapes(num_shapes=2, max_dims=3, max_side=5)).input_shapes
+    overrides = {}
+    for name, shape in zip(draw(st.sampled_from([("f",), ("r_p",), ("f", "r_p")])), shapes):
+        values = draw(hnp.arrays(np.float64, shape, elements=st.floats(0.0, 10.0)))
+        special = st.sampled_from([np.nan, np.inf, -np.inf, -0.0, -1e-300, -2.0])
+        for index, value in draw(st.lists(st.tuples(st.integers(0, values.size - 1), special), max_size=3)):
+            values.flat[index] = value
+        overrides[name] = values
+    return overrides
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.sampled_from([IPGG_WEAK_POOL, BG_DEFECTOR_BRIBES_BASE]), override_arrays())
+@example(IPGG_WEAK_POOL, dict(f=np.array([np.nan])))
+@example(IPGG_WEAK_POOL, dict(f=-1.0))
+@example(IPGG_WEAK_POOL, dict(r_p=-2.0))
+@example(BG_DEFECTOR_BRIBES_BASE, dict(f=np.array([[2.0], [np.inf], [-1.0]]), r_p=np.array([[1.0, 2.0]])))
+@example(BG_DEFECTOR_BRIBES_BASE, dict(r_p=np.array([0.0, -0.0, -1e-300, np.nan])))
+@example(IPGG_BISTABLE, dict(r_p=np.array([-1.0, 2.0])))
+@example(IPGG_BISTABLE, dict(f=np.array([-3.0, np.nan])))
+def test_overrides_that_the_record_refuses_are_refused(model, overrides):
+    expected = first_refusal(model, overrides)
+    for function in (coefficients, classify_regimes):
+        if expected is None:
+            function(model, **overrides)
+        else:
+            with pytest.raises(ParameterError) as refused:
+                function(model, **overrides)
+            assert str(refused.value) == expected
 
 
 @pytest.mark.parametrize("record, name, message", [

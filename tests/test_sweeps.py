@@ -1,5 +1,7 @@
 """Sweep monotonicity, regime transitions and the basin grids."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,6 @@ from pgg_bribery import (
     regime_grid,
     sweep_root,
     thresholds,
-    with_parameter,
 )
 from pgg_bribery.presets import BG_COOP_BRIBES, BG_DEFECTOR_BRIBES_BASE, IPGG_BISTABLE, IPGG_WEAK_POOL
 
@@ -40,7 +41,7 @@ class TestRootSweeps:
     def test_root_increases_with_punishment_when_the_pool_is_rich(self):
         # q > p raises the offset enough that f = 4.5 flips the sign of
         # f*c/n - c + offset, and with it the response of x* to r_p
-        model = with_parameter(BG_DEFECTOR_BRIBES_BASE, "f", 4.5)
+        model = replace(BG_DEFECTOR_BRIBES_BASE, f=4.5)
         result = sweep_root(model, "r_p", 0.5, 4.0, 50)
         _, roots = bistable_roots(result)
         assert len(roots) == 50
@@ -57,10 +58,10 @@ class TestRootSweeps:
         # sign(dx*/dr_p) equals sign of the punishment-free constant
         # f*c/n - c + bribery offset
         for model, f in ((BG_DEFECTOR_BRIBES_BASE, 2.0), (BG_DEFECTOR_BRIBES_BASE, 4.5), (BG_COOP_BRIBES, 2.0)):
-            swept = with_parameter(model, "f", f)
+            swept = replace(model, f=f)
             constant = f * swept.c / swept.n - swept.c + bribery_offset(swept)
-            lo = interior_root(with_parameter(swept, "r_p", 3.0))
-            hi = interior_root(with_parameter(swept, "r_p", 3.0 + 1e-4))
+            lo = interior_root(replace(swept, r_p=3.0))
+            hi = interior_root(replace(swept, r_p=3.0 + 1e-4))
             assert np.sign(hi - lo) == np.sign(constant)
 
     def test_transitions_happen_once_each_at_the_thresholds(self):
@@ -86,7 +87,7 @@ class TestRootSweeps:
         for f, token, x_star in zip(result.points, regimes.token, regimes.x_star):
             if token == "knife_edge":
                 with pytest.raises(KnifeEdgeError):
-                    classify_regime(with_parameter(IPGG_WEAK_POOL, "f", f))
+                    classify_regime(replace(IPGG_WEAK_POOL, f=f))
                 continue
             assert (not np.isnan(x_star)) == (token == RegimeKind.BISTABLE.value)
 
@@ -98,7 +99,7 @@ class TestRootSweeps:
         assert np.isnan(basin[[0, 2]]).all() and not np.isnan(basin[1])
         for f, name in ((result.points[0], "f_min"), (result.points[2], "f_max")):
             with pytest.raises(KnifeEdgeError, match=f"of {name}="):
-                classify_regime(with_parameter(IPGG_WEAK_POOL, "f", f))
+                classify_regime(replace(IPGG_WEAK_POOL, f=f))
 
     def test_grid_is_strictly_increasing(self):
         result = sweep_root(IPGG_WEAK_POOL, "f", 2.5, 7.0, 10)
@@ -110,8 +111,9 @@ class TestRootSweeps:
             sweep_root(IPGG_WEAK_POOL, "f", 5.0, 2.0, 10)
         with pytest.raises(ValueError):
             sweep_root(IPGG_WEAK_POOL, "f", 2.0, 5.0, 1)
-        with pytest.raises(ValueError):
-            sweep_root(IPGG_WEAK_POOL, "x", 2.0, 5.0, 10)
+        for name in ("x", "beta"):  # beta is a field of the record, but not a sweep axis
+            with pytest.raises(ValueError, match="swept parameter must be 'f' or 'r_p'"):
+                sweep_root(IPGG_WEAK_POOL, name, 0.1, 0.5, 10)
 
 
 class TestRegimeGrid:

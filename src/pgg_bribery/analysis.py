@@ -231,8 +231,9 @@ def coefficients(model: Model, f=None, r_p=None) -> Coefficients:
             index = bisect_left(range(flat.size), True, key=lambda i: bool(_refusal(model, name, lows[i], highs[i])))
             raise ParameterError(f"{_refusal(model, name, flat[index])} (index {index} of {name})")
     n = model.n
-    f = model.f if f is None else f
-    r_p = model.r_p if r_p is None else r_p
+    # a list becomes an array; a float stays as it is, so the scalar path keeps its bits
+    f = model.f if f is None else f if isinstance(f, float) else np.asarray(f)
+    r_p = model.r_p if r_p is None else r_p if isinstance(r_p, float) else np.asarray(r_p)
     offset = bribery_offset(model)
     pressure = model.beta * model.tau * r_p
     fine_c = model.alpha * pressure

@@ -42,14 +42,18 @@ binomial counts are read from cut points where numpy draws by inversion
 counts are looked up only where a focal leader accepts, the only samples
 that receive them.
 
-Working memory: a chunk holds two full-length arrays, the leader draws
-(``int64``), which then take the table index, and one ``float64``
-buffer, which holds the action uniforms, the offer uniforms, the
-uniforms of both bribe counts and, last, the gathered payoffs.  Counts
-read from the cut tables stay ``int8``, drawn compositions included,
-and bribe income is added only at the samples that receive it.  A
-250k-sample chunk peaks at 5.0-6.4 MiB traced, the bribery game with
-drawn compositions the most.
+Working memory: each thread keeps five :data:`CHUNK_SAMPLES`-lane
+buffers, allocated on its first chunk and reused by the later ones, so
+their pages are faulted in once per thread, not once per chunk; numpy
+releases the GIL in its loops, so threads never share them.  The
+``float64`` one holds the uniforms and, last, the gathered payoffs, the
+``int64`` one the table index, two ``bool`` ones who leads, is fined,
+accepts, pays and takes, and the ``int8`` one the outcome codes.  Only
+the leaders are drawn into a fresh array, as ``int32``: numpy's
+``int64`` draw, value for value and state for state.  Counts read from
+the cut tables stay ``int8``, drawn compositions included, and bribe
+income is added only at the samples that receive it.  A warm 250k-sample
+chunk peaks at 1.0-1.4 MiB traced.
 
 Reproducibility: every estimator takes an :class:`RngSeed`; identical
 (master_seed, stream_id) pairs reproduce identical results regardless of
@@ -76,6 +80,7 @@ outlives it.  ``workers`` above :data:`MAX_WORKERS` is refused with
 from __future__ import annotations
 
 import math
+import threading
 from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -103,6 +108,7 @@ CHUNK_SAMPLES = 250_000
 # workers: a fork-context pool starts all of its workers at once
 MAX_SAMPLES = 10**9
 MAX_WORKERS = 64
+_WORKSPACE = threading.local()  # each thread's chunk buffers: see _workspace
 
 
 @dataclass(frozen=True)
@@ -413,35 +419,52 @@ def _payoff_table(model: Model, focal_c: bool) -> np.ndarray:
     return base[:, None] - own_fine - other_fine - paid
 
 
+def _workspace(size: int) -> tuple[np.ndarray, ...]:
+    """The first ``size`` lanes of this thread's chunk buffers (see "Working memory" above)."""
+    buffers = getattr(_WORKSPACE, "buffers", None)
+    if buffers is None:
+        kinds = (np.float64, np.int64, np.bool_, np.bool_, np.int8)
+        buffers = _WORKSPACE.buffers = tuple(np.empty(CHUNK_SAMPLES, kind) for kind in kinds)
+    return tuple(buffer[:size] for buffer in buffers)
+
+
 def _event_payoffs(model, focal_c, n_c, rng, size) -> np.ndarray:
     """Vectorized focal payoffs against ``n_c`` cooperator co-players.
 
     ``n_c`` is an int for a fixed composition, or an array of ``size``
-    sampled co-player counts.  Each sample's outcome indexes one entry of
-    :func:`_payoff_table`; a leading focal player's bribe income is added
-    after the lookup, at the samples that receive it.  The payoffs are
-    written into the buffer of the action uniforms.
+    sampled co-player counts; ``size`` is at most :data:`CHUNK_SAMPLES`.
+    Each sample's outcome indexes one entry of :func:`_payoff_table`; a
+    leading focal player's bribe income is added after the lookup, at the
+    samples that receive it.  The payoffs are a view of this thread's
+    :func:`_workspace`, valid only until the thread's next chunk.
     """
     n = model.n
     is_bg = isinstance(model, BriberyParams)
+    u, index, led, fined, outcome = _workspace(size)
 
-    lead = rng.integers(0, n, size)
-    u = rng.random(size)  # the action uniforms
+    lead = rng.integers(0, n, size, dtype=np.int32)  # the values and generator state of the int64 draw
+    rng.random(out=u)  # the action uniforms
     # outcome: 0 untouched, 1 fined by an own-type leader, 2 fined by an other-type leader, 3 pays a bribe
-    led = lead != 0  # a co-player leads
-    fined = (u < model.beta) & led
-    other_leads = (lead > n_c) if focal_c else (lead <= n_c)
-    outcome = np.add(fined, fined & other_leads, dtype=np.int8)
+    np.not_equal(lead, 0, out=led)  # a co-player leads
+    np.less(u, model.beta, out=fined)
+    fined &= led
+    (np.greater if focal_c else np.less_equal)(lead, n_c, out=outcome)  # 1 where an other-type co-player leads
+    outcome &= fined
+    outcome += fined
     if is_bg:
-        accepts = (u >= model.beta) & (u < model.beta + model.gamma)
+        # fined is in the outcome and led is recomputed, so their buffers hold who accepts, pays and takes
+        accepts = np.greater_equal(u, model.beta, out=fined)
+        accepts &= np.less(u, model.beta + model.gamma, out=led)
+        pays = np.logical_and(accepts, np.not_equal(lead, 0, out=led), out=led)  # a co-player leads and accepts
+        takes = np.flatnonzero(np.not_equal(accepts, pays, out=accepts))  # accepts, no co-player leads: the focal one
+        del lead  # spent: its megabyte is free for the temporaries of the bribe draws
         rng.random(out=u)  # the offer uniforms
-        outcome += np.int8(3) * (led & accepts & (u < (model.p if focal_c else model.q)))
+        pays &= np.less(u, model.p if focal_c else model.q, out=accepts)
+        outcome += np.int8(3) * pays  # an accepting leader fines no one, so these outcomes were 0
         # the bribe counts are drawn at every lane, their uniforms into the spent
         # offer uniforms, but only a focal leader who accepts receives them
-        takes = np.flatnonzero(~led & accepts)
         offers = _binomial(rng, n_c, model.p, size, takes, u) + _binomial(rng, n - 1 - n_c, model.q, size, takes, u)
-    # the leader draws are spent: their buffer takes the index
-    index = np.multiply(n_c, 4, out=lead, dtype=np.int64)  # an int8 n_c times 4 may pass 127
+    np.multiply(n_c, 4, out=index, dtype=np.int64)  # an int8 n_c times 4 may pass 127
     index += outcome
     # every index is in range (n_c < n, outcome < 4); "clip" writes into
     # ``out`` directly, where the default "raise" goes through a new buffer
@@ -466,7 +489,7 @@ def _chunk_task(model, focal_c, n_c, x, seed, index, size) -> tuple[int, float, 
     with np.errstate(over="raise", invalid="raise"):
         try:
             if n_c is None:
-                n_c = _binomial(rng, model.n - 1, x, size)
+                n_c = _binomial(rng, model.n - 1, x, size, spent=_workspace(size)[0])
             return _summarize(_event_payoffs(model, focal_c, n_c, rng, size))
         except FloatingPointError as err:
             raise ValueError(f"the sampled payoffs overflow double precision ({err})") from None

@@ -2,7 +2,8 @@
 and the finite-population imitation walk."""
 
 import math
-from concurrent.futures import Future
+import threading
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import replace
 from functools import partial
 
@@ -73,6 +74,25 @@ class TestReproducibility:
         serial = estimate_expected_payoff(IPGG_WEAK_POOL, "C", comp, 600_000, RngSeed(5))
         pooled = estimate_expected_payoff(IPGG_WEAK_POOL, "C", comp, 600_000, RngSeed(5), workers=2)
         assert serial == pooled
+
+    @pytest.mark.parametrize("model", [IPGG_BISTABLE, BG_DEFECTOR_BRIBES], ids=["ipgg", "bg"])
+    def test_threads_at_once_reproduce_the_serial_estimates(self, model):
+        # numpy releases the GIL in its loops, so each thread needs its own chunk buffers
+        n = 3 * montecarlo.CHUNK_SAMPLES
+        calls = [
+            partial(estimate_avg_payoff, model, 0.37, "C", n, RngSeed(5)),
+            partial(estimate_expected_payoff, model, "D", GroupComposition(2, model.n - 3), n, RngSeed(6)),
+        ]
+        serial = [call() for call in calls]
+        start = threading.Barrier(len(calls))
+
+        def run(call):
+            start.wait()
+            return [call() for _ in range(2)]
+
+        with ThreadPoolExecutor(len(calls)) as threads:
+            results = [future.result() for future in [threads.submit(run, call) for call in calls]]
+        assert results == [[estimate] * 2 for estimate in serial]
 
 
 class TestBatchedEstimates:

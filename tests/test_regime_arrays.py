@@ -158,6 +158,28 @@ def test_overrides_that_the_record_refuses_are_refused(model, overrides):
             assert str(refused.value) == expected
 
 
+@pytest.mark.parametrize("overrides", [
+    dict(f=[2.0, 3.0, 7.5]),
+    dict(r_p=[0.5, 2.0]),
+    dict(f=[[2.0], [6.0]], r_p=[1.0, 2.5]),
+    dict(f=(4.0,), r_p=2.0),
+])
+def test_a_list_override_is_its_array(overrides):
+    arrays = {name: values if isinstance(values, float) else np.asarray(values) for name, values in overrides.items()}
+    for function in (coefficients, classify_regimes):
+        for got, want in zip(function(IPGG_BISTABLE, **overrides), function(IPGG_BISTABLE, **arrays)):
+            got, want = np.asarray(got), np.asarray(want)
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+
+@pytest.mark.parametrize("name", ["f", "r_p"])
+def test_a_float_override_stays_a_float(name):
+    value = getattr(IPGG_BISTABLE, name) + 0.25
+    got = coefficients(IPGG_BISTABLE, **{name: value})
+    want = coefficients(replace(IPGG_BISTABLE, **{name: value}))
+    assert [(type(v), float(v).hex()) for v in got] == [(type(v), float(v).hex()) for v in want]
+
+
 @pytest.mark.parametrize("record, name, message", [
     *[(IPGG_WEAK_POOL, name, f"{name} must be finite") for name in ("b", "c", "tau", "f", "r_p")],
     (IPGG_WEAK_POOL, "n", "n must be an integer"),

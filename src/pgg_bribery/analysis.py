@@ -251,7 +251,9 @@ def _q_of(co: Coefficients) -> Callable:
     Both Horner sums, S(1 - x) and S(x), run in one loop.  It starts from
     the first Horner step, ``s = y``, which is exact since ``y * (1.0 + 0.0)``
     is ``y``, then applies the rest of :func:`_geom_sum`'s steps in its
-    order, so a scalar and an array element get the same bits.
+    order, so a scalar and an array element get the same bits.  G has no
+    body of its own: :func:`gradient_of_selection` and ``dynamics.integrate``
+    form it at the call as ``x * (1.0 - x) * q(x)``.
     """
     # one range object serves every call: building one per call (a builtin
     # lookup and call) took about a fifth of `integrate`'s time at n = 5
@@ -266,26 +268,6 @@ def _q_of(co: Coefficients) -> Callable:
         return constant - fine_c * s_c + fine_d * s_d
 
     return q
-
-
-def _g_of(co: Coefficients) -> Callable:
-    """The one body of G(x) = x (1 - x) Q(x): a closure over ``co``.
-
-    It runs the Horner loop of :func:`_q_of`, first step peeled, in its own
-    frame and returns ``x * y * Q`` with ``y = 1 - x``, the operations and
-    order of ``x * (1.0 - x) * q(x)``, so it gives the same bits with one call.
-    """
-    constant, fine_c, fine_d, terms = co.constant, co.fine_c, co.fine_d, range(co.n - 2)
-
-    def g(x):
-        y = 1.0 - x
-        s_c, s_d = y, x
-        for _ in terms:
-            s_c = y * (1.0 + s_c)
-            s_d = x * (1.0 + s_d)
-        return x * y * (constant - fine_c * s_c + fine_d * s_d)
-
-    return g
 
 
 def _finite_coefficients(model: Model) -> Coefficients:
@@ -312,7 +294,7 @@ def q_function(model: Model, x):
 def gradient_of_selection(model: Model, x):
     """G(x) = x (1 - x) Q(x), the replicator right-hand side (``x`` may be an array)."""
     _check_x(x)
-    return _g_of(_finite_coefficients(model))(x)
+    return x * (1.0 - x) * q_callable(model)(x)
 
 
 def avg_payoff(model: Model, x: float, strategy: str) -> float:

@@ -40,7 +40,7 @@ from .analysis import (
     q_function,
     thresholds,
 )
-from .config import ConfigError, RunConfig, config_from_pairs, parse_pairs
+from .config import ConfigError, RunConfig, config_from_pairs, parse_line, parse_pairs
 from .dynamics import basin_of_cooperation, integrate
 from .games import ParameterError, _payoff_tables
 from .montecarlo import MAX_WORKERS, RngSeed, _avg_request, _estimate_all, _run_tasks
@@ -124,11 +124,11 @@ def _load_config(args) -> RunConfig:
         except OSError as err:
             raise OSError(f"cannot read config {args.config}: {err}") from err
         pairs = parse_pairs(text)
-    for override in args.overrides:
-        if "=" not in override:
+    for override in args.overrides:  # a config line each, without its line number; it may replace a file's key
+        pair = parse_line(override)
+        if pair is None:
             raise ConfigError(f"--set expects KEY=VALUE, got {override!r}")
-        key, value = override.split("=", 1)
-        pairs[key.strip().lower()] = (value.strip(), None)
+        pairs[pair[0]] = (pair[1], None)
     config = config_from_pairs(pairs)
     for warning in config.model.validation_warnings:
         print(f"warning: {warning}", file=sys.stderr)

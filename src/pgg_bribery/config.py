@@ -11,8 +11,8 @@ and ``samples`` is at most ``montecarlo.MAX_SAMPLES``.  ``n``, ``samples``
 and ``seed`` are integers, the rest floats, read in one pass (core,
 bribery, controls) that reports the first fault.  ``RunConfig.model`` is
 the validated parameter record, so every game invariant is checked on
-load; a pool multiplier outside (1, n) is reported by its
-``validation_warnings``, not raised.
+load, before ``RunConfig`` checks its own controls; a pool multiplier
+outside (1, n) is reported by its ``validation_warnings``, not raised.
 """
 
 from __future__ import annotations
@@ -21,10 +21,10 @@ import math
 from dataclasses import dataclass, fields
 
 from .dynamics import DEFAULT_CONV_TOL, DEFAULT_STEP, DEFAULT_T_MAX
-from .games import BRIBERY_FIELDS, CORE_FIELDS, BriberyParams, CoreParams, Model, ParameterError
+from .games import BRIBERY_FIELDS, CORE_FIELDS, BriberyParams, CoreParams, Model, _as_int
 from .montecarlo import MAX_SAMPLES
 
-__all__ = ["ConfigError", "RunConfig", "parse_config", "parse_pairs", "config_from_pairs"]
+__all__ = ["ConfigError", "RunConfig", "parse_config", "parse_line", "parse_pairs", "config_from_pairs"]
 
 
 class ConfigError(ValueError):
@@ -37,7 +37,12 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated run configuration: the game model plus the numeric controls."""
+    """Validated run configuration: the game model plus the numeric controls.
+
+    The record checks its own controls with ``ValueError``, as the model
+    record checks its fields; ``samples`` and ``seed`` are read as ``n`` is,
+    a whole float as its int, a bool or a fraction refused.
+    """
 
     model: Model
     step: float = DEFAULT_STEP
@@ -45,6 +50,19 @@ class RunConfig:
     conv_tol: float = DEFAULT_CONV_TOL
     samples: int = 1_000_000
     seed: int = 42
+
+    def __post_init__(self):
+        for key in ("samples", "seed"):
+            object.__setattr__(self, key, _as_int(getattr(self, key), key))
+        for key in ("step", "t_max", "conv_tol"):
+            if not 0 < getattr(self, key) < math.inf:
+                raise ValueError(f"{key} must be finite and > 0, got {getattr(self, key)}")
+        if self.samples < 2:
+            raise ValueError(f"samples must be >= 2, got {self.samples}")
+        if self.samples > MAX_SAMPLES:
+            raise ValueError(f"samples must be <= MAX_SAMPLES = {MAX_SAMPLES}, got {self.samples}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     def build_model(self) -> Model:
         """The validated model; the same object as ``model``."""
@@ -61,22 +79,31 @@ class RunConfig:
 CONTROL_DEFAULTS = {f.name: f.default for f in fields(RunConfig) if f.name != "model"}
 
 
+def parse_line(raw_line: str, lineno: int | None = None) -> tuple[str, str] | None:
+    """(key, raw value) from one ``key = value`` line; None when it is blank or a comment."""
+    line = raw_line.split("#", 1)[0].strip()
+    if not line:
+        return None
+    if "=" not in line:
+        raise ConfigError(f"expected 'key = value', got {raw_line.strip()!r}", lineno)
+    key, value = line.split("=", 1)
+    key = key.strip().lower()
+    value = value.strip()
+    if not key:
+        raise ConfigError("empty key", lineno)
+    if not value:
+        raise ConfigError(f"empty value for key {key!r}", lineno)
+    return key, value
+
+
 def parse_pairs(text: str) -> dict[str, tuple[str, int | None]]:
     """Key -> (raw value, line number) from flat key=value text."""
     pairs: dict[str, tuple[str, int | None]] = {}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.split("#", 1)[0].strip()
-        if not line:
+        pair = parse_line(raw_line, lineno)
+        if pair is None:
             continue
-        if "=" not in line:
-            raise ConfigError(f"expected 'key = value', got {raw_line.strip()!r}", lineno)
-        key, value = line.split("=", 1)
-        key = key.strip().lower()
-        value = value.strip()
-        if not key:
-            raise ConfigError("empty key", lineno)
-        if not value:
-            raise ConfigError(f"empty value for key {key!r}", lineno)
+        key, value = pair
         if key in pairs:
             raise ConfigError(f"duplicate key {key!r}", lineno)
         pairs[key] = (value, lineno)
@@ -117,20 +144,10 @@ def config_from_pairs(pairs: dict[str, tuple[str, int | None]]) -> RunConfig:
             raise ConfigError(f"missing required key {key!r}" + (" for model = bg" if bg_only else ""))
 
     controls = {key: values.pop(key, default) for key, default in CONTROL_DEFAULTS.items()}
-    for key in ("step", "t_max", "conv_tol"):
-        if not 0 < controls[key] < math.inf:
-            raise ConfigError(f"{key} must be finite and > 0, got {controls[key]}")
-    if controls["samples"] < 2:
-        raise ConfigError(f"samples must be >= 2, got {controls['samples']}")
-    if controls["samples"] > MAX_SAMPLES:
-        raise ConfigError(f"samples must be <= MAX_SAMPLES = {MAX_SAMPLES}, got {controls['samples']}")
-    if controls["seed"] < 0:
-        raise ConfigError(f"seed must be >= 0, got {controls['seed']}")
     try:
-        built = BriberyParams(**values) if model == "bg" else CoreParams(**values)
-    except ParameterError as err:
+        return RunConfig(BriberyParams(**values) if model == "bg" else CoreParams(**values), **controls)
+    except ValueError as err:  # the record's ParameterError, or a control
         raise ConfigError(str(err)) from None
-    return RunConfig(built, **controls)
 
 
 def parse_config(text: str) -> RunConfig:

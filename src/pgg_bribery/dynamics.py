@@ -1,8 +1,9 @@
 """Numerical integration of the replicator equation and basin sizes.
 
 The dynamics are one-dimensional and smooth, so a classical fixed-step
-4th-order Runge-Kutta scheme is enough.  Each stage calls one closure,
-``analysis._g_of``, which evaluates G(x) = x(1-x)Q(x) in a single frame.
+4th-order Runge-Kutta scheme is enough.  Each stage evaluates G(x) =
+x(1-x)Q(x) at its own point as ``x * (1.0 - x) * q(x)``, with ``q`` the
+one closure of Q from ``analysis.q_callable``: one Python call per stage.
 Every state is recorded in one ``array('d')``, 8 bytes per step.  A step
 that leaves [0, 1] is refused: clamped, it would report a wrong equilibrium.
 """
@@ -15,14 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import (
-    MAX_TURNS,
-    SCALAR_TURN,
-    _finite_coefficients,
-    _g_of,
-    classify_regime,
-    interior_root,
-)
+from .analysis import MAX_TURNS, SCALAR_TURN, classify_regime, interior_root, q_callable
 from .games import Model
 
 __all__ = ["Trajectory", "integrate", "basin_of_cooperation"]
@@ -89,22 +83,25 @@ def integrate(
     # the budget charges the steps run, not those t_max allows: most runs converge long before
     last_step = min(max_steps, budget_steps(model.n))
 
-    g = _g_of(_finite_coefficients(model))
+    q = q_callable(model)
     x = float(x0)
     states = array("d", [x])
-    k1 = g(x)
+    k1 = x * (1.0 - x) * q(x)
     converged = abs(k1) < conv_tol
     half_step = 0.5 * step  # 0.5 * step * k is (0.5 * step) * k
     while not converged and len(states) <= last_step:  # states holds x0 and one state per step
-        k2 = g(x + half_step * k1)
-        k3 = g(x + half_step * k2)
-        k4 = g(x + step * k3)
+        s = x + half_step * k1
+        k2 = s * (1.0 - s) * q(s)
+        s = x + half_step * k2
+        k3 = s * (1.0 - s) * q(s)
+        s = x + step * k3
+        k4 = s * (1.0 - s) * q(s)
         x += step * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
         if not 0.0 <= x <= 1.0:
             cause = "" if math.isfinite(x) else ": the step overflows double precision"
             raise ValueError(f"step {len(states)} (t = {len(states) * step:g}) left [0, 1]: x = {x!r}{cause}")
         states.append(x)
-        k1 = g(x)
+        k1 = x * (1.0 - x) * q(x)
         converged = abs(k1) < conv_tol
     if not converged and last_step < max_steps:
         raise ValueError(

@@ -2,13 +2,15 @@
 
 import math
 import os
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pgg_bribery import ConfigError, CoreParams, dynamics, parse_config
+from pgg_bribery import ConfigError, CoreParams, RunConfig, dynamics, parse_config
 from pgg_bribery.cli import main
+from pgg_bribery.config import MAX_SAMPLES
 from pgg_bribery.output import fmt_float, read_csv, render_csv_plot
 from pgg_bribery.presets import IPGG_WEAK_POOL
 
@@ -132,9 +134,11 @@ class TestParseConfig:
         (WEAK_POOL_DOC + "samples = 1\nseed = x\n", "line 11: seed must be an integer, got 'x'"),
         (WEAK_POOL_DOC.replace("ipgg", "pgg") + "foo = 1\n", "line 1: model must be 'ipgg' or 'bg', got 'pgg'"),
         ("n = 5\nh = 1\nfoo = 1\nmodel = ipgg\n", "line 3: unknown key 'foo'"),
+        (WEAK_POOL_DOC.replace("c = 1", "c = -1") + "seed = -1\n", "contribution cost c must be > 0, got -1.0"),
     ], ids=[
         "unknown+missing", "bg_key+bad_control", "bad_n+missing", "missing+bad_f", "missing_bg_key+bad_seed",
         "bad_bg_key+bad_step", "parse_before_range", "bad_model+unknown", "unknown+bg_key+missing",
+        "model_before_control",
     ])
     def test_the_first_of_several_faults_is_reported(self, doc, message):
         with pytest.raises(ConfigError) as info:
@@ -146,6 +150,30 @@ class TestParseConfig:
         assert config.step == 0.05 and config.conv_tol == 1e-8 and config.samples == 5000
         with pytest.raises(ConfigError, match="samples"):
             parse_config(WEAK_POOL_DOC + "samples = 1\n")
+
+    @pytest.mark.parametrize("controls", [
+        "step = -1.0", "step = 0", "t_max = nan", "t_max = inf", "conv_tol = -inf", "samples = 1",
+        f"samples = {MAX_SAMPLES + 1}", "seed = -3", "step = -1.0\nsamples = 1\nseed = -3\nt_max = nan",
+    ])
+    def test_direct_construction_refuses_what_parse_config_refuses(self, controls):
+        with pytest.raises(ConfigError) as parsed:
+            parse_config(WEAK_POOL_DOC + controls + "\n")
+        pairs = dict(line.split(" = ") for line in controls.splitlines())
+        values = {key: int(raw) if key in ("samples", "seed") else float(raw) for key, raw in pairs.items()}
+        with pytest.raises(ValueError) as built:
+            RunConfig(parse_config(WEAK_POOL_DOC).model, **values)
+        assert str(built.value) == str(parsed.value)
+
+    @pytest.mark.parametrize("key", ["samples", "seed"])
+    @pytest.mark.parametrize("value", [True, 1000.5, math.nan, math.inf, "1000"])
+    def test_direct_counts_are_integers(self, key, value):
+        with pytest.raises(ValueError, match=re.escape(f"{key} must be an integer, got {value!r}")):
+            RunConfig(IPGG_WEAK_POOL, **{key: value})
+
+    def test_direct_whole_float_counts_are_ints(self):
+        config = RunConfig(IPGG_WEAK_POOL, samples=2000.0, seed=7.0)
+        assert (config.samples, config.seed) == (2000, 7)
+        assert type(config.samples) is int and type(config.seed) is int
 
 
 class TestSubcommands:
@@ -170,6 +198,30 @@ class TestSubcommands:
     def test_set_overrides_config(self, bistable_cfg, capsys):
         assert main(["roots", "--config", bistable_cfg, "--set", "f=2", "--set", "r_p=1.4"]) == 0
         assert "F below f_min" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("line", ["f=", "f = ", "F =", "f = # note", "=3", " = 3 # note", "=", "foo", "f 3"])
+    def test_a_malformed_set_line_gets_the_config_file_message(self, weak_cfg, tmp_path, capsys, line):
+        path = tmp_path / "malformed.cfg"
+        path.write_text(WEAK_POOL_DOC + line + "\n")
+        assert main(["thresholds", "--config", str(path)]) == 1
+        from_file = capsys.readouterr().err
+        assert from_file.startswith("error: line 10: ")
+        assert main(["thresholds", "--config", weak_cfg, "--set", line]) == 1
+        assert capsys.readouterr().err == from_file.replace("line 10: ", "", 1)
+
+    @pytest.mark.parametrize("line", ["f = 3 # note", "F=3", "  f =3  "])
+    def test_a_set_line_reads_as_a_config_file_line(self, weak_cfg, tmp_path, capsys, line):
+        path = tmp_path / "line.cfg"
+        path.write_text(WEAK_POOL_DOC.replace("f = 2\n", line + "\n"))
+        assert main(["thresholds", "--config", str(path)]) == 0
+        from_file = capsys.readouterr()
+        assert main(["thresholds", "--config", weak_cfg, "--set", line]) == 0
+        assert capsys.readouterr() == from_file
+
+    @pytest.mark.parametrize("line", ["", "   ", "# note"])
+    def test_a_blank_set_is_refused(self, weak_cfg, capsys, line):
+        assert main(["thresholds", "--config", weak_cfg, "--set", line]) == 1
+        assert capsys.readouterr().err == f"error: --set expects KEY=VALUE, got {line!r}\n"
 
     def test_gradient_schema_and_determinism(self, bistable_cfg, tmp_path, capsys):
         out_a, out_b = str(tmp_path / "a"), str(tmp_path / "b")
@@ -458,7 +510,7 @@ class TestInputContract:
         def no_integration(model):
             raise AssertionError("the run started instead of being refused")
 
-        monkeypatch.setattr(dynamics, "_g_of", no_integration)
+        monkeypatch.setattr(dynamics, "q_callable", no_integration)
         argv = ["integrate", "--config", bistable_cfg, "--x0", "0.9", "--out", str(tmp_path)]
         for override in overrides:
             argv += ["--set", override]
@@ -498,13 +550,13 @@ class TestInputContract:
 
         calls = []
 
-        def never_converges(co):  # G > conv_tol, with x far from leaving [0, 1]
-            def g(x):
+        def never_converges(model):  # G = x (1 - x) Q > conv_tol, with x far from leaving [0, 1]
+            def q(x):
                 calls.append(x)
                 return 1e-9
-            return g
+            return q
 
-        monkeypatch.setattr(dynamics, "_g_of", never_converges)
+        monkeypatch.setattr(dynamics, "q_callable", never_converges)
         argv = ["integrate", "--x0", "0.5", "--config", weak_cfg, "--set", f"n={MAX_N}", "--set", f"t_max={t_max}",
                 "--out", str(tmp_path / "out")]
         assert main(argv) == 1
@@ -550,7 +602,6 @@ class TestInputContract:
 
     def test_samples_above_the_cap_exit_1_naming_the_limit(self, weak_cfg, tmp_path, capsys, monkeypatch):
         from pgg_bribery import montecarlo
-        from pgg_bribery.config import MAX_SAMPLES  # imported here: a tree without the cap fails at once
 
         def no_sampling(n):
             raise AssertionError("the sampling started instead of being refused")

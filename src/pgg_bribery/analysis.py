@@ -39,6 +39,7 @@ import enum
 import sys
 from bisect import bisect_left
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from math import ceil, comb, exp, isfinite, lgamma, log, log1p, log2, prod
 from typing import Callable, NamedTuple
 
@@ -62,6 +63,7 @@ __all__ = [
     "binomial_avg_payoff",
     "coefficients",
     "q_function",
+    "q_text",
     "gradient_of_selection",
     "thresholds",
     "classify_regime",
@@ -156,7 +158,8 @@ class Thresholds:
 
 
 def _check_x(x) -> None:
-    lo, hi = (x.min(), x.max()) if isinstance(x, np.ndarray) else (x, x)
+    # 1.0 and 0.0 lie in [0, 1], so as initial values they change no verdict, and give an empty array one
+    lo, hi = (x.min(initial=1.0), x.max(initial=0.0)) if isinstance(x, np.ndarray) else (x, x)
     if not (0 <= lo and hi <= 1):
         raise ValueError(f"cooperator fraction x must be in [0, 1], got {x}")
 
@@ -245,29 +248,44 @@ def coefficients(model: Model, f=None, r_p=None) -> Coefficients:
     return Coefficients(n, f, pressure, constant, fine_c, fine_d, f_min, f_max)
 
 
-def _q_of(co: Coefficients) -> Callable:
-    """The one body of Q: a closure over ``co`` for a float or a numpy array.
+_NEST = 90  # Horner turns per expression: CPython refuses 200 nested parentheses
 
-    Both Horner sums, S(1 - x) and S(x), run in one loop.  It starts from
-    the first Horner step, ``s = y``, which is exact since ``y * (1.0 + 0.0)``
-    is ``y``, then applies the rest of :func:`_geom_sum`'s steps in its
-    order, so a scalar and an array element get the same bits.  G has no
-    body of its own: :func:`gradient_of_selection` and ``dynamics.integrate``
-    form it at the call as ``x * (1.0 - x) * q(x)``.
+
+def q_text(n: int, x: str = "x") -> tuple[list[str], str]:
+    """Q at the point named ``x`` as straight-line source: (statements, expression).
+
+    The one text of Q's Horner sums.  Each is its first term ``v`` wrapped
+    in n - 2 turns ``v * (1.0 + ...)``, the operations of :func:`_geom_sum`
+    in its order, chained through ``s_c`` or ``s_d`` every ``_NEST`` turns.
+    The statements bind those and ``y = 1.0 - x``; the expression also reads
+    ``constant``, ``fine_c`` and ``fine_d``.  The only literal is ``1.0``.
     """
-    # one range object serves every call: building one per call (a builtin
-    # lookup and call) took about a fifth of `integrate`'s time at n = 5
-    constant, fine_c, fine_d, terms = co.constant, co.fine_c, co.fine_d, range(co.n - 2)
+    lines, sums = [f"y = 1.0 - {x}"], []
+    for name, v in (("s_c", "y"), ("s_d", x)):
+        inner, turns = v, n - 2
+        while turns > _NEST:
+            lines.append(f"{name} = " + f"{v} * (1.0 + " * _NEST + inner + ")" * _NEST)
+            inner, turns = name, turns - _NEST
+        sums.append(f"{v} * (1.0 + " * turns + inner + ")" * turns)
+    return lines, f"constant - fine_c * ({sums[0]}) + fine_d * ({sums[1]})"
 
-    def q(x):
-        y = 1.0 - x
-        s_c, s_d = y, x
-        for _ in terms:
-            s_c = y * (1.0 + s_c)
-            s_d = x * (1.0 + s_d)
-        return constant - fine_c * s_c + fine_d * s_d
 
-    return q
+@lru_cache(maxsize=16)
+def _q_factory(n: int) -> Callable:
+    lines, expr = q_text(n)
+    namespace: dict = {}
+    exec("def factory(constant, fine_c, fine_d):\n    def q(x):\n"
+         f"        {'; '.join(lines)}\n        return {expr}\n    return q", namespace)
+    return namespace["factory"]
+
+
+def _q_of(co: Coefficients) -> Callable:
+    """The one body of Q: :func:`q_text` compiled once per n, over ``co``'s coefficients as closure variables.
+
+    A float and an array element get the same bits.  :func:`gradient_of_selection` forms G as
+    ``x * (1.0 - x) * q(x)``, and ``dynamics.integrate`` compiles its RK4 loop from the same text.
+    """
+    return _q_factory(co.n)(co.constant, co.fine_c, co.fine_d)
 
 
 def _finite_coefficients(model: Model) -> Coefficients:
@@ -389,12 +407,12 @@ BISECTION_STEPS = ceil(log2((BRACKET[1] - BRACKET[0]) / ROOT_TOL))
 # grid or sweep runs (n - 1) * cells * BISECTION_STEPS turns and a gradient
 # 2 * (n - 1) * points, refused before they start.  An integrate step runs
 # 4 * (n - 1) turns on Python floats, each costing about SCALAR_TURN lane
-# turns (at n = 10^4 on a 2-vCPU VM, ~0.07 against ~0.002-0.003 us); as most
-# runs converge long before t_max, it is charged for the steps it runs and
-# stops with an error once they reach the budget unconverged.  Every job
-# within the other caps at n = 5 fits, the largest being integrate at
-# MAX_STEPS (4e9 turns, ~31 s there); at n = 10^4 the largest admitted jobs
-# take ~11-14 s
+# turns (at n = 10^4 on a 2-vCPU VM, ~0.06 against ~0.0024 us, the scalar
+# turns compiled straight-line); as most runs converge long before t_max, it
+# is charged for the steps it runs and stops with an error once they reach
+# the budget unconverged.  Every job within the other caps at n = 5 fits, the
+# largest being integrate at MAX_STEPS (4e9 turns, ~14 s there); at n = 10^4
+# the largest admitted jobs take ~11-14 s, integrate's 5,000 steps ~12 s
 MAX_TURNS = 5 * 10**9
 SCALAR_TURN = 25
 

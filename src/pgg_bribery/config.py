@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from numbers import Real
 
 from .dynamics import DEFAULT_CONV_TOL, DEFAULT_STEP, DEFAULT_T_MAX
 from .games import BRIBERY_FIELDS, CORE_FIELDS, BriberyParams, CoreParams, Model, _as_int
@@ -39,9 +40,11 @@ class ConfigError(ValueError):
 class RunConfig:
     """Validated run configuration: the game model plus the numeric controls.
 
-    The record checks its own controls with ``ValueError``, as the model
-    record checks its fields; ``samples`` and ``seed`` are read as ``n`` is,
-    a whole float as its int, a bool or a fraction refused.
+    The record checks its own fields with ``ValueError`` in the config's
+    one-pass order, as the model record checks its fields: the model is a
+    ``CoreParams`` record, ``step``, ``t_max`` and ``conv_tol`` real numbers
+    but not bools, and ``samples`` and ``seed`` are read as ``n`` is, a
+    whole float as its int, a bool or a fraction refused.
     """
 
     model: Model
@@ -52,11 +55,16 @@ class RunConfig:
     seed: int = 42
 
     def __post_init__(self):
+        if not isinstance(self.model, CoreParams):
+            raise ValueError(f"model must be a CoreParams or BriberyParams record, got {self.model!r}")
+        for key in ("step", "t_max", "conv_tol"):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, Real):
+                raise ValueError(f"{key} must be a real number, got {value!r}")
+            if not 0 < value < math.inf:
+                raise ValueError(f"{key} must be finite and > 0, got {value}")
         for key in ("samples", "seed"):
             object.__setattr__(self, key, _as_int(getattr(self, key), key))
-        for key in ("step", "t_max", "conv_tol"):
-            if not 0 < getattr(self, key) < math.inf:
-                raise ValueError(f"{key} must be finite and > 0, got {getattr(self, key)}")
         if self.samples < 2:
             raise ValueError(f"samples must be >= 2, got {self.samples}")
         if self.samples > MAX_SAMPLES:

@@ -1,11 +1,12 @@
 """Numerical integration of the replicator equation and basin sizes.
 
 The dynamics are one-dimensional and smooth, so a classical fixed-step
-4th-order Runge-Kutta scheme is enough.  Each stage evaluates G(x) =
-x(1-x)Q(x) at its own point as ``x * (1.0 - x) * q(x)``, with ``q`` the
-one closure of Q from ``analysis.q_callable``: one Python call per stage.
-Every state is recorded in one ``array('d')``, 8 bytes per step.  A step
-that leaves [0, 1] is refused: clamped, it would report a wrong equilibrium.
+4th-order Runge-Kutta scheme is enough.  The RK4 loop is compiled once
+per group size from Q's text, ``analysis.q_text``: each stage evaluates
+G(x) = x(1-x)Q(x) at its own point inline, with the operations of
+``x * (1.0 - x) * q(x)`` and no Python call.  Every state is recorded in
+one ``array('d')``, 8 bytes per step.  A step that leaves [0, 1] is
+refused: clamped, it would report a wrong equilibrium.
 """
 
 from __future__ import annotations
@@ -13,10 +14,11 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .analysis import MAX_TURNS, SCALAR_TURN, classify_regime, interior_root, q_callable
+from .analysis import MAX_TURNS, SCALAR_TURN, classify_regime, coefficients, interior_root, q_callable, q_text
 from .games import Model
 
 __all__ = ["Trajectory", "integrate", "basin_of_cooperation"]
@@ -83,29 +85,19 @@ def integrate(
     # the budget charges the steps run, not those t_max allows: most runs converge long before
     last_step = min(max_steps, budget_steps(model.n))
 
-    q = q_callable(model)
     x = float(x0)
     states = array("d", [x])
-    k1 = x * (1.0 - x) * q(x)
+    k1 = x * (1.0 - x) * q_callable(model)(x)
+    if not abs(k1) < conv_tol:  # the loop is compiled only for a run that takes a step
+        co, rk4 = coefficients(model), _rk4_loop(model.n)
+        x, k1 = rk4(x, k1, step, 0.5 * step, conv_tol, last_step, states.append, co.constant, co.fine_c, co.fine_d)
+    if not 0.0 <= x <= 1.0:
+        cause = "" if math.isfinite(x) else ": the step overflows double precision"
+        raise ValueError(f"step {len(states)} (t = {len(states) * step:g}) left [0, 1]: x = {x!r}{cause}")
     converged = abs(k1) < conv_tol
-    half_step = 0.5 * step  # 0.5 * step * k is (0.5 * step) * k
-    while not converged and len(states) <= last_step:  # states holds x0 and one state per step
-        s = x + half_step * k1
-        k2 = s * (1.0 - s) * q(s)
-        s = x + half_step * k2
-        k3 = s * (1.0 - s) * q(s)
-        s = x + step * k3
-        k4 = s * (1.0 - s) * q(s)
-        x += step * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-        if not 0.0 <= x <= 1.0:
-            cause = "" if math.isfinite(x) else ": the step overflows double precision"
-            raise ValueError(f"step {len(states)} (t = {len(states) * step:g}) left [0, 1]: x = {x!r}{cause}")
-        states.append(x)
-        k1 = x * (1.0 - x) * q(x)
-        converged = abs(k1) < conv_tol
     if not converged and last_step < max_steps:
         raise ValueError(
-            f"integrate has not converged after {last_step} steps (n - 1 = {model.n - 1}, scalar_turn = "
+            f"integrate has not converged after {len(states) - 1} steps (n - 1 = {model.n - 1}, scalar_turn = "
             f"{SCALAR_TURN}, evaluations_per_step = 4), the most the work budget of {MAX_TURNS} Horner turns "
             f"allows; t_max/step asks for {max_steps}"
         )
@@ -114,6 +106,40 @@ def integrate(
     if converged:
         converged_to = min(_equilibria(model), key=lambda e: abs(e - x))
     return Trajectory(np.arange(len(states)) * step, states, converged_to, step)
+
+
+_RK4 = """def rk4(x, k1, step, half_step, conv_tol, steps, append, constant, fine_c, fine_d):
+    for _ in range(steps):
+        s = x + half_step * k1
+{k2}
+        s = x + half_step * k2
+{k3}
+        s = x + step * k3
+{k4}
+        x += step * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+        if not 0.0 <= x <= 1.0:
+            break
+        append(x)
+{k1}
+        if abs(k1) < conv_tol:
+            break
+    return x, k1
+"""
+
+
+@lru_cache(maxsize=4)
+def _rk4_loop(n: int):
+    """The RK4 loop at group size ``n``, compiled once: at most ``steps`` steps, each state appended.
+
+    Returns the last x and its G, or the first x outside [0, 1] (not appended) and the G before it.
+    """
+    stages = {}
+    for k, at in (("k2", "s"), ("k3", "s"), ("k4", "s"), ("k1", "x")):
+        lines, expr = q_text(n, at)  # s * (1.0 - s) * q(s) is (s * y) * Q, as Q's first statement is y = 1.0 - s
+        stages[k] = "\n".join(8 * " " + line for line in [*lines, f"{k} = {at} * y * ({expr})"])
+    namespace: dict = {}
+    exec(_RK4.format(**stages), namespace)
+    return namespace["rk4"]
 
 
 def budget_steps(n: int) -> int:

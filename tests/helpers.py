@@ -61,6 +61,25 @@ def draw_bistable_instance(rng: np.random.Generator, bribery: bool):
         return model, regime.x_star
 
 
+def horner_q(co):
+    """Q over ``co`` as a Horner loop, sharing no code with the package's compiled Q.
+
+    Both sums start from their first term and take n - 2 turns of
+    ``v * (1.0 + s)``; a float or a numpy array.
+    """
+    constant, fine_c, fine_d = co.constant, co.fine_c, co.fine_d
+
+    def q(x):
+        y = 1.0 - x
+        s_c, s_d = y, x
+        for _ in range(co.n - 2):
+            s_c = y * (1.0 + s_c)
+            s_d = x * (1.0 + s_d)
+        return constant - fine_c * s_c + fine_d * s_d
+
+    return q
+
+
 def sweep_regimes(sweep):
     """``classify_regimes`` on every point of a ``sweep_root`` view."""
     return classify_regimes(sweep.model, **{sweep.parameter: sweep.points})

@@ -1,5 +1,7 @@
 """Closed-form averages, the selection polynomial, thresholds and regimes."""
 
+import io
+import tokenize
 from dataclasses import replace
 from math import comb
 
@@ -7,8 +9,10 @@ import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
+from hypothesis.extra.numpy import arrays
 
 from conftest import bribery_params_strategy, model_strategy
+from helpers import horner_q
 
 from pgg_bribery import (
     CoreParams,
@@ -26,7 +30,9 @@ from pgg_bribery import (
     stability_at,
     thresholds,
 )
-from pgg_bribery.analysis import _log_space_weight
+from pgg_bribery.analysis import _log_space_weight, coefficients, q_callable, q_text
+from pgg_bribery.dynamics import _rk4_loop
+from pgg_bribery.games import MAX_N
 from pgg_bribery.presets import (
     BG_COOP_BRIBES,
     BG_DEFECTOR_BRIBES,
@@ -158,6 +164,46 @@ class TestSelectionPolynomial:
     def test_endowment_never_enters(self, model, x, b):
         shifted = replace(model, b=b)
         assert q_function(shifted, x) == q_function(model, x)
+
+
+# each side of every 90-turn seam of the compiled sums, and the largest group
+SEAM_NS = (2, 3, 4, 5, 8, 91, 92, 93, 182, MAX_N)
+
+
+class TestCompiledQ:
+    @pytest.mark.parametrize("n", SEAM_NS)
+    @settings(deadline=None, max_examples=25)
+    @given(
+        model=model_strategy(),
+        x=st.floats(0.0, 1.0),
+        xs=arrays(np.float64, st.integers(0, 6), elements=st.floats(0.0, 1.0)),
+    )
+    @example(model=IPGG_BISTABLE, x=0.0, xs=np.array([1.0, 0.5]))
+    def test_q_is_the_horner_loop_bit_for_bit(self, n, model, x, xs):
+        model = replace(model, n=n)
+        loop = horner_q(coefficients(model))
+        assert q_callable(model)(x).hex() == loop(x).hex()
+        assert q_function(model, xs).tobytes() == loop(xs).tobytes()
+
+    def test_an_empty_array_gives_an_empty_array(self):
+        assert q_function(IPGG_BISTABLE, np.array([])).shape == (0,)
+        assert gradient_of_selection(IPGG_BISTABLE, np.empty((2, 0))).shape == (2, 0)
+
+    @pytest.mark.parametrize("x", [np.array([0.5, 1.5]), np.array([-0.0, -1e-300]), np.array([0.5, np.nan])])
+    def test_an_array_with_a_lane_outside_the_unit_interval_is_refused(self, x):
+        with pytest.raises(ValueError, match=r"^cooperator fraction x must be in \[0, 1\]"):
+            q_function(IPGG_BISTABLE, x)
+
+    @pytest.mark.parametrize("n", SEAM_NS)
+    def test_the_text_holds_no_literal_but_one(self, n):
+        lines, expr = q_text(n)
+        tokens = tokenize.generate_tokens(io.StringIO("\n".join([*lines, expr]) + "\n").readline)
+        assert {token.string for token in tokens if token.type == tokenize.NUMBER} == {"1.0"}
+        # the compiled code carries no model value: the coefficients are bound at the call
+        model = replace(IPGG_BISTABLE, n=n)
+        assert set(q_callable(model).__code__.co_consts) <= {None, 1.0}
+        if n < MAX_N:  # the RK4 loop adds only the scheme's own constants; building it at MAX_N takes ~0.5 s
+            assert set(_rk4_loop(n).__code__.co_consts) <= {None, 0.0, 1.0, 2.0, 6.0}
 
 
 class TestThresholds:

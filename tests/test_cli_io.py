@@ -170,6 +170,27 @@ class TestParseConfig:
         with pytest.raises(ValueError, match=re.escape(f"{key} must be an integer, got {value!r}")):
             RunConfig(IPGG_WEAK_POOL, **{key: value})
 
+    @pytest.mark.parametrize("key", ["step", "t_max", "conv_tol"])
+    @pytest.mark.parametrize("value", [True, False, "0.1", None, 1j], ids=["true", "false", "text", "none", "complex"])
+    def test_direct_controls_are_real_numbers(self, key, value):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{key} must be a real number, got {value!r}')}$"):
+            RunConfig(IPGG_WEAK_POOL, **{key: value})
+
+    @pytest.mark.parametrize("model", [3, None, "ipgg", vars(IPGG_WEAK_POOL)], ids=["int", "none", "text", "dict"])
+    def test_direct_model_is_a_record(self, model):
+        message = f"model must be a CoreParams or BriberyParams record, got {model!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            RunConfig(model)
+
+    @pytest.mark.parametrize("model, controls, message", [
+        (3, dict(step=True, samples=1.5), "model must be a CoreParams or BriberyParams record, got 3"),
+        (IPGG_WEAK_POOL, dict(seed=-1, samples=1.5, conv_tol="x", step=True), "step must be a real number, got True"),
+        (IPGG_WEAK_POOL, dict(seed=-1, samples=1.5, conv_tol=0.0), "conv_tol must be finite and > 0, got 0.0"),
+    ], ids=["model_first", "step_before_the_rest", "controls_before_counts"])
+    def test_direct_faults_are_reported_in_the_one_pass_order(self, model, controls, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            RunConfig(model, **controls)
+
     def test_direct_whole_float_counts_are_ints(self):
         config = RunConfig(IPGG_WEAK_POOL, samples=2000.0, seed=7.0)
         assert (config.samples, config.seed) == (2000, 7)
@@ -507,10 +528,12 @@ class TestInputContract:
 
     @pytest.mark.parametrize("overrides", [["step=1e-300"], ["t_max=1e4", "step=9.9e-5"], ["t_max=1e4", "step=9.9e-4"]])
     def test_integrate_refuses_more_than_max_steps(self, bistable_cfg, tmp_path, capsys, monkeypatch, overrides):
-        def no_integration(model):
+        def no_integration(*args):
             raise AssertionError("the run started instead of being refused")
 
+        # the first G and the compiled loop: nothing is evaluated or compiled before the refusal
         monkeypatch.setattr(dynamics, "q_callable", no_integration)
+        monkeypatch.setattr(dynamics, "_rk4_loop", no_integration)
         argv = ["integrate", "--config", bistable_cfg, "--x0", "0.9", "--out", str(tmp_path)]
         for override in overrides:
             argv += ["--set", override]
@@ -548,24 +571,33 @@ class TestInputContract:
         from pgg_bribery import analysis
         from pgg_bribery.games import MAX_N
 
-        calls = []
+        # beta = 0 makes Q the constant f*c/n - c, ~1e-8 here: G = x (1 - x) Q stays above conv_tol,
+        # with x far from leaving [0, 1].  The loop compiled at n = 2 gives the bits of the one at MAX_N
+        # (fine_c = fine_d = 0 times a finite sum), without running 10^4-term stages for 5000 steps
+        asked, appended, loop_at = [], [], dynamics._rk4_loop
 
-        def never_converges(model):  # G = x (1 - x) Q > conv_tol, with x far from leaving [0, 1]
-            def q(x):
-                calls.append(x)
-                return 1e-9
-            return q
+        def small_loop(n):
+            asked.append(n)
+            rk4 = loop_at(2)
 
-        monkeypatch.setattr(dynamics, "q_callable", never_converges)
+            def counted(x, k1, step, half_step, conv_tol, steps, append, *coefficients):
+                def count(state):
+                    appended.append(state)
+                    append(state)
+                return rk4(x, k1, step, half_step, conv_tol, steps, count, *coefficients)
+            return counted
+
+        monkeypatch.setattr(dynamics, "_rk4_loop", small_loop)
         argv = ["integrate", "--x0", "0.5", "--config", weak_cfg, "--set", f"n={MAX_N}", "--set", f"t_max={t_max}",
-                "--out", str(tmp_path / "out")]
+                "--set", "beta=0", "--set", f"f={MAX_N * (1 + 1e-8)!r}", "--out", str(tmp_path / "out")]
         assert main(argv) == 1
         err = capsys.readouterr().err
         last_step = dynamics.budget_steps(MAX_N)
         assert last_step == 5000
         assert f"not converged after {last_step} steps (n - 1 = {MAX_N - 1}" in err
         assert f"work budget of {analysis.MAX_TURNS} Horner turns" in err
-        assert len(calls) == 1 + 4 * last_step  # the steps run, the budget's worth and no more
+        assert asked == [MAX_N]
+        assert len(appended) == last_step  # the steps run, the budget's worth and no more
         assert not (tmp_path / "out").exists()
 
     def test_integrate_converged_within_the_work_budget_is_accepted(self, weak_cfg, tmp_path):

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import draw_bistable_instance
+from helpers import draw_bistable_instance, horner_q
 
 from pgg_bribery import (
     CoreParams,
@@ -16,11 +16,11 @@ from pgg_bribery import (
     RngSeed,
     basin_of_cooperation,
     classify_regime,
+    coefficients,
     integrate,
     interior_root,
     thresholds,
 )
-from pgg_bribery.analysis import q_callable
 from pgg_bribery.cli import main
 from pgg_bribery.config import ConfigError, RunConfig, config_from_pairs
 from pgg_bribery.dynamics import DEFAULT_CONV_TOL, DEFAULT_STEP, DEFAULT_T_MAX
@@ -35,8 +35,8 @@ from pgg_bribery.presets import (
 
 
 def reference_g(model):
-    """G(x) = x(1-x)Q(x) on the unchecked Q closure: a large step takes the stages outside [0, 1]."""
-    q = q_callable(model)
+    """G(x) = x(1-x)Q(x) on the test's own unchecked Horner loop: a large step takes the stages outside [0, 1]."""
+    q = horner_q(coefficients(model))
     return lambda x: x * (1.0 - x) * q(x)
 
 
@@ -80,8 +80,8 @@ def _bistable_draws():
     return [draw_bistable_instance(rng, bribery=case % 2 == 1) for case in range(10)]
 
 
-def _wide_group():
-    core = CoreParams(n=40, b=12, c=1, tau=1, f=3, alpha=0.3, beta=0.2, r_p=0.2)
+def _wide_group(n):
+    core = CoreParams(n=n, b=12, c=1, tau=1, f=3, alpha=0.3, beta=0.2, r_p=0.2)
     th = thresholds(core)
     return replace(core, f=0.5 * (th.f_min + th.f_max))
 
@@ -90,7 +90,8 @@ RK4_CASES = (
     [(name, model, x0) for name, model in REGIMES.items() for x0 in (0.05, 0.5, 0.95)]
     + [(f"draw{i}", model, x_star + offset) for i, (model, x_star) in enumerate(_bistable_draws())
        for offset in (-0.02, 0.02)]
-    + [("n40", _wide_group(), x0) for x0 in (0.5, 0.95)]
+    # n = 92 puts 90 Horner turns, the most one expression holds, in each of the loop's sums; n = 93 chains one more
+    + [(f"n{n}", _wide_group(n), x0) for n in (2, 3, 8, 40, 92, 93) for x0 in (0.5, 0.95)]
 )
 
 

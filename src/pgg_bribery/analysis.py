@@ -45,7 +45,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .games import BriberyParams, GroupComposition, Model, ParameterError, group_payoff, is_cooperator
+from .games import BriberyParams, GroupComposition, Model, ParameterError, _as_real, group_payoff, is_cooperator
 
 __all__ = [
     "KnifeEdgeError",
@@ -157,11 +157,15 @@ class Thresholds:
     f_max: float
 
 
-def _check_x(x) -> None:
-    # 1.0 and 0.0 lie in [0, 1], so as initial values they change no verdict, and give an empty array one
-    lo, hi = (x.min(initial=1.0), x.max(initial=0.0)) if isinstance(x, np.ndarray) else (x, x)
+def _check_x(x, name: str = "cooperator fraction x", scalar: bool = False) -> None:
+    """The one rule of a cooperator fraction: a real number, or else an array unless ``scalar``, in [0, 1]."""
+    if isinstance(x, np.ndarray) and not scalar:
+        # 1.0 and 0.0 lie in [0, 1], so as initial values they change no verdict, and give an empty array one
+        lo, hi = x.min(initial=1.0), x.max(initial=0.0)
+    else:
+        lo = hi = _as_real(x, name)
     if not (0 <= lo and hi <= 1):
-        raise ValueError(f"cooperator fraction x must be in [0, 1], got {x}")
+        raise ValueError(f"{name} must be in [0, 1], got {x}")
 
 
 def _geom_sum(y, terms: int):

@@ -42,8 +42,8 @@ from .analysis import (
 )
 from .config import ConfigError, RunConfig, config_from_pairs, parse_line, parse_pairs
 from .dynamics import basin_of_cooperation, integrate
-from .games import ParameterError, _payoff_tables
-from .montecarlo import MAX_WORKERS, RngSeed, _avg_request, _estimate_all, _run_tasks
+from .games import _payoff_tables
+from .montecarlo import MAX_WORKERS, RngSeed, _avg_request, _check_workers, _estimate_all, _run_tasks
 from .output import ColumnRows, LazyRows, fmt_cell, fmt_float, fmt_quantity, write_csv, write_plot
 from .sweeps import DEFAULT_STEPS, SWEEP_DEFAULTS, _check_cells, regime_grid, sweep_root
 from .verify import run_battery
@@ -143,11 +143,7 @@ def _workers() -> int | None:
         workers = int(raw)
     except ValueError:
         raise ConfigError(f"{WORKERS_ENV} must be an integer, got {raw!r}") from None
-    if workers < 1:
-        raise ConfigError(f"{WORKERS_ENV} must be >= 1, got {workers}")
-    if workers > MAX_WORKERS:
-        raise ConfigError(f"{WORKERS_ENV} must be <= MAX_WORKERS = {MAX_WORKERS}, got {workers}")
-    return workers
+    return _check_workers(workers, WORKERS_ENV)
 
 
 def _emit(config: RunConfig, args, filename: str, header, rows) -> int:
@@ -329,7 +325,7 @@ def main(argv=None) -> int:
             return _cmd_plot(args)
         config = _load_config(args)
         return _HANDLERS[args.command](config, args)
-    except (ConfigError, ParameterError, ValueError, ArithmeticError) as err:
+    except (ValueError, ArithmeticError) as err:  # ConfigError and ParameterError among them
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INVALID
     except OSError as err:

@@ -7,23 +7,22 @@ plus ``games.BRIBERY_FIELDS`` (h, gamma, p, q) for ``bg`` only, which
 builds a :class:`BriberyParams`, a :class:`CoreParams` with those four
 more.  Numeric controls (step, t_max, conv_tol, samples, seed) are
 optional; the integration defaults are :mod:`pgg_bribery.dynamics`' own,
-and ``samples`` is at most ``montecarlo.MAX_SAMPLES``.  ``n``, ``samples``
-and ``seed`` are integers, the rest floats, read in one pass (core,
-bribery, controls) that reports the first fault.  ``RunConfig.model`` is
-the validated parameter record, so every game invariant is checked on
-load, before ``RunConfig`` checks its own controls; a pool multiplier
-outside (1, n) is reported by its ``validation_warnings``, not raised.
+and each control is refused as the library call it feeds refuses it.
+``n``, ``samples`` and ``seed`` are integers, the rest floats, read in one
+pass (core, bribery, controls) that reports the first fault.
+``RunConfig.model`` is the validated parameter record, so every game
+invariant is checked on load, before ``RunConfig`` checks its own
+controls; a pool multiplier outside (1, n) is reported by its
+``validation_warnings``, not raised.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
-from numbers import Real
 
-from .dynamics import DEFAULT_CONV_TOL, DEFAULT_STEP, DEFAULT_T_MAX
-from .games import BRIBERY_FIELDS, CORE_FIELDS, BriberyParams, CoreParams, Model, _as_int
-from .montecarlo import MAX_SAMPLES
+from .dynamics import DEFAULT_CONV_TOL, DEFAULT_STEP, DEFAULT_T_MAX, _check_controls
+from .games import BRIBERY_FIELDS, CORE_FIELDS, BriberyParams, CoreParams, Model, _as_count
+from .montecarlo import MAX_SAMPLES, _check_samples  # noqa: F401  config.MAX_SAMPLES names the cap too
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "parse_line", "parse_pairs", "config_from_pairs"]
 
@@ -40,11 +39,11 @@ class ConfigError(ValueError):
 class RunConfig:
     """Validated run configuration: the game model plus the numeric controls.
 
-    The record checks its own fields with ``ValueError`` in the config's
-    one-pass order, as the model record checks its fields: the model is a
-    ``CoreParams`` record, ``step``, ``t_max`` and ``conv_tol`` real numbers
-    but not bools, and ``samples`` and ``seed`` are read as ``n`` is, a
-    whole float as its int, a bool or a fraction refused.
+    The record checks its fields with ``ValueError`` in the config's
+    one-pass order, each whole (type, then range): the model is a
+    ``CoreParams`` record, and each control passes the rule of the layer
+    that uses it: ``dynamics``' for ``step``, ``t_max`` and ``conv_tol``,
+    ``montecarlo``'s sample count and ``games``' count for ``seed``.
     """
 
     model: Model
@@ -57,20 +56,9 @@ class RunConfig:
     def __post_init__(self):
         if not isinstance(self.model, CoreParams):
             raise ValueError(f"model must be a CoreParams or BriberyParams record, got {self.model!r}")
-        for key in ("step", "t_max", "conv_tol"):
-            value = getattr(self, key)
-            if isinstance(value, bool) or not isinstance(value, Real):
-                raise ValueError(f"{key} must be a real number, got {value!r}")
-            if not 0 < value < math.inf:
-                raise ValueError(f"{key} must be finite and > 0, got {value}")
-        for key in ("samples", "seed"):
-            object.__setattr__(self, key, _as_int(getattr(self, key), key))
-        if self.samples < 2:
-            raise ValueError(f"samples must be >= 2, got {self.samples}")
-        if self.samples > MAX_SAMPLES:
-            raise ValueError(f"samples must be <= MAX_SAMPLES = {MAX_SAMPLES}, got {self.samples}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        _check_controls(self.step, self.t_max, self.conv_tol)
+        object.__setattr__(self, "samples", _check_samples(self.samples, "samples"))
+        object.__setattr__(self, "seed", _as_count(self.seed, "seed"))
 
     def build_model(self) -> Model:
         """The validated model; the same object as ``model``."""

@@ -18,8 +18,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .analysis import MAX_TURNS, SCALAR_TURN, classify_regime, coefficients, interior_root, q_callable, q_text
-from .games import Model
+from .analysis import MAX_TURNS, SCALAR_TURN, _check_x, classify_regime, coefficients, interior_root, q_callable, q_text
+from .games import Model, _as_real
 
 __all__ = ["Trajectory", "integrate", "basin_of_cooperation"]
 
@@ -54,6 +54,13 @@ def _equilibria(model: Model) -> list[float]:
         return [0.0, 1.0]
 
 
+def _check_controls(step, t_max, conv_tol) -> None:
+    """The one rule of the integration controls, which ``RunConfig`` calls too: each real, finite and > 0."""
+    for key, value in (("step", step), ("t_max", t_max), ("conv_tol", conv_tol)):
+        if not 0 < _as_real(value, key) < math.inf:
+            raise ValueError(f"{key} must be finite and > 0, got {value}")
+
+
 def integrate(
     model: Model,
     x0: float,
@@ -68,17 +75,15 @@ def integrate(
     None when ``t_max`` is exhausted first.  Every step is recorded, at
     time ``k * step``.  Each step reuses the G(x) of the convergence test
     as its k1, so it costs four evaluations of G.  Raises ``ValueError``
-    when ``step``, ``t_max`` or ``conv_tol`` is not finite and > 0, when
+    when ``x0`` is not a real number in [0, 1], when ``step``, ``t_max`` or
+    ``conv_tol`` is not one, finite and > 0 (:func:`_check_controls`), when
     ``t_max / step`` exceeds ``MAX_STEPS``, when the run has not
     converged once its steps reach the work budget ``analysis.MAX_TURNS``
     (see :func:`budget_steps`), and when a step leaves [0, 1] (or gives
     NaN), naming the step and its time, and the overflow if x is not finite.
     """
-    if not 0 <= x0 <= 1:
-        raise ValueError(f"x0 must be in [0, 1], got {x0}")
-    for key, value in (("step", step), ("t_max", t_max), ("conv_tol", conv_tol)):
-        if not 0 < value < math.inf:
-            raise ValueError(f"{key} must be finite and > 0, got {value}")
+    _check_x(x0, "x0", scalar=True)
+    _check_controls(step, t_max, conv_tol)
     if t_max / step > MAX_STEPS:
         raise ValueError(f"t_max/step = {t_max / step:g} exceeds the limit of {MAX_STEPS} steps")
     max_steps = math.ceil(t_max / step)

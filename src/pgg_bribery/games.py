@@ -37,6 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from math import isfinite
+from numbers import Real
 
 __all__ = [
     "ParameterError",
@@ -50,7 +51,7 @@ __all__ = [
 
 
 class ParameterError(ValueError):
-    """A parameter record or group composition violates an invariant."""
+    """A parameter record, a group composition or a run input violates an invariant."""
 
 
 # the largest group size: the closed forms sum O(n) terms per evaluation, so
@@ -63,10 +64,26 @@ MAX_N = 10**4
 def _as_int(value, name: str) -> int:
     try:
         whole = int(value)
-    except (OverflowError, ValueError):  # inf, nan, non-numeric text
+    except (OverflowError, TypeError, ValueError):  # inf, nan, non-numeric text, None, complex
         whole = None
-    if isinstance(value, bool) or value != whole:
+    if whole is None or isinstance(value, bool) or value != whole:
         raise ParameterError(f"{name} must be an integer, got {value!r}")
+    return whole
+
+
+# the one rule of a real input and the one of a count; every door passes its own name for the value
+def _as_real(value, name: str):
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ParameterError(f"{name} must be a real number, got {value!r}")
+    return value
+
+
+def _as_count(value, name: str, low: int = 0, cap: tuple[str, int] | None = None) -> int:
+    whole = _as_int(value, name)
+    if whole < low:
+        raise ParameterError(f"{name} must be >= {low}, got {whole}")
+    if cap is not None and whole > cap[1]:
+        raise ParameterError(f"{name} must be <= {cap[0]} = {cap[1]}, got {whole}")
     return whole
 
 
@@ -90,7 +107,8 @@ class CoreParams:
     beta   probability that the leader punishes
     r_p    punishment multiplier scaling the leader's budget
 
-    Every value must be finite.  Any ``f > 0`` is accepted; values outside
+    Every value after ``n`` must be a real number, not a bool, checked for
+    every field before any range, and finite.  Any ``f > 0`` is accepted; values outside
     the classical dilemma range ``(1, n)`` are legal but reported by
     ``validation_warnings``.
     """
@@ -110,6 +128,8 @@ class CoreParams:
             raise ParameterError(f"group size n must be >= 2, got {self.n}")
         if self.n > MAX_N:
             raise ParameterError(f"group size n must be <= MAX_N = {MAX_N}, got {self.n}")
+        for field in fields(self)[1:]:  # every field after n is a float, a BriberyParams' four as well
+            _as_real(getattr(self, field.name), field.name)
         _check_finite(self, ("b", "c", "tau", "f", "r_p"))
         if not self.c > 0:
             raise ParameterError(f"contribution cost c must be > 0, got {self.c}")
@@ -147,7 +167,7 @@ class BriberyParams(CoreParams):
     q      probability that a non-leader defector offers a bribe
 
     ``BriberyParams(**vars(ipgg), h=..., gamma=..., p=..., q=...)`` extends
-    an IPGG record; the IPGG checks run first.
+    an IPGG record; the IPGG range checks run first.
     """
 
     h: float
@@ -191,10 +211,8 @@ class GroupComposition:
     n_d: int
 
     def __post_init__(self):
-        object.__setattr__(self, "n_c", _as_int(self.n_c, "n_c"))
-        object.__setattr__(self, "n_d", _as_int(self.n_d, "n_d"))
-        if self.n_c < 0 or self.n_d < 0:
-            raise ParameterError(f"composition counts must be >= 0, got {self}")
+        object.__setattr__(self, "n_c", _as_count(self.n_c, "n_c"))
+        object.__setattr__(self, "n_d", _as_count(self.n_d, "n_d"))
 
 
 def _check_group(params: CoreParams, comp: GroupComposition) -> None:

@@ -72,9 +72,10 @@ that order, through one submission path; the pool has at most as many
 workers as there are tasks, and it is shut down, its workers joined,
 before the call returns.  Without ``workers`` the tasks run in the
 calling process.  So each command starts at most one pool, and no pool
-outlives it.  ``workers`` above :data:`MAX_WORKERS` is refused with
-``ValueError`` before any pool starts, and an estimate of more than
-:data:`MAX_SAMPLES` samples before its task list is built.
+outlives it.  ``workers`` outside 1 to :data:`MAX_WORKERS` is refused with
+``ValueError`` before any pool starts, and an estimate of fewer than 2 or
+more than :data:`MAX_SAMPLES` samples before its task list is built, by
+the one rule of each that ``RunConfig`` and the CLI call too.
 """
 
 from __future__ import annotations
@@ -89,9 +90,10 @@ from itertools import islice
 
 import numpy as np
 
+from .analysis import _check_x
 from .dynamics import Trajectory
 from .games import BriberyParams, GroupComposition, Model, is_cooperator
-from .games import _as_int, _check_group, _payoff_tables
+from .games import _as_count, _as_int, _as_real, _check_group, _payoff_tables
 
 __all__ = [
     "RngSeed",
@@ -108,6 +110,9 @@ CHUNK_SAMPLES = 250_000
 # workers: a fork-context pool starts all of its workers at once
 MAX_SAMPLES = 10**9
 MAX_WORKERS = 64
+# the one rule of an estimate's sample count and of a pool size, (value, name) -> int
+_check_samples = partial(_as_count, low=2, cap=("MAX_SAMPLES", MAX_SAMPLES))
+_check_workers = partial(_as_count, low=1, cap=("MAX_WORKERS", MAX_WORKERS))
 _WORKSPACE = threading.local()  # each thread's chunk buffers: see _workspace
 
 
@@ -120,9 +125,7 @@ class RngSeed:
 
     def __post_init__(self):
         for name in ("master_seed", "stream_id"):
-            object.__setattr__(self, name, _as_int(getattr(self, name), name))
-        if self.master_seed < 0 or self.stream_id < 0:
-            raise ValueError("master_seed and stream_id must be >= 0")
+            object.__setattr__(self, name, _as_count(getattr(self, name), name))
 
 
 def generator(seed: RngSeed, *path: int) -> np.random.Generator:
@@ -495,13 +498,15 @@ def _chunk_task(model, focal_c, n_c, x, seed, index, size) -> tuple[int, float, 
             raise ValueError(f"the sampled payoffs overflow double precision ({err})") from None
 
 
+def _check_seed(seed) -> None:
+    if not isinstance(seed, RngSeed):
+        raise ValueError(f"seed must be an RngSeed, got {seed!r}")
+
+
 def _chunk_tasks(model, focal_c, n_c, x, n: int, seed: RngSeed) -> list[partial]:
     """One estimate as its zero-argument chunk tasks: ``n`` focal payoffs from the ``seed`` substreams."""
-    n = _as_int(n, "n")
-    if n < 2:
-        raise ValueError(f"need n >= 2 samples, got {n}")
-    if n > MAX_SAMPLES:
-        raise ValueError(f"need n <= MAX_SAMPLES = {MAX_SAMPLES} samples, got {n}")
+    n = _check_samples(n, "n")
+    _check_seed(seed)
     return [partial(_chunk_task, model, focal_c, n_c, x, seed, i, size) for i, size in enumerate(_chunk_sizes(n))]
 
 
@@ -515,8 +520,7 @@ def _payoff_request(model: Model, focal: str, comp: GroupComposition, n: int, se
 def _avg_request(model: Model, x: float, strategy: str, n: int, seed: RngSeed) -> list[partial]:
     """Chunk tasks of :func:`estimate_avg_payoff`; checks the strategy, ``x`` and ``n``."""
     focal_c = is_cooperator(strategy)
-    if not 0 <= x <= 1:
-        raise ValueError(f"x must be in [0, 1], got {x}")
+    _check_x(x, "x", scalar=True)
     return _chunk_tasks(model, focal_c, None, x, n, seed)
 
 
@@ -527,8 +531,7 @@ def _run_tasks(tasks: list, workers: int | None) -> list:
     order, under the pool policy of the module docstring; otherwise they
     run in this process.
     """
-    if workers is not None and not 1 <= workers <= MAX_WORKERS:
-        raise ValueError(f"workers must be >= 1 and <= MAX_WORKERS = {MAX_WORKERS}, got {workers}")
+    workers = None if workers is None else _check_workers(workers, "workers")
     if workers is None or workers == 1 or len(tasks) <= 1:
         return [task() for task in tasks]
     # a fork-context pool starts all of its workers at once: never more than there are tasks
@@ -623,17 +626,15 @@ def evolve_finite_population(
     :data:`UNIFORM_BLOCK`, as Python floats, consumed in order.
     """
     population_size = _as_int(population_size, "population_size")
-    rounds = _as_int(rounds, "rounds")
     if population_size < 2 * model.n:
         raise ValueError(
             f"population_size must be >= 2n = {2 * model.n}, got {population_size}"
         )
-    if not 0 <= x0 <= 1:
-        raise ValueError(f"x0 must be in [0, 1], got {x0}")
-    if rounds < 0:
-        raise ValueError(f"rounds must be >= 0, got {rounds}")
-    if not math.isfinite(imitation_strength):
+    _check_x(x0, "x0", scalar=True)
+    rounds = _as_count(rounds, "rounds")
+    if not math.isfinite(_as_real(imitation_strength, "imitation_strength")):
         raise ValueError(f"imitation_strength must be finite, got {imitation_strength}")
+    _check_seed(seed)
 
     z = population_size
     k = min(z, max(0, int(round(x0 * z))))

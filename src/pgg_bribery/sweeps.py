@@ -23,7 +23,7 @@ from .analysis import BISECTION_STEPS, _check_turns, classify_regimes
 
 # unused here, classify_regime stays as sweeps.classify_regime for perfbench's tracer test
 from .analysis import classify_regime  # noqa: F401
-from .games import Model
+from .games import Model, _as_real
 from .output import LazyRows
 
 __all__ = [
@@ -79,7 +79,7 @@ def _check_cells(what: str, cells: int) -> None:
 
 
 def _axis(model: Model, name: str, lo: float, hi: float, steps: int) -> np.ndarray:
-    if not lo < hi:
+    if not _as_real(lo, f"{name} lo") < _as_real(hi, f"{name} hi"):
         raise ValueError(f"{name} bounds must satisfy lo < hi, got [{lo}, {hi}]")
     if steps < 2:
         raise ValueError(f"{name} needs at least 2 steps, got {steps}")

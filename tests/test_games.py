@@ -174,6 +174,15 @@ class TestInvariants:
         with pytest.raises(ParameterError):
             GroupComposition(-1, 5)
 
+    @pytest.mark.parametrize("value", [True, "3", None, 1j], ids=["true", "text", "none", "complex"])
+    def test_every_float_field_is_a_real_number_checked_before_any_range(self, value):
+        for name in CORE_FIELDS[1:] + BRIBERY_FIELDS:
+            # c = -1 and beta = 2 break ranges checked before most fields: the type is checked first
+            with pytest.raises(ParameterError, match=f"^{name} must be a real number, got "):
+                replace(BG_DEFECTOR_BRIBES, **{"c": -1.0, "beta": 2.0, name: value})
+        with pytest.raises(ParameterError, match="^group size n must be >= 2, got 1$"):
+            replace(BG_DEFECTOR_BRIBES, n=1, c=value)
+
     def test_pool_multiplier_warning(self):
         assert replace(IPGG_WEAK_POOL, f=6.0).validation_warnings
         assert BriberyParams(

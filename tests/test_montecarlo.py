@@ -163,13 +163,14 @@ class TestBatchedEstimates:
     def test_a_short_request_fails_before_any_pool_starts(self, pool_sizes):
         comp = GroupComposition(2, 2)
         for n in (1, 0, -5):
-            with pytest.raises(ValueError, match="n >= 2"):
+            match = f"^n must be >= 2, got {n}$"
+            with pytest.raises(ValueError, match=match):
                 _payoff_request(IPGG_WEAK_POOL, "C", comp, n, RngSeed(0))
-            with pytest.raises(ValueError, match="n >= 2"):
+            with pytest.raises(ValueError, match=match):
                 _avg_request(IPGG_BISTABLE, 0.5, "D", n, RngSeed(0))
-            with pytest.raises(ValueError, match="n >= 2"):
+            with pytest.raises(ValueError, match=match):
                 estimate_expected_payoff(IPGG_WEAK_POOL, "C", comp, n, RngSeed(0), workers=2)
-            with pytest.raises(ValueError, match="n >= 2"):
+            with pytest.raises(ValueError, match=match):
                 estimate_avg_payoff(IPGG_BISTABLE, 0.5, "D", n, RngSeed(0), workers=2)
         assert pool_sizes == []
 
@@ -245,7 +246,7 @@ class TestBatchedEstimates:
         monkeypatch.setattr(montecarlo, "_chunk_sizes", self._no_work)
         monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", self._no_work)
         for n in (MAX_SAMPLES + 1, 10**12):
-            match = f"n <= MAX_SAMPLES = {MAX_SAMPLES} samples, got {n}"
+            match = f"^n must be <= MAX_SAMPLES = {MAX_SAMPLES}, got {n}$"
             with pytest.raises(ValueError, match=match):
                 estimate_expected_payoff(IPGG_WEAK_POOL, "C", comp, n, RngSeed(0), workers=2)
             with pytest.raises(ValueError, match=match):

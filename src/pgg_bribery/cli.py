@@ -42,7 +42,7 @@ from .analysis import (
 )
 from .config import ConfigError, RunConfig, config_from_pairs, parse_line, parse_pairs
 from .dynamics import basin_of_cooperation, integrate
-from .games import _payoff_tables
+from .games import _as_int, _payoff_tables
 from .montecarlo import MAX_WORKERS, RngSeed, _avg_request, _check_workers, _estimate_all, _run_tasks
 from .output import ColumnRows, LazyRows, fmt_cell, fmt_float, fmt_quantity, write_csv, write_plot
 from .sweeps import DEFAULT_STEPS, SWEEP_DEFAULTS, _check_cells, regime_grid, sweep_root
@@ -165,6 +165,7 @@ class GradientRows(LazyRows):
 
 def gradient_rows(model, points: int) -> GradientRows:
     """Rows (x, Q(x), G(x)) at ``points`` evenly spaced x in [0, 1], made a chunk at a time."""
+    points = _as_int(points, "--points")
     if points < 2:
         raise ConfigError(f"--points must be >= 2, got {points}")
     _check_cells("gradient", points)

@@ -38,6 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from math import isfinite
 from numbers import Real
+from typing import ClassVar
 
 __all__ = [
     "ParameterError",
@@ -73,6 +74,8 @@ def _as_int(value, name: str) -> int:
 
 # the one rule of a real input and the one of a count; every door passes its own name for the value
 def _as_real(value, name: str):
+    if type(value) is float or type(value) is int:  # the common case, ahead of the ABC check; a bool is neither
+        return value
     if isinstance(value, bool) or not isinstance(value, Real):
         raise ParameterError(f"{name} must be a real number, got {value!r}")
     return value
@@ -121,6 +124,7 @@ class CoreParams:
     alpha: float
     beta: float
     r_p: float
+    _REAL_FIELDS: ClassVar[tuple[str, ...]]  # the fields after n, each a float: set below, once per class
 
     def __post_init__(self):
         object.__setattr__(self, "n", _as_int(self.n, "n"))
@@ -128,8 +132,8 @@ class CoreParams:
             raise ParameterError(f"group size n must be >= 2, got {self.n}")
         if self.n > MAX_N:
             raise ParameterError(f"group size n must be <= MAX_N = {MAX_N}, got {self.n}")
-        for field in fields(self)[1:]:  # every field after n is a float, a BriberyParams' four as well
-            _as_real(getattr(self, field.name), field.name)
+        for name in self._REAL_FIELDS:
+            _as_real(getattr(self, name), name)
         _check_finite(self, ("b", "c", "tau", "f", "r_p"))
         if not self.c > 0:
             raise ParameterError(f"contribution cost c must be > 0, got {self.c}")
@@ -155,6 +159,7 @@ class CoreParams:
 
 
 CORE_FIELDS = tuple(field.name for field in fields(CoreParams))
+CoreParams._REAL_FIELDS = CORE_FIELDS[1:]
 
 
 @dataclass(frozen=True)
@@ -197,6 +202,7 @@ class BriberyParams(CoreParams):
 
 
 BRIBERY_FIELDS = tuple(field.name for field in fields(BriberyParams))[len(CORE_FIELDS):]
+BriberyParams._REAL_FIELDS = CoreParams._REAL_FIELDS + BRIBERY_FIELDS
 
 # every model is a CoreParams; a BriberyParams adds the bribery constants
 Model = CoreParams
@@ -216,6 +222,8 @@ class GroupComposition:
 
 
 def _check_group(params: CoreParams, comp: GroupComposition) -> None:
+    if not isinstance(comp, GroupComposition):
+        raise ParameterError(f"comp must be a GroupComposition, got {comp!r}")
     if comp.n_c + comp.n_d != params.n - 1:
         raise ParameterError(
             f"composition {comp} does not describe {params.n - 1} co-players"

@@ -53,7 +53,7 @@ the leaders are drawn into a fresh array, as ``int32``: numpy's
 ``int64`` draw, value for value and state for state.  Counts read from
 the cut tables stay ``int8``, drawn compositions included, and bribe
 income is added only at the samples that receive it.  A warm 250k-sample
-chunk peaks at 1.0-1.4 MiB traced.
+chunk peaks at 1.0-1.7 MiB traced.
 
 Reproducibility: every estimator takes an :class:`RngSeed`; identical
 (master_seed, stream_id) pairs reproduce identical results regardless of
@@ -300,6 +300,33 @@ def _at(values: np.ndarray, lanes: np.ndarray | None) -> np.ndarray:
     return values if lanes is None else values[lanes]
 
 
+# entry b has bits 0 to b set: a word's bits at or below bit b
+_LOW_BITS = np.uint64(2**64 - 1) >> np.arange(63, -1, -1, dtype=np.uint64)
+
+
+def _zeros_through(values: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """How many entries of ``values`` are 0 at or before each index of ``at``.
+
+    A rank by popcounts: the zeros are marked in 64-bit words, a running
+    count of their set bits gives the count before each word, and an index
+    adds the set bits of its own word up to it.  That is one pass over
+    ``values`` and O(1) per index, where a search of the zeros' indices
+    costs O(log) per index and misses the cache.  Beyond a passing bool
+    per entry, it holds a bit per entry and three int64s per index.
+    """
+    words = np.zeros(-(-len(values) // 64), "<u8")  # bit j of word w marks entry 64 w + j
+    packed = np.packbits(values == 0, bitorder="little")
+    words.view(np.uint8)[: len(packed)] = packed
+    ones = np.bitwise_count(words)
+    before = np.cumsum(ones, dtype=np.int64) - ones
+    word = at >> 6
+    low = _LOW_BITS[at & 63]
+    low &= words[word]
+    zeros = before[word]
+    zeros += np.bitwise_count(low)
+    return zeros
+
+
 def _binomial(
     rng: np.random.Generator, n, p: float, size: int, lanes: np.ndarray | None = None, spent: np.ndarray | None = None
 ) -> np.ndarray:
@@ -315,8 +342,8 @@ def _binomial(
     it for p > 0.5, numpy's flip), returned as ``int8``.  Every lane's
     uniform is drawn, but only the ``lanes`` are looked up.  Lane i's
     uniform is the one at i - z, where z counts the lanes with n = 0 at or
-    before it: those lanes are few, so z is a ``searchsorted`` over them,
-    not a rank of every lane.  A lane with n = 0 thus takes the uniform
+    before it, found by :func:`_zeros_through` at the looked-up lanes only,
+    not by a rank of every lane.  A lane with n = 0 thus takes the uniform
     before it (the last one if there is none), which its row, without
     cuts, ignores.  If a uniform may reach numpy's rejection branch, the
     generator is rewound and numpy's own call is returned, as numpy's
@@ -339,20 +366,19 @@ def _binomial(
 
     state = rng.bit_generator.state
     table, reject = _cut_table(n_max, p_inv)
-    zeros = None if n_arr.ndim == 0 else np.flatnonzero(n_arr == 0)
-    drawn = size if zeros is None else size - len(zeros)
+    drawn = size if n_arr.ndim == 0 else int(np.count_nonzero(n_arr))
     u = rng.random(drawn) if spent is None else rng.random(out=spent[:drawn])
     if u.max(initial=0.0) >= reject:  # a uniform may reach numpy's rejection branch
         rng.bit_generator.state = state
         return _at(rng.binomial(n, p, size), lanes)
-    if zeros is None:
+    if n_arr.ndim == 0:
         rows = n_max
         if lanes is not None:
             u = u[lanes]
     else:
         at = np.arange(size) if lanes is None else np.flatnonzero(lanes) if lanes.dtype == bool else lanes
         rows = n_arr[at]
-        u = u[at - np.searchsorted(zeros, at, side="right")]
+        u = u[at - _zeros_through(n_arr, at)]
     x = np.zeros(len(u), np.int8)  # n <= INVERSION_MAX_N fits
     for column in table.T:
         x += u >= column[rows]

@@ -23,7 +23,7 @@ from .analysis import BISECTION_STEPS, _check_turns, classify_regimes
 
 # unused here, classify_regime stays as sweeps.classify_regime for perfbench's tracer test
 from .analysis import classify_regime  # noqa: F401
-from .games import Model, _as_real
+from .games import Model, _as_int, _as_real
 from .output import LazyRows
 
 __all__ = [
@@ -81,6 +81,7 @@ def _check_cells(what: str, cells: int) -> None:
 def _axis(model: Model, name: str, lo: float, hi: float, steps: int) -> np.ndarray:
     if not _as_real(lo, f"{name} lo") < _as_real(hi, f"{name} hi"):
         raise ValueError(f"{name} bounds must satisfy lo < hi, got [{lo}, {hi}]")
+    steps = _as_int(steps, f"{name} steps")
     if steps < 2:
         raise ValueError(f"{name} needs at least 2 steps, got {steps}")
     _check_cells(f"{name} axis", steps)
@@ -102,7 +103,7 @@ def sweep_root(
     if parameter not in SWEEP_DEFAULTS:
         raise ValueError(f"swept parameter must be {' or '.join(map(repr, SWEEP_DEFAULTS))}, got {parameter!r}")
     values = _axis(model, parameter, lo, hi, steps)
-    _check_turns(f"{parameter} sweep", model.n, points=steps, halvings=BISECTION_STEPS)
+    _check_turns(f"{parameter} sweep", model.n, points=len(values), halvings=BISECTION_STEPS)
     return SweepResult(model, parameter, values)
 
 
@@ -118,6 +119,7 @@ def regime_grid(
     """The rows of the regime and basin of full cooperation over an (f, r_p) grid, validated."""
     f_values = _axis(model, "f", f_lo, f_hi, f_steps)
     rp_values = _axis(model, "r_p", rp_lo, rp_hi, rp_steps)
-    _check_cells("(f, r_p) grid", f_steps * rp_steps)
-    _check_turns("(f, r_p) grid", model.n, cells=f_steps * rp_steps, halvings=BISECTION_STEPS)
+    cells = len(f_values) * len(rp_values)
+    _check_cells("(f, r_p) grid", cells)
+    _check_turns("(f, r_p) grid", model.n, cells=cells, halvings=BISECTION_STEPS)
     return RegimeGrid(model, f_values, rp_values)

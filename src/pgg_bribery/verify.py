@@ -14,10 +14,13 @@ Suites (one summary line each from the CLI):
 * stream_reproducibility    seed determinism and cross-stream independence
 
 Every random draw is seeded, so repeated runs produce byte-identical
-reports; Monte Carlo work is chunked by fixed substreams, so worker-pool
-size cannot change any value.  :func:`run_battery` runs the whole
-battery as one task list, the suites in report order, under the pool
-policy of :mod:`pgg_bribery.montecarlo`.
+reports.  The drawn models' fields and the other scalar draws are
+numpy's uniforms, value for value and generator state for state, taken
+through :func:`_uniform`, which skips the set-up of a
+``Generator.uniform`` call.  Monte Carlo work is chunked by fixed
+substreams, so worker-pool size cannot change any value.
+:func:`run_battery` runs the whole battery as one task list, the suites
+in report order, under the pool policy of :mod:`pgg_bribery.montecarlo`.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from .analysis import (
     q_callable,
     thresholds,
 )
-from .games import BriberyParams, CoreParams, GroupComposition, group_payoff
+from .games import BriberyParams, CoreParams, GroupComposition, _as_int, group_payoff
 from .montecarlo import (
     RngSeed,
     _avg_request,
@@ -82,17 +85,22 @@ class SuiteResult:
         return all(row.ok for row in self.rows)
 
 
+def _uniform(rng: np.random.Generator, low: float, high: float) -> float:
+    """``rng.uniform(low, high)``: numpy's ``low + (high - low) * next_double``, without its array set-up."""
+    return low + (high - low) * rng.random()
+
+
 def draw_core_params(rng: np.random.Generator, positive_punishment: bool = False) -> CoreParams:
     """Random parameters at the magnitudes the closed forms are used at."""
-    beta = rng.uniform(0.05, 1.0) if positive_punishment else rng.uniform(0.0, 1.0)
-    r_p = rng.uniform(0.1, 3.0) if positive_punishment else rng.uniform(0.0, 3.0)
+    beta = _uniform(rng, 0.05, 1.0) if positive_punishment else _uniform(rng, 0.0, 1.0)
+    r_p = _uniform(rng, 0.1, 3.0) if positive_punishment else _uniform(rng, 0.0, 3.0)
     return CoreParams(
         n=int(rng.integers(2, 9)),
-        b=rng.uniform(0.0, 15.0),
-        c=rng.uniform(0.5, 2.0),
-        tau=rng.uniform(0.1, 1.5),
-        f=rng.uniform(0.2, 10.0),
-        alpha=rng.uniform(0.0, 1.0),
+        b=_uniform(rng, 0.0, 15.0),
+        c=_uniform(rng, 0.5, 2.0),
+        tau=_uniform(rng, 0.1, 1.5),
+        f=_uniform(rng, 0.2, 10.0),
+        alpha=_uniform(rng, 0.0, 1.0),
         beta=beta,
         r_p=r_p,
     )
@@ -102,10 +110,10 @@ def draw_bribery_params(rng: np.random.Generator, positive_punishment: bool = Fa
     core = draw_core_params(rng, positive_punishment)
     return BriberyParams(
         **vars(core),
-        h=rng.uniform(0.0, 2.0),
-        gamma=rng.uniform(0.0, 1.0 - core.beta),
-        p=rng.uniform(0.0, 1.0),
-        q=rng.uniform(0.0, 1.0),
+        h=_uniform(rng, 0.0, 2.0),
+        gamma=_uniform(rng, 0.0, 1.0 - core.beta),
+        p=_uniform(rng, 0.0, 1.0),
+        q=_uniform(rng, 0.0, 1.0),
     )
 
 
@@ -120,7 +128,7 @@ def _check_closed_vs_binomial(seed: int) -> SuiteResult:
     worst = 0.0
     for i in range(1000):
         model = _draw_model(rng, i)
-        x = rng.uniform(0.0, 1.0)
+        x = _uniform(rng, 0.0, 1.0)
         strategy = "C" if i % 4 < 2 else "D"
         worst = max(worst, abs(avg_payoff(model, x, strategy) - binomial_avg_payoff(model, x, strategy)))
     rows = (CheckRow("max_abs_diff", worst, 1e-10),)
@@ -234,7 +242,7 @@ def _check_root_bracketing(seed: int) -> SuiteResult:
     while checked < 200:
         model = _draw_model(rng, checked, positive_punishment=True)
         th = thresholds(model)
-        f = th.f_min + rng.uniform(0.1, 0.9) * (th.f_max - th.f_min)
+        f = th.f_min + _uniform(rng, 0.1, 0.9) * (th.f_max - th.f_min)
         if f <= 0.01:
             continue
         bistable = replace(model, f=f)
@@ -362,9 +370,11 @@ def run_battery(samples: int = 1_000_000, seed: int = 42, workers: int | None = 
 
     One task list holds the eight deterministic suites, in report order,
     then the chunks of the 32 Monte Carlo estimates; the suites come back
-    in the order of the module docstring.  ``samples`` below
-    ``MIN_SAMPLES`` is refused with ``ValueError`` before any task is built.
+    in the order of the module docstring.  A ``samples`` that is not an
+    integer, or is below ``MIN_SAMPLES``, is refused with ``ValueError``
+    before any task is built.
     """
+    samples = _as_int(samples, "samples")
     if samples < MIN_SAMPLES:
         raise ValueError(f"verify needs samples >= MIN_SAMPLES = {MIN_SAMPLES}, got {samples}")
     checks = _monte_carlo_checks(seed, samples)

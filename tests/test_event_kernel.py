@@ -505,7 +505,7 @@ def test_int32_leader_draws_are_numpys_int64_draws(size):
 # a full chunk's int32 leader draws are 0.95 MiB, and every other full-length
 # array is in the thread's workspace, which the warm-up chunk allocates: a
 # warm chunk peaked at 1.02 (IPGG, fixed), 1.26 (IPGG, drawn), 1.19 (BG, fixed)
-# and 1.42 MiB (BG, drawn).  With fresh full-length arrays per chunk it peaked
+# and 1.64 MiB (BG, drawn).  With fresh full-length arrays per chunk it peaked
 # at 5.0, 5.3, 6.0 and 6.4 MiB
 CHUNK_PEAK_MIB = {("ipgg", 2): 2.0, ("ipgg", 0.37): 2.0, ("bg", 2): 2.0, ("bg", 0.37): 2.0}
 
